@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InconsistencyError, InputError, SpanError
+from .errors import InconsistencyError, InputError, SpanError, field
 from .graded import GradedChar, KElement
 from .laurent import LaurentInt
 from .nichols import coverma_char, ind_char, lowest_data, verma_char
@@ -337,16 +337,14 @@ class MLMatrixData:
         if not isinstance(obj, dict) or obj.get("kind") != "ml_matrix":
             raise InputError("expected an ml_matrix payload")
         rows = {}
-        for item in obj["rows"]:
-            lam = system.parse_label(item["w"])
+        for item in field(obj, "rows", list, "ml_matrix payload"):
+            lam = system.parse_label(field(item, "w", str, "ml_matrix row"))
             if lam in rows:
                 raise InputError(f"duplicate multiplicity row for {lam.label}")
             terms = {}
-            for f in item["factors"]:
-                w = system.parse_label(f["w"])
-                m = f["m"]
-                if not isinstance(m, int):
-                    raise InputError("multiplicities must be integers")
+            for f in field(item, "factors", list, "ml_matrix row"):
+                w = system.parse_label(field(f, "w", str, "ml_matrix factor"))
+                m = field(f, "m", int, "ml_matrix factor")
                 terms[w] = terms.get(w, 0) + m
             rows[lam] = KElement(terms)
         dim_b = obj.get("dim_b")

@@ -140,6 +140,11 @@ class CharacterTable:
         values = tuple(
             tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in obj["values"]
         )
+        # orthogonality cannot see a permutation of the rows, which would
+        # silently relabel every weight built on this table
+        keys = [_row_key(row, e) for row in values]
+        if keys != sorted(keys):
+            raise InconsistencyError("character table rows are not in canonical order")
         degrees = tuple(int(row[0].to_rational()) for row in values)
         table = cls(group, conj, e, values, degrees)
         table._verify()
@@ -156,7 +161,7 @@ class CharacterTable:
             try:
                 with open(path, encoding="utf-8") as fh:
                     return cls.from_json(json.load(fh), group, conj)
-            except (ValueError, KeyError, OSError):
+            except (ValueError, KeyError, TypeError, OSError, InconsistencyError):
                 pass  # stale or corrupt entry; recompute below
         table = cls.compute(group, conj)
         os.makedirs(cache_dir, exist_ok=True)
@@ -303,10 +308,12 @@ def _sqrt_small(a, p):
     return min(r, p - r)
 
 
-def _sorted_rows(rows, e):
-    def key(row):
-        deg = row[0].to_rational()
-        coords = tuple(tuple(-c for c in v.embed(e).coeffs) for v in row)
-        return (deg, coords)
+def _row_key(row, e):
+    """Ascending degree, then descending value coordinates."""
+    deg = row[0].to_rational()
+    coords = tuple(tuple(-c for c in v.embed(e).coeffs) for v in row)
+    return (deg, coords)
 
-    return sorted(rows, key=key)
+
+def _sorted_rows(rows, e):
+    return sorted(rows, key=lambda row: _row_key(row, e))

@@ -366,8 +366,12 @@ def cmd_ind(args):
         for lam, c in _sorted_summands(system, out)
     )
     dim = profile.dim_b ** 2 * system.dim(mu)
+    summed = sum(
+        c.eval_one() * report.dim_projective(lam, profile.dim_b) for lam, c in out.items()
+    )
+    _check_dimension(f"induced module of {mu}", dim, summed)
     print(f"ch Ind({names[mu.label]}) = {rhs}")
-    print(f"dimension check: {dim} = {dim}")
+    print(f"dimension check: {dim} = {summed}")
     if args.out:
         write_json(
             args.out,
@@ -380,6 +384,14 @@ def cmd_ind(args):
                 },
                 "dim": dim,
             },
+        )
+
+
+def _check_dimension(what, dim, summed):
+    """The dimension of a module against the sum over its decomposition."""
+    if dim != summed:
+        raise InconsistencyError(
+            f"dimension of the {what} is {dim}, but its decomposition sums to {summed}"
         )
 
 
@@ -402,8 +414,10 @@ def cmd_tensor(args):
     dim = report.dim_projective(mu, profile.dim_b) * report.dim_projective(
         nu, profile.dim_b
     )
+    summed = sum(c.eval_one() * profile.dim_b ** 2 * system.dim(w) for w, c in out.items())
+    _check_dimension(f"tensor of the projectives of {mu} and {nu}", dim, summed)
     print(f"P({names[mu.label]}) (x) P({names[nu.label]}) = {rhs}")
-    print(f"dimension check: {dim} = {dim}")
+    print(f"dimension check: {dim} = {summed}")
     if args.out:
         write_json(
             args.out,

@@ -105,7 +105,8 @@ class Cyclotomic:
 
     def __init__(self, order, coeffs):
         d = _degree(order)
-        coeffs = tuple(_norm_num(c) for c in coeffs)
+        # exact int check first: the ABC isinstance in _norm_num is slow
+        coeffs = tuple(c if type(c) is int else _norm_num(c) for c in coeffs)
         if len(coeffs) != d:
             raise ValueError(f"need {d} coefficients for order {order}, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
@@ -178,15 +179,7 @@ class Cyclotomic:
             return Cyclotomic(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b, L = self._aligned(other)
-        ac, bc = a.coeffs, b.coeffs
-        conv = [0] * (len(ac) + len(bc) - 1)
-        for i, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclotomic(L, _reduce(conv, L))
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -341,6 +334,29 @@ def zeta(order, power=1):
     if order < 1:
         raise ValueError("order must be positive")
     return Cyclotomic(order, _power_table(order)[power % order])
+
+
+def dot(xs, ys):
+    """Exact sum of x * y over two equally long sequences of Cyclotomic.
+
+    Every product is accumulated as an integer polynomial in the lcm
+    order and reduced mod Phi once at the end, so no intermediate
+    Cyclotomic is built."""
+    order = 1
+    for v in xs:
+        order = _lcm(order, v.order)
+    for v in ys:
+        order = _lcm(order, v.order)
+    d = _degree(order)
+    conv = [0] * (2 * d - 1)
+    for x, y in zip(xs, ys):
+        yc = y.embed(order).coeffs
+        for i, a in enumerate(x.embed(order).coeffs):
+            if a:
+                for j, b in enumerate(yc):
+                    if b:
+                        conv[i + j] += a * b
+    return Cyclotomic(order, _reduce(conv, order))
 
 
 CYC_ZERO = Cyclotomic(1, (0,))

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto exit codes: InputError -> 2,
-InconsistencyError -> 3, OracleError -> 4.
+InconsistencyError -> 3, OracleError -> 4.  `field` reads one member of
+a JSON payload and turns a missing or mistyped member into InputError.
 """
 
 
@@ -30,3 +31,19 @@ class SpanError(InconsistencyError):
 
 class OracleError(DoubleCharError):
     """The independent oracle and the closed-form route disagree."""
+
+
+_JSON_TYPES = {dict: "JSON object", list: "list", str: "string", int: "integer"}
+
+
+def field(obj, key, kind, where):
+    """obj[key], demanding that obj is a JSON object holding key with a
+    value of type kind (dict, list, str or int)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise InputError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise InputError(f"{where}: {key!r} must be a {_JSON_TYPES[kind]}")
+    return value

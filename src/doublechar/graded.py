@@ -10,7 +10,7 @@ argument; everything else is system-free bookkeeping.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, field
 from .laurent import LaurentInt
 
 
@@ -238,19 +238,13 @@ class GradedChar:
 
     @classmethod
     def from_json(cls, obj, system):
-        if not isinstance(obj, dict) or "char" not in obj:
-            raise InputError("graded character payload must have a 'char' list")
         layers = {}
-        for entry in obj["char"]:
-            d = entry["deg"]
-            if not isinstance(d, int):
-                raise InputError("layer degrees must be integers")
+        for entry in field(obj, "char", list, "graded character payload"):
+            d = field(entry, "deg", int, "graded character layer")
             terms = {}
-            for item in entry["weights"]:
-                w = system.parse_label(item["w"])
-                m = item["m"]
-                if not isinstance(m, int):
-                    raise InputError("weight multiplicities must be integers")
+            for item in field(entry, "weights", list, "graded character layer"):
+                w = system.parse_label(field(item, "w", str, "graded character weight"))
+                m = field(item, "m", int, "graded character weight")
                 terms[w] = terms.get(w, 0) + m
             if d in layers:
                 raise InputError(f"duplicate layer degree {d}")

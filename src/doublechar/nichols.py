@@ -13,7 +13,7 @@ this module tries to compute them from a braiding.
 
 from __future__ import annotations
 
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, field
 from .graded import GradedChar, KElement, gc_dual, gc_mul
 
 
@@ -92,21 +92,17 @@ class NicholsProfile:
 
     @classmethod
     def from_json(cls, obj, system):
-        if not isinstance(obj, dict) or "components" not in obj:
-            raise InputError("profile payload must have a 'components' list")
         by_deg = {}
-        for entry in obj["components"]:
-            j = entry.get("deg")
-            if not isinstance(j, int) or j < 0:
-                raise InputError("profile component degrees must be nonnegative integers")
+        for entry in field(obj, "components", list, "profile payload"):
+            j = field(entry, "deg", int, "profile component")
+            if j < 0:
+                raise InputError("profile component degrees must be nonnegative")
             if j in by_deg:
                 raise InputError(f"duplicate profile component degree {j}")
             terms = {}
-            for item in entry["weights"]:
-                w = system.parse_label(item["w"])
-                m = item["m"]
-                if not isinstance(m, int):
-                    raise InputError("profile multiplicities must be integers")
+            for item in field(entry, "weights", list, "profile component"):
+                w = system.parse_label(field(item, "w", str, "profile weight"))
+                m = field(item, "m", int, "profile weight")
                 terms[w] = terms.get(w, 0) + m
             by_deg[j] = KElement(terms)
         if sorted(by_deg) != list(range(len(by_deg))):
@@ -222,14 +218,14 @@ class SimpleTable:
 
     @classmethod
     def from_json(cls, obj, system):
-        if not isinstance(obj, dict) or "simples" not in obj:
-            raise InputError("simple-table payload must have a 'simples' list")
         entries = {}
-        for item in obj["simples"]:
-            lam = system.parse_label(item["w"])
+        for item in field(obj, "simples", list, "simple-table payload"):
+            lam = system.parse_label(field(item, "w", str, "simple-table entry"))
             if lam in entries:
                 raise InputError(f"duplicate simple-table entry for {lam.label}")
-            entries[lam] = GradedChar.from_json(item["char"], system)
+            entries[lam] = GradedChar.from_json(
+                field(item, "char", dict, "simple-table entry"), system
+            )
         return cls(entries)
 
 

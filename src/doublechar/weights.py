@@ -3,9 +3,20 @@
 A weight is a pair (conjugacy class, irreducible character of the
 centralizer of the class representative); it labels an irreducible
 Yetter-Drinfeld module over the group.  Its pair character assigns to
-commuting pairs (g, h) the trace of h on the g-graded component, and
-fusion multiplicities come from averaging products of pair characters
-over the commuting variety.
+commuting pairs (g, h) the trace of h on the g-graded component.
+
+Fusion projects the pair character T of lam (x) mu onto each weight
+(i, j).  T is invariant under simultaneous conjugation, so the average
+over the commuting variety collapses to the class representative r_i
+and one representative c_k per class K_k of its centralizer Z_i:
+
+    N_{lam mu}^{(i,j)} = (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k),
+    T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
+                chi_lam(g1, c) chi_mu(g2, c).
+
+Duals are the same projection onto the unit weight (i the identity
+class, Z_i = G, chi_j trivial).  Every multiplicity is an exact
+cyclotomic number that must come out a nonnegative integer.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table.
@@ -15,10 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chartable import CharacterTable
-from .cyclotomic import CYC_ZERO, Cyclotomic
+from .cyclotomic import CYC_ZERO, dot
 from .errors import InconsistencyError, InputError
 from .groups import centralizer, conjugacy_classes, perm_inv, perm_mul
 
@@ -68,6 +78,7 @@ class WeightSystem:
         self.unit = Weight(0, 0)
         self._fusion_cache = {}
         self._dual_cache = {}
+        self._rows_cache = {}
 
     # ---- basic data ----
 
@@ -105,71 +116,25 @@ class WeightSystem:
         cls = self.cent_conj[i].class_of[z.index[moved]]
         return self.tables[i].values[w.irrep_index][cls]
 
-    def _tensor_value(self, lam, mu, g_index, h_index):
-        """Pair character of lam (x) mu at (g, h): a convolution over the
-        group coordinate with the centralizer coordinate fixed."""
-        group = self.group
-        conj = self.conj
-        b = mu.class_index
-        total = CYC_ZERO
-        for g1 in conj.classes[lam.class_index]:
-            g2 = group.mul_index(group.inverse_index(g1), g_index)
-            if conj.class_of[g2] != b:
-                continue
-            v1 = self.pair_char(lam, g1, h_index)
-            if v1.is_zero():
-                continue
-            v2 = self.pair_char(mu, g2, h_index)
-            if v2.is_zero():
-                continue
-            total = total + v1 * v2
-        return total
-
     # ---- fusion ----
 
     def fusion(self, lam, mu):
         """Decomposition of lam (x) mu as a multiset of weights.
 
         Returns a dict weight -> positive multiplicity.  Raises
-        InconsistencyError if the averaged inner products fail to be
-        nonnegative integers or the dimension count does not close.
+        InconsistencyError if the projections fail to be nonnegative
+        integers or the dimension count does not close.
         """
         key = (min(lam, mu), max(lam, mu))
         hit = self._fusion_cache.get(key)
         if hit is not None:
             return dict(hit)
-        group = self.group
-        conj = self.conj
-        n = group.order
-        support = sorted(
-            {
-                conj.class_of[group.mul_index(x, y)]
-                for x in conj.classes[lam.class_index]
-                for y in conj.classes[mu.class_index]
-            }
-        )
         result = {}
-        for i in support:
-            z = self.centralizers[i]
-            cd = self.cent_conj[i]
-            table = self.tables[i]
-            sums = [CYC_ZERO] * cd.count
-            for g_index in conj.classes[i]:
-                x = conj.conjugator[g_index]
-                x_inv = perm_inv(x)
-                for c in z.elements:
-                    h_index = group.index[perm_mul(x, perm_mul(c, x_inv))]
-                    val = self._tensor_value(lam, mu, g_index, h_index)
-                    if not val.is_zero():
-                        cls = cd.class_of[z.index[c]]
-                        sums[cls] = sums[cls] + val
-            for j in range(table.count):
-                acc = CYC_ZERO
-                for cls in range(cd.count):
-                    if sums[cls].is_zero():
-                        continue
-                    acc = acc + sums[cls] * table.values[j][cls].conjugate()
-                mult = _as_count(acc, n, lam, mu)
+        for i, factors in enumerate(self._factor_lists(lam, mu)):
+            if not factors:
+                continue
+            mults = self._multiplicities(lam, mu, i, factors, self._class_rows(i)[1])
+            for j, mult in enumerate(mults):
                 if mult:
                     result[Weight(i, j)] = mult
         if sum(m * self.dim(w) for w, m in result.items()) != self.dim(lam) * self.dim(mu):
@@ -185,19 +150,16 @@ class WeightSystem:
         if hit is not None:
             return hit
         group = self.group
-        conj = self.conj
-        n = group.order
-        b = conj.inverse_class[lam.class_index]
+        # the unit weight lives over the identity class, whose centralizer
+        # is G itself; its trivial row is the first
+        factors = [(g, group.inverse_index(g)) for g in self.conj.classes[lam.class_index]]
+        trivial = self._class_rows(self.unit.class_index)[1][:1]
+        b = self.conj.inverse_class[lam.class_index]
         found = []
         for nu in self.weights:
             if nu.class_index != b:
                 continue
-            acc = CYC_ZERO
-            for h_index in range(n):
-                v = self._tensor_value(lam, nu, group.identity_index, h_index)
-                if not v.is_zero():
-                    acc = acc + v
-            mult = _as_count(acc, n, lam, nu)
+            (mult,) = self._multiplicities(lam, nu, self.unit.class_index, factors, trivial)
             if mult == 1:
                 found.append(nu)
             elif mult:
@@ -208,6 +170,63 @@ class WeightSystem:
             raise InconsistencyError(f"weight {lam} does not have a unique dual")
         self._dual_cache[lam] = found[0]
         return found[0]
+
+    def _factor_lists(self, lam, mu):
+        """For each class i, the pairs (g1, g2) with g1 in the class of
+        lam, g2 in the class of mu and g1 * g2 = r_i; empty off the support."""
+        group = self.group
+        conj = self.conj
+        b = mu.class_index
+        out = [[] for _ in range(conj.count)]
+        for g1 in conj.classes[lam.class_index]:
+            g1_inv = group.inverse_index(g1)
+            for i, rep in enumerate(conj.reps):
+                g2 = group.mul_index(g1_inv, rep)
+                if conj.class_of[g2] == b:
+                    out[i].append((g1, g2))
+        return out
+
+    def _class_rows(self, i):
+        """Class representatives of the centralizer Z_i as group indices,
+        and its character rows conjugated and weighted by class size.
+        Built on first use."""
+        hit = self._rows_cache.get(i)
+        if hit is None:
+            z = self.centralizers[i]
+            cd = self.cent_conj[i]
+            reps = [self.group.index[z.elements[r]] for r in cd.reps]
+            sizes = cd.sizes()
+            rows = [
+                [v.conjugate() * size for v, size in zip(row, sizes)]
+                for row in self.tables[i].values
+            ]
+            hit = self._rows_cache[i] = (reps, rows)
+        return hit
+
+    def _multiplicities(self, lam, mu, i, factors, rows):
+        """Multiplicity of (i, j) in lam (x) mu for each weighted row j:
+        (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k), where T is the
+        pair character of lam (x) mu and c_k runs over the class
+        representatives of Z_i."""
+        reps, _ = self._class_rows(i)
+        values = []
+        for h in reps:
+            left, right = [], []
+            for g1, g2 in factors:
+                v1 = self.pair_char(lam, g1, h)
+                if v1.is_zero():
+                    continue
+                v2 = self.pair_char(mu, g2, h)
+                if not v2.is_zero():
+                    left.append(v1)
+                    right.append(v2)
+            values.append(dot(left, right))
+        order = self.centralizers[i].order
+        out = []
+        for row in rows:
+            acc = dot(values, row)
+            out.append(_as_count(acc, order, lam, mu))
+        return out
 
     def product_one_dimensional(self, onedim, lam):
         """Fusion with a one-dimensional weight; always a single weight."""
@@ -236,13 +255,12 @@ class WeightSystem:
 
 
 def _as_count(acc, n, lam, mu):
-    """Divide an averaged inner product by |G| and demand a count."""
-    v = acc / n
-    if not v.is_rational():
+    """Divide an inner product by a centralizer order and demand a count."""
+    if not acc.is_rational():
         raise InconsistencyError(
             f"fusion multiplicity for {lam} (x) {mu} is not rational"
         )
-    q = Fraction(v.to_rational())
+    q = acc.to_rational() / n
     if q.denominator != 1 or q < 0:
         raise InconsistencyError(
             f"fusion multiplicity for {lam} (x) {mu} is not a nonnegative integer"

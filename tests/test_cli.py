@@ -285,3 +285,95 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "all 4 weights verified" in proc.stdout
+
+
+def _taft_args(taft_files):
+    # a later --profile or --simples on the command line overrides these
+    return [
+        a for k in ("group", "profile", "simples") for a in (f"--{k}", taft_files / f"{k}.json")
+    ]
+
+
+def test_ind_dimension_mismatch_exits_3(capsys, monkeypatch, taft_files):
+    real = cli.ind_into_projectives
+
+    def short(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.pop(max(out))
+        return out
+
+    monkeypatch.setattr(cli, "ind_into_projectives", short)
+    code, out, err = run(capsys, "ind", *_taft_args(taft_files), "g0r0")
+    assert code == 3
+    assert "dimension of the induced module of g0r0 is 9" in err
+    assert out == ""
+
+
+def test_tensor_dimension_mismatch_exits_3(capsys, monkeypatch, taft_files):
+    real = cli.tensor_projectives
+
+    def doubled(*args):
+        return {w: c * 2 for w, c in real(*args).items()}
+
+    monkeypatch.setattr(cli, "tensor_projectives", doubled)
+    code, out, err = run(capsys, "tensor", *_taft_args(taft_files), "g2r2", "g2r2")
+    assert code == 3
+    assert "decomposition sums to 18" in err
+    assert out == ""
+
+
+def _write_mutated(src, dst, mutate):
+    obj = json.loads(src.read_text(encoding="utf-8"))
+    mutate(obj)
+    dst.write_text(json.dumps(obj), encoding="utf-8")
+    return dst
+
+
+def test_profile_missing_weights_exits_2(capsys, tmp_path, taft_files):
+    def drop(obj):
+        del obj["components"][1]["weights"]
+
+    path = _write_mutated(taft_files / "profile.json", tmp_path / "profile.json", drop)
+    code, _, err = run(capsys, "bgg", *_taft_args(taft_files), "--profile", path)
+    assert code == 2
+    assert "'weights'" in err and "Traceback" not in err
+
+
+def test_simples_missing_label_exits_2(capsys, tmp_path, taft_files):
+    def drop(obj):
+        del obj["simples"][2]["w"]
+
+    path = _write_mutated(taft_files / "simples.json", tmp_path / "simples.json", drop)
+    code, _, err = run(capsys, "bgg", *_taft_args(taft_files), "--simples", path)
+    assert code == 2
+    assert "'w'" in err
+
+
+def test_ml_matrix_missing_rows_exits_2(capsys, tmp_path):
+    def drop(obj):
+        del obj["rows"]
+
+    path = _write_mutated(DATA / "fk3_ml.json", tmp_path / "ml.json", drop)
+    code, _, err = run(capsys, "bgg", "--group", DATA / "s3_group.json", "--profile", path)
+    assert code == 2
+    assert "'rows'" in err
+
+
+def test_permuted_cached_table_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["weights", "--group", DATA / "s3_group.json", "--aliases", DATA / "fk3_aliases.json"]
+    code, want, _ = run(capsys, *args, "--cache-dir", cache)
+    assert code == 0
+    # S3 is the only cached group of exponent 6; its rows 1 and 2 are the
+    # sign and the 2-dimensional character
+    (entry,) = [p for p in cache.glob("chartable-*.json") if json.loads(p.read_text())["exponent"] == 6]
+    canonical = entry.read_text()
+
+    def swap(obj):
+        obj["values"][1], obj["values"][2] = obj["values"][2], obj["values"][1]
+
+    _write_mutated(entry, entry, swap)
+    code, got, _ = run(capsys, *args, "--cache-dir", cache)
+    assert code == 0
+    assert got == want
+    assert json.loads(entry.read_text()) == json.loads(canonical)

@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from doublechar.cyclotomic import Cyclotomic, zeta
+from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InputError
 from doublechar.graded import KElement
-from doublechar.groups import close_group, perm_mul
-from doublechar.weights import WeightSystem
+from doublechar.groups import close_group, perm_inv, perm_mul
+from doublechar.weights import Weight, WeightSystem
 
 
 def commuting_pairs(group):
@@ -151,3 +152,110 @@ def test_weight_ordering_and_hash(s3_system):
     assert sorted(ws) == ws
     assert len(set(ws)) == len(ws)
     assert repr(ws[3]) == "g1r0"
+
+
+# ---- brute-force oracle: averages over every commuting pair ----
+
+
+def brute_tensor_value(system, lam, mu, g_index, h_index):
+    """Pair character of lam (x) mu at (g, h), summed over g1 * g2 = g."""
+    group = system.group
+    conj = system.conj
+    total = CYC_ZERO
+    for g1 in conj.classes[lam.class_index]:
+        g2 = group.mul_index(group.inverse_index(g1), g_index)
+        if conj.class_of[g2] != mu.class_index:
+            continue
+        v1 = system.pair_char(lam, g1, h_index)
+        v2 = system.pair_char(mu, g2, h_index)
+        total = total + v1 * v2
+    return total
+
+
+def brute_count(acc, n):
+    v = acc / n
+    assert v.is_rational()
+    q = Fraction(v.to_rational())
+    assert q.denominator == 1 and q >= 0
+    return int(q)
+
+
+def brute_fusion(system, lam, mu):
+    """Project the tensor pair character onto every weight, averaging
+    over all g in each class and all c in its centralizer."""
+    group = system.group
+    conj = system.conj
+    support = {
+        conj.class_of[group.mul_index(x, y)]
+        for x in conj.classes[lam.class_index]
+        for y in conj.classes[mu.class_index]
+    }
+    result = {}
+    for i in sorted(support):
+        z = system.centralizers[i]
+        cd = system.cent_conj[i]
+        sums = [CYC_ZERO] * cd.count
+        for g_index in conj.classes[i]:
+            x = conj.conjugator[g_index]
+            for c in z.elements:
+                h_index = group.index[perm_mul(x, perm_mul(c, perm_inv(x)))]
+                cls = cd.class_of[z.index[c]]
+                sums[cls] = sums[cls] + brute_tensor_value(system, lam, mu, g_index, h_index)
+        for j, row in enumerate(system.tables[i].values):
+            acc = CYC_ZERO
+            for cls in range(cd.count):
+                acc = acc + sums[cls] * row[cls].conjugate()
+            mult = brute_count(acc, group.order)
+            if mult:
+                result[Weight(i, j)] = mult
+    return result
+
+
+def brute_dual(system, lam):
+    """The weight nu whose product with lam holds the unit once, scanning
+    every h in G for every candidate."""
+    group = system.group
+    b = system.conj.inverse_class[lam.class_index]
+    found = []
+    for nu in system.weights:
+        if nu.class_index != b:
+            continue
+        acc = CYC_ZERO
+        for h_index in range(group.order):
+            acc = acc + brute_tensor_value(system, lam, nu, group.identity_index, h_index)
+        mult = brute_count(acc, group.order)
+        assert mult in (0, 1)
+        if mult:
+            found.append(nu)
+    assert len(found) == 1
+    return found[0]
+
+
+# quaternion units 1, -1, i, -i, j, -j, k, -k acting by left multiplication
+Q8_GENS = [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]
+
+ORACLE_GROUPS = {
+    "Z6": (6, [(1, 2, 3, 4, 5, 0)]),
+    "S3": (3, [(1, 0, 2), (1, 2, 0)]),
+    "D4": (4, [(1, 2, 3, 0), (0, 3, 2, 1)]),
+    "Q8": (8, Q8_GENS),
+    "S4": (4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+}
+
+
+def test_q8_generators_give_the_quaternion_group():
+    group = close_group(8, Q8_GENS)
+    assert group.order == 8 and not group.is_abelian()
+    involutions = [g for g in group.elements if g != group.identity and perm_mul(g, g) == group.identity]
+    assert len(involutions) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_fusion_and_duals_match_brute_force(name):
+    system = WeightSystem(close_group(*ORACLE_GROUPS[name]))
+    weights = system.weights
+    for w in weights:
+        assert system.dual(w) == brute_dual(system, w)
+    for k, a in enumerate(weights):
+        for b in weights[k:]:
+            assert system.fusion(a, b) == brute_fusion(system, a, b)
