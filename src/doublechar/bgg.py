@@ -162,9 +162,12 @@ def bgg_matrices(profile, table):
     weights = list(system.weights)
     lowest = lowest_data(table)
 
-    verma_simple = {}
-    for lam in weights:
-        verma_simple[lam] = decompose_into_simples(verma_char(profile, lam), table)
+    # one character and one top-weight twist per weight, local to this
+    # call: both are reused across the W^2 loops below
+    vermas = {lam: verma_char(profile, lam) for lam in weights}
+    verma_simple = {
+        lam: decompose_into_simples(vermas[lam], table) for lam in weights
+    }
 
     projective_verma = {
         mu: {
@@ -175,15 +178,16 @@ def bgg_matrices(profile, table):
         for mu in weights
     }
 
-    lam_v = profile.lambda_v
+    # the Verma whose composition series governs W(lam) is twisted by
+    # the top weight: lam_ov * lam
+    twisted = {
+        lam: system.product_one_dimensional(profile.lambda_ov, lam) for lam in weights
+    }
     projective_coverma = {}
     for mu in weights:
         row = {}
         for lam in weights:
-            # the Verma whose composition series governs W(lam) is
-            # twisted by the top weight: lam_ov * lam
-            twisted = system.product_one_dimensional(profile.lambda_ov, lam)
-            coeff = verma_simple[twisted].get(mu)
+            coeff = verma_simple[twisted[lam]].get(mu)
             if coeff is not None:
                 row[lam] = coeff.bar().shift(-profile.n_top)
         projective_coverma[mu] = row
@@ -192,7 +196,7 @@ def bgg_matrices(profile, table):
     for mu in weights:
         total = GradedChar.zero()
         for lam, coeff in projective_verma[mu].items():
-            total = total + verma_char(profile, lam).scale(coeff)
+            total = total + vermas[lam].scale(coeff)
         projective_chars[mu] = total
 
     cartan = {
@@ -225,10 +229,13 @@ def _check_report(report, profile, table, lowest):
     carry the same character, and the maximal-shift summand obeys the
     twisted lowest-weight law."""
     system = profile.system
+    covermas = {}
     for mu in report.weights:
         rebuilt = GradedChar.zero()
         for lam, coeff in report.projective_coverma[mu].items():
-            rebuilt = rebuilt + coverma_char(profile, lam).scale(coeff)
+            if lam not in covermas:
+                covermas[lam] = coverma_char(profile, lam)
+            rebuilt = rebuilt + covermas[lam].scale(coeff)
         if rebuilt != report.projective_chars[mu]:
             raise InconsistencyError(
                 f"standard and costandard filtrations of the projective of "

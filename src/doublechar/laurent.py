@@ -155,14 +155,3 @@ def _coerce(x):
         return LaurentInt({0: x})
     return None
 
-
-def laurent_bar(p):
-    return p.bar()
-
-
-def laurent_eval_one(p):
-    return p.eval_one()
-
-
-T = LaurentInt({1: 1})
-T_INV = LaurentInt({-1: 1})

@@ -8,6 +8,15 @@ reads composition series off the matrix structure.  Closed-form and
 matrix routes are compared at every step; a mismatch raises
 OracleError rather than picking a side.
 
+Matrices are lists of sparse rows that store nonzero entries only.
+The helpers below are generic: products multiply whatever entries are
+stored, nilpotency is tested as M^n == 0 with M^n formed by repeated
+squaring, and the nullspace is plain Gauss-Jordan elimination, which
+needs an inverse only for a pivot row with more than one entry (a
+pivot row with no other entry normalises to a unit vector exactly).
+Nothing in them knows that the group-likes are diagonal or that the
+ladders are single bands.
+
 Weights here are named by exponent pairs (r, s): class of the r-th
 power of the cycle, character sending the cycle to q^s.  The canonical
 row order of the character table does not list exponents in order for
@@ -17,7 +26,7 @@ the table values, never through index arithmetic.
 
 from __future__ import annotations
 
-from .cyclotomic import CYC_ONE, CYC_ZERO, zeta
+from .cyclotomic import CYC_ONE, CYC_ZERO, dot, zeta
 from .errors import InputError, OracleError
 from .graded import GradedChar, KElement
 from .groups import close_group
@@ -26,16 +35,20 @@ from .weights import Weight, WeightSystem
 
 
 class TaftParams:
-    """Cyclic group of order n with a fixed primitive root of unity,
-    plus the exponent-to-row translation for its weights."""
+    """Cyclic group of order n with a fixed primitive root of unity q,
+    its powers q^0..q^(n-1), and the exponent-to-row translation for
+    its weights."""
 
-    __slots__ = ("n", "q", "group", "system", "exp_to_row", "row_to_exp")
+    __slots__ = ("n", "q", "powers", "group", "system", "exp_to_row", "row_to_exp")
 
     def __init__(self, n, cache_dir=None):
         if not isinstance(n, int) or n < 2:
             raise InputError("the cyclic rank-one case needs an integer n >= 2")
         q = zeta(n)
-        if q ** n != CYC_ONE or any(q ** k == CYC_ONE for k in range(1, n)):
+        powers = [zeta(n, 0)]
+        for _ in range(1, n):
+            powers.append(powers[-1] * q)
+        if powers[-1] * q != CYC_ONE or any(p == CYC_ONE for p in powers[1:]):
             raise OracleError("chosen root of unity is not primitive")
         cycle = tuple((i + 1) % n for i in range(n))
         group = close_group(n, [cycle])
@@ -59,6 +72,7 @@ class TaftParams:
             exp_to_row[s] = hits[0]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "powers", tuple(powers))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "exp_to_row", exp_to_row)
@@ -98,12 +112,15 @@ def q_integer(q, k):
 
 def lowering_coeffs(params, r, s):
     """Structure constants of the raising action on the chain basis:
-    index k carries [k]_q * (1 - q^(r+s+k-1)), k = 1..n-1."""
-    q = params.q
-    return [
-        q_integer(q, k) * (CYC_ONE - q ** ((r + s + k - 1) % params.n))
-        for k in range(1, params.n)
-    ]
+    index k carries [k]_q * (1 - q^(r+s+k-1)), k = 1..n-1.  [k]_q is
+    built one term at a time from the table of powers of q."""
+    n, powers = params.n, params.powers
+    out = []
+    q_int = CYC_ZERO
+    for k in range(1, n):
+        q_int = q_int + powers[k - 1]
+        out.append(q_int * (powers[0] - powers[(r + s + k - 1) % n]))
+    return out
 
 
 def head_length(params, r, s):
@@ -139,7 +156,11 @@ def build_profile_and_table(params):
 class VermaMatrices:
     """Explicit n-dimensional module for one weight: two diagonal
     group-like actions, a raising and a lowering ladder operator, plus
-    the verification results derived from them."""
+    the verification results derived from them.
+
+    Each operator is a list of sparse rows: vm.raising[i][j] reads a
+    stored entry or zero, and a vanishing ladder coefficient is simply
+    not stored."""
 
     __slots__ = (
         "params",
@@ -157,18 +178,14 @@ class VermaMatrices:
 
     def __init__(self, params, r, s):
         n = params.n
-        q = params.q
+        powers = params.powers
         r %= n
         s %= n
-        g1 = _diag([q ** ((r + k) % n) for k in range(n)])
-        g2 = _diag([q ** ((s + k) % n) for k in range(n)])
+        g1 = _diag([powers[(r + k) % n] for k in range(n)])
+        g2 = _diag([powers[(s + k) % n] for k in range(n)])
         coeffs = lowering_coeffs(params, r, s)
-        raising = _zeros(n)
-        for k in range(1, n):
-            raising[k - 1][k] = coeffs[k - 1]
-        lowering = _zeros(n)
-        for k in range(n - 1):
-            lowering[k + 1][k] = CYC_ONE
+        raising = _sparse(n, ((k - 1, k, coeffs[k - 1]) for k in range(1, n)))
+        lowering = _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
@@ -183,7 +200,8 @@ class VermaMatrices:
         raise AttributeError("VermaMatrices is immutable")
 
     def _verify(self):
-        params, n, q = self.params, self.params.n, self.params.q
+        params, n = self.params, self.params.n
+        q, q_inv = params.powers[1], params.powers[n - 1]
         r, s = self.r, self.s
 
         # distinct diagonal weights: every invariant subspace is then a
@@ -195,7 +213,6 @@ class VermaMatrices:
         # group-likes commute and scale the ladder operators by q^(-1)/q
         if _mat_mul(self.g1, self.g2) != _mat_mul(self.g2, self.g1):
             raise OracleError("group-like actions do not commute")
-        q_inv = q ** (n - 1)
         for g in (self.g1, self.g2):
             if _mat_mul(g, self.raising) != _scale(_mat_mul(self.raising, g), q_inv):
                 raise OracleError("raising operator does not have bidegree (1,1)")
@@ -267,75 +284,113 @@ def composition_series(params, r, s):
     return explicit_matrices(params, r, s).series
 
 
-# ---- matrix helpers over the cyclotomics ----
+# ---- sparse matrix helpers over the cyclotomics ----
+#
+# A matrix is a list of _Row dicts column -> nonzero Cyclotomic.  Since
+# no zero is ever stored, two matrices are equal exactly when their rows
+# have the same key sets and equal values, which is what list and dict
+# equality compare.
 
 
-def _zeros(n):
-    return [[CYC_ZERO for _ in range(n)] for _ in range(n)]
+class _Row(dict):
+    """Sparse matrix row; an absent column reads as zero and is not inserted."""
+
+    __slots__ = ()
+
+    def __missing__(self, col):
+        return CYC_ZERO
 
 
-def _diag(values):
-    n = len(values)
-    m = _zeros(n)
-    for i, v in enumerate(values):
-        m[i][i] = v
+def _row(items):
+    return _Row((j, x) for j, x in items if not x.is_zero())
+
+
+def _sparse(n, entries):
+    """n x n matrix from (row, col, value) triples; zero values are dropped."""
+    m = [_Row() for _ in range(n)]
+    for i, j, x in entries:
+        if not x.is_zero():
+            m[i][j] = x
     return m
 
 
+def _diag(values):
+    return _sparse(len(values), ((i, i, x) for i, x in enumerate(values)))
+
+
 def _scale(m, c):
-    return [[x * c for x in row] for row in m]
+    return [_row((j, x * c) for j, x in row.items()) for row in m]
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        for j in range(n):
-            acc = CYC_ZERO
-            for k in range(n):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+    """Product of two sparse matrices: each output entry is one dot()
+    over the inner indices where both factors have a stored entry."""
+    out = []
+    for row in a:
+        terms = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                xs, ys = terms.setdefault(j, ([], []))
+                xs.append(x)
+                ys.append(y)
+        out.append(_row((j, dot(xs, ys)) for j, (xs, ys) in terms.items()))
     return out
 
 
 def _mat_pow(m, e):
-    n = len(m)
-    out = _diag([CYC_ONE] * n)
-    for _ in range(e):
-        out = _mat_mul(out, m)
-    return out
+    """m^e by repeated squaring."""
+    out = None
+    while e:
+        if e & 1:
+            out = m if out is None else _mat_mul(out, m)
+        e >>= 1
+        if e:
+            m = _mat_mul(m, m)
+    return _diag([CYC_ONE] * len(m)) if out is None else out
 
 
 def _is_zero_matrix(m):
-    return all(x.is_zero() for row in m for x in row)
+    return all(x.is_zero() for row in m for x in row.values())
 
 
 def _tail_invariant(mat, cut):
     """True when columns cut..n-1 have support only in rows cut..n-1."""
-    n = len(mat)
     return all(
-        mat[i][j].is_zero() for j in range(cut, n) for i in range(cut)
+        x.is_zero() for row in mat[:cut] for j, x in row.items() if j >= cut
     )
 
 
 def _cyc_nullspace(mat):
-    """Right nullspace basis by Gauss-Jordan over the cyclotomics."""
+    """Right nullspace basis by Gauss-Jordan over the cyclotomics.
+
+    A pivot row whose only entry is the pivot normalises to the unit
+    vector e_c without an inverse; every other pivot is inverted."""
     n = len(mat)
-    m = [list(row) for row in mat]
+    m = [_row(row.items()) for row in mat]
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, n) if not m[i][c].is_zero()), None)
+        piv = next((i for i in range(r, n) if c in m[i]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        if len(m[r]) == 1:
+            m[r] = _Row({c: CYC_ONE})
+        else:
+            inv = m[r][c].inverse()
+            m[r] = _row((j, x * inv) for j, x in m[r].items())
+        pivot_row = m[r]
         for i in range(n):
-            if i != r and not m[i][c].is_zero():
+            if i != r and c in m[i]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                new = _Row(m[i])
+                for j, y in pivot_row.items():
+                    x = new[j] - f * y
+                    if x.is_zero():
+                        new.pop(j, None)
+                    else:
+                        new[j] = x
+                m[i] = new
         pivots.append(c)
         r += 1
     basis = []

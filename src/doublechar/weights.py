@@ -79,6 +79,7 @@ class WeightSystem:
         self._fusion_cache = {}
         self._dual_cache = {}
         self._rows_cache = {}
+        self._conjugator_inv = {}
 
     # ---- basic data ----
 
@@ -100,21 +101,24 @@ class WeightSystem:
     # ---- pair characters ----
 
     def pair_char(self, w, g_index, h_index):
-        """Trace of (g, h) on the weight w; zero off the commuting variety."""
+        """Trace of (g, h) on the weight w; zero off the commuting variety.
+
+        With g = x r x^(-1) for the class representative r, h commutes
+        with g exactly when x^(-1) h x lies in the centralizer Z_r, so
+        one lookup there decides both the support and the Z_r-class."""
         conj = self.conj
-        if conj.class_of[g_index] != w.class_index:
-            return CYC_ZERO
-        group = self.group
-        g = group.elements[g_index]
-        h = group.elements[h_index]
-        if perm_mul(g, h) != perm_mul(h, g):
+        i = w.class_index
+        if conj.class_of[g_index] != i:
             return CYC_ZERO
         x = conj.conjugator[g_index]
-        moved = perm_mul(perm_inv(x), perm_mul(h, x))
-        i = w.class_index
-        z = self.centralizers[i]
-        cls = self.cent_conj[i].class_of[z.index[moved]]
-        return self.tables[i].values[w.irrep_index][cls]
+        x_inv = self._conjugator_inv.get(g_index)
+        if x_inv is None:
+            x_inv = self._conjugator_inv[g_index] = perm_inv(x)
+        moved = perm_mul(x_inv, perm_mul(self.group.elements[h_index], x))
+        k = self.centralizers[i].index.get(moved)
+        if k is None:
+            return CYC_ZERO
+        return self.tables[i].values[w.irrep_index][self.cent_conj[i].class_of[k]]
 
     # ---- fusion ----
 

@@ -1,10 +1,17 @@
 import pytest
 
-from doublechar.cyclotomic import zeta
-from doublechar.errors import InputError
+from doublechar import taft
+from doublechar.cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, zeta
+from doublechar.errors import InputError, OracleError
 from doublechar.graded import KElement
 from doublechar.taft import (
     TaftParams,
+    VermaMatrices,
+    _cyc_nullspace,
+    _diag,
+    _mat_mul,
+    _mat_pow,
+    _sparse,
     build_profile_and_table,
     composition_series,
     explicit_matrices,
@@ -129,3 +136,119 @@ def test_oracle_crosschecks_series_against_characters(taft3):
     for r, s in params.all_rs():
         lam = params.weight_of(r, s)
         assert table[lam] == simple_char(params, r, s)
+
+
+def test_lowering_coeffs_match_the_closed_form():
+    for n in (2, 5, 12):
+        params = TaftParams(n)
+        q = params.q
+        assert params.powers == tuple(q**k for k in range(n))
+        for r, s in params.all_rs():
+            want = [
+                q_integer(q, k) * (1 - q ** ((r + s + k - 1) % n)) for k in range(1, n)
+            ]
+            assert lowering_coeffs(params, r, s) == want
+
+
+# ---- sparse matrix helpers ----
+
+
+def _dense(m):
+    n = len(m)
+    return [[m[i][j] for j in range(n)] for i in range(n)]
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), CYC_ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _dense_pow(m, e):
+    n = len(m)
+    out = [[CYC_ONE if i == j else CYC_ZERO for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = _dense_mul(out, m)
+    return out
+
+
+def _from_rows(rows):
+    return _sparse(
+        len(rows),
+        ((i, j, x * CYC_ONE) for i, row in enumerate(rows) for j, x in enumerate(row)),
+    )
+
+
+def _small_dense():
+    w = zeta(3)
+    return _from_rows([[2, w, 1 + w], [w * w, 0, -1], [1, 3 * w, w - 1]])
+
+
+def test_mat_pow_by_squaring_matches_repeated_products():
+    params = TaftParams(5)
+    vm = explicit_matrices(params, 1, 3)
+    cases = [vm.raising, vm.lowering, _small_dense()]
+    for m in cases:
+        n = len(m)
+        naive = _diag([CYC_ONE] * n)
+        for e in range(n + 2):
+            assert _dense(_mat_pow(m, e)) == _dense(naive) == _dense_pow(_dense(m), e)
+            naive = _mat_mul(naive, m)
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    original = Cyclotomic.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    return calls
+
+
+def test_nullspace_of_a_dense_matrix_takes_the_inverse_path(monkeypatch):
+    w = zeta(3)
+    # the second row is w times the first, so the kernel is one line,
+    # spanned by (w, w^2, 1) once normalised at its free coordinate
+    rows = [[2, 2 * w, 2 * w * w], [w, w * w, 1], [1, 1, 1]]
+    calls = _count_inverses(monkeypatch)
+    kernel = _cyc_nullspace(_from_rows(rows))
+    assert calls
+    assert kernel == [[w, w * w, CYC_ONE]]
+
+
+def test_nullspace_of_a_ladder_needs_no_inverse(monkeypatch):
+    params = TaftParams(6)
+    vm = explicit_matrices(params, 0, 2)
+    calls = _count_inverses(monkeypatch)
+    kernel = _cyc_nullspace(vm.raising)
+    assert calls == []
+    supports = sorted(k for vec in kernel for k, x in enumerate(vec) if not x.is_zero())
+    assert supports == [0, *vm.singular_indices]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_corrupted_coefficients_raise_oracle_error(monkeypatch, n):
+    # zero one more rung of a single weight's chain; the matrices then
+    # disagree with the head lengths of the neighbouring weights
+    params = TaftParams(n)
+    original = lowering_coeffs
+    for r, s in params.all_rs():
+        for rung in range(1, n):
+            if original(params, r, s)[rung - 1].is_zero():
+                continue
+
+            def corrupted(p, rr, ss, target=(r, s), rung=rung):
+                coeffs = original(p, rr, ss)
+                if (rr % n, ss % n) == target:
+                    coeffs[rung - 1] = CYC_ZERO
+                return coeffs
+
+            monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
+            with pytest.raises(OracleError):
+                VermaMatrices(params, r, s)
+            monkeypatch.setattr(taft, "lowering_coeffs", original)

@@ -259,3 +259,30 @@ def test_fusion_and_duals_match_brute_force(name):
     for k, a in enumerate(weights):
         for b in weights[k:]:
             assert system.fusion(a, b) == brute_fusion(system, a, b)
+
+
+def textbook_pair_char(system, w, g_index, h_index):
+    """Zero unless g lies in the class of w and commutes with h; else
+    the Z_i-character of w at h conjugated into the centralizer Z_i."""
+    conj = system.conj
+    group = system.group
+    i = w.class_index
+    if conj.class_of[g_index] != i:
+        return CYC_ZERO
+    g, h = group.elements[g_index], group.elements[h_index]
+    if perm_mul(g, h) != perm_mul(h, g):
+        return CYC_ZERO
+    x = conj.conjugator[g_index]
+    moved = perm_mul(perm_inv(x), perm_mul(h, x))
+    z = system.centralizers[i]
+    return system.tables[i].values[w.irrep_index][system.cent_conj[i].class_of[z.index[moved]]]
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "S4"])
+def test_pair_char_matches_textbook_definition(name):
+    system = WeightSystem(close_group(*ORACLE_GROUPS[name]))
+    n = system.group.order
+    for w in system.weights:
+        for g in range(n):
+            for h in range(n):
+                assert system.pair_char(w, g, h) == textbook_pair_char(system, w, g, h)
