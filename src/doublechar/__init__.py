@@ -15,7 +15,6 @@ from .bgg import (
     NON_SIMPLE,
     SIMPLE_PROJECTIVE,
     bgg_matrices,
-    classify_vermas,
     decompose_into_simples,
     ind_into_projectives,
     summand_sort_key,
@@ -32,7 +31,7 @@ from .errors import (
     SpanError,
 )
 from .graded import GradedChar, KElement, gc_dual, gc_mul
-from .groups import FiniteGroup, close_group
+from .groups import FiniteGroup
 from .laurent import LaurentInt
 from .nichols import (
     LowestData,
@@ -40,7 +39,6 @@ from .nichols import (
     SimpleTable,
     coverma_char,
     ind_char,
-    lowest_data,
     verify_duality_identities,
     verma_char,
 )
@@ -49,7 +47,6 @@ from .taft import (
     VermaMatrices,
     build_profile_and_table,
     composition_series,
-    explicit_matrices,
     head_length,
     lowering_coeffs,
     simple_char,
@@ -83,19 +80,15 @@ __all__ = [
     "WeightSystem",
     "bgg_matrices",
     "build_profile_and_table",
-    "classify_vermas",
-    "close_group",
     "composition_series",
     "coverma_char",
     "decompose_into_simples",
-    "explicit_matrices",
     "gc_dual",
     "gc_mul",
     "head_length",
     "ind_char",
     "ind_into_projectives",
     "lowering_coeffs",
-    "lowest_data",
     "simple_char",
     "summand_sort_key",
     "tensor_projectives",

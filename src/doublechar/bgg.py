@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InconsistencyError, InputError, SpanError, field
+from .errors import InconsistencyError, InputError, SpanError, field, is_int
 from .graded import GradedChar, KElement
 from .laurent import LaurentInt
-from .nichols import coverma_char, ind_char, lowest_data, verma_char
+from .nichols import LowestData, coverma_char, ind_char, verma_char
 
 SIMPLE_PROJECTIVE = "simple_projective"
 NON_SIMPLE = "non_simple"
@@ -155,20 +155,12 @@ def _require_full_table(system, table):
         )
 
 
-def bgg_matrices(profile, table):
-    """The full reciprocity report for a graded profile and simple table."""
-    system = profile.system
-    _require_full_table(system, table)
-    weights = list(system.weights)
-    lowest = lowest_data(table)
-
-    # one character and one top-weight twist per weight, local to this
-    # call: both are reused across the W^2 loops below
-    vermas = {lam: verma_char(profile, lam) for lam in weights}
-    verma_simple = {
-        lam: decompose_into_simples(vermas[lam], table) for lam in weights
-    }
-
+def _reciprocity(weights, verma_simple):
+    """BGG reciprocity and the simple-projective rule, shared by the graded
+    and the ungraded report.  The projective of mu has the Verma of lam in
+    its standard filtration with the bar of the multiplicity of the simple
+    of mu in the Verma of lam; a Verma is simple projective exactly when
+    its only composition factor is its own simple, once, in degree 0."""
     projective_verma = {
         mu: {
             lam: verma_simple[lam][mu].bar()
@@ -177,6 +169,28 @@ def bgg_matrices(profile, table):
         }
         for mu in weights
     }
+    flags = {}
+    for lam in weights:
+        dec = verma_simple[lam]
+        is_simple = list(dec) == [lam] and dec[lam] == LaurentInt.one()
+        flags[lam] = SIMPLE_PROJECTIVE if is_simple else NON_SIMPLE
+    return projective_verma, flags
+
+
+def bgg_matrices(profile, table):
+    """The full reciprocity report for a graded profile and simple table."""
+    system = profile.system
+    _require_full_table(system, table)
+    weights = list(system.weights)
+    lowest = LowestData(table)
+
+    # one character and one top-weight twist per weight, local to this
+    # call: both are reused across the W^2 loops below
+    vermas = {lam: verma_char(profile, lam) for lam in weights}
+    verma_simple = {
+        lam: decompose_into_simples(vermas[lam], table) for lam in weights
+    }
+    projective_verma, flags = _reciprocity(weights, verma_simple)
 
     # the Verma whose composition series governs W(lam) is twisted by
     # the top weight: lam_ov * lam
@@ -202,12 +216,6 @@ def bgg_matrices(profile, table):
     cartan = {
         mu: decompose_into_simples(projective_chars[mu], table) for mu in weights
     }
-
-    flags = {}
-    for lam in weights:
-        dec = verma_simple[lam]
-        is_simple = list(dec) == [lam] and dec[lam] == LaurentInt.one()
-        flags[lam] = SIMPLE_PROJECTIVE if is_simple else NON_SIMPLE
 
     report = BGGReport(
         system,
@@ -311,11 +319,6 @@ def tensor_projectives(report, profile, mu, nu):
     return out
 
 
-def classify_vermas(report):
-    """Weight -> simple_projective or non_simple, straight off the flags."""
-    return {w: report.flags[w] for w in report.weights}
-
-
 class MLMatrixData:
     """Ungraded composition multiplicities [Verma : simple], as shipped
     for examples whose graded refinement is not available."""
@@ -356,9 +359,9 @@ class MLMatrixData:
             rows[lam] = KElement(terms)
         dim_b = obj.get("dim_b")
         n_top = obj.get("n_top")
-        if not isinstance(dim_b, int) or dim_b < 1:
+        if not is_int(dim_b) or dim_b < 1:
             raise InputError("ml_matrix payload needs a positive dim_b")
-        if not isinstance(n_top, int) or n_top < 0:
+        if not is_int(n_top) or n_top < 0:
             raise InputError("ml_matrix payload needs a nonnegative n_top")
         return cls(rows, dim_b, n_top)
 
@@ -437,14 +440,7 @@ def ungraded_bgg(ml, system):
         }
         for lam in weights
     }
-    projective_verma = {
-        mu: {
-            lam: verma_simple[lam][mu]
-            for lam in weights
-            if mu in verma_simple[lam]
-        }
-        for mu in weights
-    }
+    projective_verma, flags = _reciprocity(weights, verma_simple)
     cartan = {}
     for mu in weights:
         row = {}
@@ -455,12 +451,6 @@ def ungraded_bgg(ml, system):
             if total:
                 row[nu] = LaurentInt.monomial(total)
         cartan[mu] = row
-    flags = {
-        lam: SIMPLE_PROJECTIVE
-        if list(verma_simple[lam]) == [lam] and verma_simple[lam][lam] == LaurentInt.one()
-        else NON_SIMPLE
-        for lam in weights
-    }
     return BGGReport(
         system,
         weights,

@@ -24,7 +24,7 @@ import tempfile
 
 from .cyclotomic import Cyclotomic, _degree, _power_table
 from .errors import InconsistencyError
-from .groups import conjugacy_classes
+from .groups import ConjugacyData
 from .modp import (
     charpoly,
     is_prime,
@@ -80,7 +80,7 @@ class CharacterTable:
     @classmethod
     def compute(cls, group, conj=None):
         if conj is None:
-            conj = conjugacy_classes(group)
+            conj = ConjugacyData(group)
         e = group.exponent()
         rows = _dixon(group, conj, e)
         rows = _sorted_rows(rows, e)
@@ -136,7 +136,7 @@ class CharacterTable:
             raise ValueError("unrecognized character table payload")
         e = obj["exponent"]
         if conj is None:
-            conj = conjugacy_classes(group)
+            conj = ConjugacyData(group)
         values = tuple(
             tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in obj["values"]
         )

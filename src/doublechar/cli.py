@@ -16,11 +16,8 @@ import sys
 
 from .bgg import (
     BGGReport,
-    NON_SIMPLE,
     SIMPLE_PROJECTIVE,
     bgg_matrices,
-    classify_vermas,
-    decompose_into_simples,
     ind_into_projectives,
     summand_sort_key,
     tensor_projectives,
@@ -33,7 +30,7 @@ from .errors import (
     OracleError,
     SpanError,
 )
-from .graded import GradedChar, KElement
+from .graded import GradedChar
 from .groups import DEFAULT_MAX_ORDER
 from .jsonio import (
     ML_KIND,
@@ -49,12 +46,8 @@ from .jsonio import (
     write_text,
 )
 from .laurent import LaurentInt
-from .nichols import coverma_char, ind_char, verify_duality_identities, verma_char
-from .taft import (
-    TaftParams,
-    build_profile_and_table,
-    explicit_matrices,
-)
+from .nichols import verify_duality_identities, verma_char
+from .taft import TaftParams, VermaMatrices, build_profile_and_table
 from .weights import WeightSystem
 
 CACHE_ENV = "DOUBLECHAR_CACHE_DIR"
@@ -215,18 +208,10 @@ def _filtration_line(system, names, mu, row, left="P", right="M"):
 def cmd_weights(args):
     system = _load_system(args)
     names = _names(args, system)
-    rows = []
-    for w in system.weights:
-        rows.append(
-            {
-                "label": w.label,
-                "alias": names[w.label],
-                "class_size": len(system.conj.classes[w.class_index]),
-                "irrep_degree": system.tables[w.class_index].degrees[w.irrep_index],
-                "dim": system.dim(w),
-                "dual": system.dual(w).label,
-            }
-        )
+    rows = system.census()
+    for r in rows:
+        r["alias"] = names[r["label"]]
+        r["dual"] = system.dual(system.by_label[r["label"]]).label
     for r in rows:
         print(
             f"{r['label']}  {r['alias']}  class_size={r['class_size']}  "
@@ -449,7 +434,7 @@ def cmd_taft(args):
     # matrix oracle for every weight, and agreement with the engine
     report = bgg_matrices(profile, table)
     for r, s in params.all_rs():
-        vm = explicit_matrices(params, r, s)
+        vm = VermaMatrices(params, r, s)
         lam = params.weight_of(r, s)
         expected = {
             params.weight_of(fr, fs): LaurentInt({shift: 1})

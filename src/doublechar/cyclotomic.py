@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 
 def _lcm(a, b):
     return a * b // gcd(a, b)

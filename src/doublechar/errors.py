@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: InputError -> 2,
 InconsistencyError -> 3, OracleError -> 4.  `field` reads one member of
-a JSON payload and turns a missing or mistyped member into InputError.
+a JSON payload and turns a missing or mistyped member into InputError;
+`is_int` tells a JSON integer from a boolean, which Python counts as an
+int.
 """
 
 
@@ -33,7 +35,7 @@ class OracleError(DoubleCharError):
     """The independent oracle and the closed-form route disagree."""
 
 
-_JSON_TYPES = {dict: "JSON object", list: "list", str: "string", int: "integer"}
+_JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
 
 
 def field(obj, key, kind, where):
@@ -44,6 +46,11 @@ def field(obj, key, kind, where):
     if key not in obj:
         raise InputError(f"{where} has no {key!r} field")
     value = obj[key]
-    if not isinstance(value, kind):
-        raise InputError(f"{where}: {key!r} must be a {_JSON_TYPES[kind]}")
+    if not (is_int(value) if kind is int else isinstance(value, kind)):
+        raise InputError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}")
     return value
+
+
+def is_int(value):
+    """True for a JSON integer, False for a boolean or anything else."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -2,7 +2,8 @@
 
 Elements are 0-based image tuples, canonically ordered lexicographically.
 The scale of interest is small (order cap 10,000 by default), so closure is
-a plain BFS and no stabilizer chains are kept.
+one plain BFS, shared by `FiniteGroup.from_generators` and `centralizer`,
+and no stabilizer chains are kept.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 DEFAULT_MAX_ORDER = 10_000
 
@@ -52,6 +53,29 @@ def check_perm(p, degree):
     return tuple(p)
 
 
+def _closure(degree, gens, max_order):
+    """Every product of gens, by breadth-first search from the identity;
+    InputError once more than max_order elements turn up."""
+    e = identity_perm(degree)
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perm_mul(x, g)
+                if y not in seen:
+                    if len(seen) >= max_order:
+                        raise InputError(
+                            f"group order exceeds the cap ({max_order}); "
+                            "raise --max-group-order if this is intended"
+                        )
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 class FiniteGroup:
     """A finite permutation group with an explicit, canonically sorted element list."""
 
@@ -68,24 +92,7 @@ class FiniteGroup:
     @classmethod
     def from_generators(cls, degree, gens, max_order=DEFAULT_MAX_ORDER):
         gens = [check_perm(g, degree) for g in gens]
-        e = identity_perm(degree)
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = perm_mul(x, g)
-                    if y not in seen:
-                        if len(seen) >= max_order:
-                            raise InputError(
-                                f"group order exceeds the cap ({max_order}); "
-                                "raise --max-group-order if this is intended"
-                            )
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return cls(degree, gens, sorted(seen))
+        return cls(degree, gens, sorted(_closure(degree, gens, max_order)))
 
     @property
     def order(self):
@@ -135,23 +142,22 @@ class FiniteGroup:
     def from_json(cls, obj, max_order=DEFAULT_MAX_ORDER):
         if not isinstance(obj, dict):
             raise InputError("group file must be a JSON object")
-        if obj.get("format", 1) != 1:
-            raise InputError(f"unsupported group file format: {obj.get('format')!r}")
+        fmt = obj.get("format", 1)
+        if not is_int(fmt) or fmt != 1:
+            raise InputError(f"unsupported group file format: {fmt!r}")
         try:
-            degree = int(obj["degree"])
-            gens = [list(map(int, g)) for g in obj.get("generators", [])]
-        except (KeyError, TypeError, ValueError) as exc:
+            degree = obj["degree"]
+            gens = [list(g) for g in obj.get("generators", [])]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed group file: {exc}") from exc
+        if not is_int(degree) or not all(is_int(x) for g in gens for x in g):
+            raise InputError("malformed group file: degree and points must be integers")
         if degree < 1:
             raise InputError("degree must be at least 1")
         return cls.from_generators(degree, gens, max_order=max_order)
 
     def __repr__(self):
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
-
-
-def close_group(degree, gens, max_order=DEFAULT_MAX_ORDER):
-    return FiniteGroup.from_generators(degree, gens, max_order=max_order)
 
 
 class ConjugacyData:
@@ -210,26 +216,6 @@ class ConjugacyData:
         return [len(c) for c in self.classes]
 
 
-def conjugacy_classes(group):
-    return ConjugacyData(group)
-
-
-def _closure_of(degree, gens):
-    e = identity_perm(degree)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = perm_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def centralizer(group, g):
     """The subgroup commuting with g, on the same points."""
     g = tuple(g)
@@ -241,5 +227,5 @@ def centralizer(group, g):
     for h in members:
         if h not in have:
             gens.append(h)
-            have = _closure_of(group.degree, gens)
+            have = _closure(group.degree, gens, group.order)
     return FiniteGroup(group.degree, gens, members)

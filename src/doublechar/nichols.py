@@ -266,7 +266,3 @@ class LowestData:
 
     def __setattr__(self, *a):
         raise AttributeError("LowestData is immutable")
-
-
-def lowest_data(table):
-    return LowestData(table)

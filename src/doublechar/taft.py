@@ -5,7 +5,9 @@ Everything downstream trusts closed formulas; this module instead
 builds the actual n-dimensional module with explicit matrices over
 Q(zeta_n), scans for singular vectors by exact linear algebra, and
 reads composition series off the matrix structure.  Closed-form and
-matrix routes are compared at every step; a mismatch raises
+matrix routes are compared at every step: the kernel of the raising
+matrix, found by elimination, must sit exactly where the head-length
+formula (1 - r - s) mod n puts the singular vector.  A mismatch raises
 OracleError rather than picking a side.
 
 Matrices are lists of sparse rows that store nonzero entries only.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from .cyclotomic import CYC_ONE, CYC_ZERO, dot, zeta
 from .errors import InputError, OracleError
 from .graded import GradedChar, KElement
-from .groups import close_group
+from .groups import FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 from .weights import Weight, WeightSystem
 
@@ -51,7 +53,7 @@ class TaftParams:
         if powers[-1] * q != CYC_ONE or any(p == CYC_ONE for p in powers[1:]):
             raise OracleError("chosen root of unity is not primitive")
         cycle = tuple((i + 1) % n for i in range(n))
-        group = close_group(n, [cycle])
+        group = FiniteGroup.from_generators(n, [cycle])
         system = WeightSystem(group, cache_dir=cache_dir)
         # element sigma^a starts with a, so sorted order puts class a at
         # index a; rows, however, must be matched by table values
@@ -124,12 +126,11 @@ def lowering_coeffs(params, r, s):
 
 
 def head_length(params, r, s):
-    """First k with a vanishing chain coefficient, or n if none vanishes."""
-    coeffs = lowering_coeffs(params, r, s)
-    for k, c in enumerate(coeffs, start=1):
-        if c.is_zero():
-            return k
-    return params.n
+    """First k with a vanishing chain coefficient, or n if none vanishes.
+
+    [k]_q is nonzero for 0 < k < n, so rung k vanishes exactly when
+    q^(r+s+k-1) = 1, that is when k = 1 - r - s (mod n)."""
+    return (1 - r - s) % params.n or params.n
 
 
 def simple_char(params, r, s):
@@ -170,7 +171,6 @@ class VermaMatrices:
         "g2",
         "raising",
         "lowering",
-        "coeffs",
         "singular_indices",
         "head_dim",
         "series",
@@ -193,7 +193,6 @@ class VermaMatrices:
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "raising", raising)
         object.__setattr__(self, "lowering", lowering)
-        object.__setattr__(self, "coeffs", coeffs)
         self._verify()
 
     def __setattr__(self, *a):
@@ -234,18 +233,13 @@ class VermaMatrices:
             if len(support) != 1:
                 raise OracleError("kernel of the raising operator is not diagonal")
             kernel_indices.add(support[0])
-        formula_zeros = {k for k, c in enumerate(self.coeffs, start=1) if c.is_zero()}
-        if kernel_indices != {0} | formula_zeros:
-            raise OracleError(
-                "matrix kernel disagrees with the coefficient formula: "
-                f"kernel {sorted(kernel_indices)}, formula {sorted({0} | formula_zeros)}"
-            )
-        singular = sorted(formula_zeros)
         head = head_length(params, r, s)
-        if singular and singular[0] != head:
-            raise OracleError("head length disagrees with the first singular index")
-        if not singular and head != n:
-            raise OracleError("simple chain must have head length n")
+        singular = [head] if head < n else []
+        if kernel_indices != {0, *singular}:
+            raise OracleError(
+                "matrix kernel disagrees with the head-length formula: "
+                f"kernel {sorted(kernel_indices)}, formula {[0, *singular]}"
+            )
 
         # the span of the tail from the first singular index is a
         # submodule; any cut above it fails to be one
@@ -275,13 +269,9 @@ class VermaMatrices:
         object.__setattr__(self, "series", tuple(series))
 
 
-def explicit_matrices(params, r, s):
-    return VermaMatrices(params, r, s)
-
-
 def composition_series(params, r, s):
     """Factors of the chain module as ((r, s), shift) pairs, top first."""
-    return explicit_matrices(params, r, s).series
+    return VermaMatrices(params, r, s).series
 
 
 # ---- sparse matrix helpers over the cyclotomics ----

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .chartable import CharacterTable
 from .cyclotomic import CYC_ZERO, dot
 from .errors import InconsistencyError, InputError
-from .groups import centralizer, conjugacy_classes, perm_inv, perm_mul
+from .groups import ConjugacyData, centralizer, perm_inv, perm_mul
 
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
@@ -55,7 +55,7 @@ class WeightSystem:
 
     def __init__(self, group, cache_dir=None):
         self.group = group
-        self.conj = conjugacy_classes(group)
+        self.conj = ConjugacyData(group)
         self.centralizers = []
         self.cent_conj = []
         self.tables = []
@@ -64,7 +64,7 @@ class WeightSystem:
             z = centralizer(group, group.elements[rep])
             key = z.content_key()
             if key not in shared:
-                cd = conjugacy_classes(z)
+                cd = ConjugacyData(z)
                 shared[key] = (z, cd, CharacterTable.load_or_compute(z, cache_dir, cd))
             self.centralizers.append(shared[key][0])
             self.cent_conj.append(shared[key][1])

@@ -1,11 +1,11 @@
 import pytest
 
 from doublechar import (
+    FiniteGroup,
     TaftParams,
     WeightSystem,
     bgg_matrices,
     build_profile_and_table,
-    close_group,
 )
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -34,12 +34,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def s3_system(tmp_path_factory):
     cache = tmp_path_factory.mktemp("tables")
-    return WeightSystem(close_group(3, S3_GENS), cache_dir=str(cache))
+    return WeightSystem(FiniteGroup.from_generators(3, S3_GENS), cache_dir=str(cache))
 
 
 @pytest.fixture(scope="session")
 def c3_system():
-    return WeightSystem(close_group(3, [(1, 2, 0)]))
+    return WeightSystem(FiniteGroup.from_generators(3, [(1, 2, 0)]))
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 from doublechar import (
+    FiniteGroup,
     MLMatrixData,
     NON_SIMPLE,
     SIMPLE_PROJECTIVE,
@@ -18,7 +19,6 @@ from doublechar import (
     WeightSystem,
     bgg_matrices,
     build_profile_and_table,
-    close_group,
     composition_series,
     decompose_into_simples,
     head_length,
@@ -54,7 +54,7 @@ def criterion(put, num, desc):
 
 
 def cyclic_system(n):
-    return WeightSystem(close_group(n, [tuple((i + 1) % n for i in range(n))]))
+    return WeightSystem(FiniteGroup.from_generators(n, [tuple((i + 1) % n for i in range(n))]))
 
 
 def taft_report(n):
@@ -67,7 +67,7 @@ def test_criterion_01_s3_weight_census(acceptance_line):
     desc = "S3 double: 8 weights, dims (1,1,2,3,3,2,2,2), squares sum to 36"
     with criterion(acceptance_line, 1, desc):
         t0 = time.monotonic()
-        system = WeightSystem(close_group(3, S3_GENS))
+        system = WeightSystem(FiniteGroup.from_generators(3, S3_GENS))
         rows = system.census()
         assert len(rows) == 8
         assert [r["dim"] for r in rows] == [1, 1, 2, 3, 3, 2, 2, 2]
@@ -163,7 +163,7 @@ def test_criterion_06_graded_reciprocity(acceptance_line):
 def test_criterion_07_fk3_reproduction(acceptance_line):
     desc = "shipped S3 fixture reproduces the three projective filtration lines"
     with criterion(acceptance_line, 7, desc):
-        system = WeightSystem(close_group(3, S3_GENS))
+        system = WeightSystem(FiniteGroup.from_generators(3, S3_GENS))
         obj = json.loads((DATA / "fk3_ml.json").read_text())
         report = ungraded_bgg(MLMatrixData.from_json(obj, system), system)
         aliases = load_aliases_file(str(DATA / "fk3_aliases.json"), system)
@@ -220,7 +220,7 @@ def test_criterion_10_fusion_ring_properties(acceptance_line):
     desc = "fusion over S3 and C2..C6 is a commutative based ring with duals"
     with criterion(acceptance_line, 10, desc):
         t0 = time.monotonic()
-        systems = [WeightSystem(close_group(3, S3_GENS))]
+        systems = [WeightSystem(FiniteGroup.from_generators(3, S3_GENS))]
         systems.extend(cyclic_system(n) for n in range(2, 7))
         for system in systems:
             ws = system.weights

@@ -3,7 +3,7 @@ import pytest
 
 from doublechar.chartable import CharacterTable, _working_prime
 from doublechar.cyclotomic import Cyclotomic, zeta
-from doublechar.groups import close_group, conjugacy_classes, perm_mul
+from doublechar.groups import ConjugacyData, FiniteGroup, perm_mul
 
 S3 = [(1, 0, 2), (1, 2, 0)]
 S4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
@@ -60,8 +60,8 @@ def exact_row_orthogonality(group, conj, table):
     ],
 )
 def test_degrees_match_regular_representation(degree, gens, expected_degrees):
-    group = close_group(degree, gens)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(degree, gens)
+    conj = ConjugacyData(group)
     assert numeric_degrees(group, conj) == expected_degrees
     table = CharacterTable.compute(group, conj)
     assert sorted(table.degrees) == expected_degrees
@@ -71,14 +71,14 @@ def test_degrees_match_regular_representation(degree, gens, expected_degrees):
 
 def test_trivial_character_is_row_zero():
     for degree, gens in ((3, S3), (4, S4), (4, D4)):
-        group = close_group(degree, gens)
+        group = FiniteGroup.from_generators(degree, gens)
         table = CharacterTable.compute(group)
         assert all(v == 1 for v in table.values[0])
         assert table.degrees[0] == 1
 
 
 def test_c3_table_is_canonical():
-    group = close_group(3, [(1, 2, 0)])
+    group = FiniteGroup.from_generators(3, [(1, 2, 0)])
     table = CharacterTable.compute(group)
     z = zeta(3)
     # elements sorted lexicographically: e, the 3-cycle, its square
@@ -93,8 +93,8 @@ def test_c3_table_is_canonical():
 
 
 def test_s3_column_values():
-    group = close_group(3, S3)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(3, S3)
+    conj = ConjugacyData(group)
     table = CharacterTable.compute(group, conj)
     by_size = {len(c): cid for cid, c in enumerate(conj.classes)}
     transposition, three_cycle = by_size[3], by_size[2]
@@ -120,7 +120,7 @@ def test_working_prime():
 
 
 def test_cache_round_trip(tmp_path):
-    group = close_group(3, S3)
+    group = FiniteGroup.from_generators(3, S3)
     t1 = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
     files = list(tmp_path.glob("chartable-*.json"))
     assert len(files) == 1
@@ -130,7 +130,7 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_corrupt_cache_entry_is_recomputed(tmp_path):
-    group = close_group(3, S3)
+    group = FiniteGroup.from_generators(3, S3)
     t1 = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
     (path,) = tmp_path.glob("chartable-*.json")
     path.write_text("{ not json")
@@ -139,8 +139,8 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
 
 
 def test_json_round_trip():
-    group = close_group(4, D4)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(4, D4)
+    conj = ConjugacyData(group)
     table = CharacterTable.compute(group, conj)
     clone = CharacterTable.from_json(table.to_json(), group, conj)
     assert clone.values == table.values
@@ -148,7 +148,7 @@ def test_json_round_trip():
 
 
 def test_deterministic_recompute():
-    group = close_group(4, S4)
+    group = FiniteGroup.from_generators(4, S4)
     a = CharacterTable.compute(group)
     b = CharacterTable.compute(group)
     assert a.to_json() == b.to_json()

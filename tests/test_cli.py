@@ -251,7 +251,7 @@ def test_oracle_failure_exits_4(capsys, monkeypatch):
     def boom(params, r, s):
         raise OracleError("forced failure")
 
-    monkeypatch.setattr(cli, "explicit_matrices", boom)
+    monkeypatch.setattr(cli, "VermaMatrices", boom)
     code, _, err = run(capsys, "taft", "3")
     assert code == 4
     assert "oracle verification failed" in err
@@ -377,3 +377,83 @@ def test_permuted_cached_table_is_recomputed(capsys, tmp_path):
     assert code == 0
     assert got == want
     assert json.loads(entry.read_text()) == json.loads(canonical)
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"degree": 3, "generators": [[1, 2.9, 0]]}, "must be integers"),
+        ({"degree": 3.7, "generators": [[1, 2, 0]]}, "must be integers"),
+        ({"degree": "3", "generators": [[1, 2, 0]]}, "must be integers"),
+        ({"degree": True, "generators": []}, "must be integers"),
+        ({"degree": 2, "generators": [[True, False]]}, "must be integers"),
+        ({"format": True, "degree": 1, "generators": []}, "unsupported group file format"),
+    ],
+    ids=[
+        "float-point",
+        "float-degree",
+        "string-degree",
+        "bool-degree",
+        "bool-points",
+        "bool-format",
+    ],
+)
+def test_group_file_with_non_integers_exits_2(capsys, tmp_path, group, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"format": 1, **group}))
+    code, out, err = run(capsys, "weights", "--group", path)
+    assert code == 2
+    assert message in err and out == ""
+
+
+def _set_first_factor_m(obj):
+    obj["rows"][1]["factors"][0]["m"] = True
+
+
+def _set_n_top(obj):
+    obj["n_top"] = True
+
+
+def _set_dim_b(obj):
+    obj["dim_b"] = True
+
+
+@pytest.mark.parametrize(
+    "mutate", [_set_first_factor_m, _set_n_top, _set_dim_b], ids=["m", "n_top", "dim_b"]
+)
+def test_ml_matrix_boolean_for_integer_exits_2(capsys, tmp_path, mutate):
+    path = _write_mutated(DATA / "fk3_ml.json", tmp_path / "ml.json", mutate)
+    code, _, err = run(
+        capsys, "verify", "--group", DATA / "s3_group.json", "--profile", path
+    )
+    assert code == 2
+    assert "input error" in err
+
+
+def _set_profile_m(obj):
+    obj["components"][1]["weights"][0]["m"] = True
+
+
+def _set_profile_deg(obj):
+    obj["components"][1]["deg"] = True
+
+
+def _set_simple_deg(obj):
+    obj["simples"][0]["char"]["char"][0]["deg"] = False
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("profile", _set_profile_m),
+        ("profile", _set_profile_deg),
+        ("simples", _set_simple_deg),
+    ],
+    ids=["profile-m", "profile-deg", "simples-deg"],
+)
+def test_graded_boolean_for_integer_exits_2(capsys, tmp_path, taft_files, name, mutate):
+    src = taft_files / f"{name}.json"
+    path = _write_mutated(src, tmp_path / f"{name}.json", mutate)
+    code, _, err = run(capsys, "bgg", *_taft_args(taft_files), f"--{name}", path)
+    assert code == 2
+    assert "must be an integer" in err

@@ -4,16 +4,17 @@ import pytest
 
 from doublechar.errors import InputError
 from doublechar.groups import (
+    ConjugacyData,
     FiniteGroup,
     centralizer,
-    close_group,
-    conjugacy_classes,
     perm_inv,
     perm_mul,
 )
 
 S3 = [(1, 0, 2), (1, 2, 0)]
 S4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
+D4 = [(1, 2, 3, 0), (0, 3, 2, 1)]
+Q8 = [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]
 
 
 def brute_classes(group):
@@ -40,9 +41,9 @@ def brute_classes(group):
     ],
 )
 def test_class_structure(gens, order, n_classes, sizes):
-    group = close_group(len(gens[0]), gens)
+    group = FiniteGroup.from_generators(len(gens[0]), gens)
     assert group.order == order
-    conj = conjugacy_classes(group)
+    conj = ConjugacyData(group)
     assert conj.count == n_classes
     assert conj.sizes() == sizes
     brute = brute_classes(group)
@@ -55,14 +56,14 @@ def test_class_structure(gens, order, n_classes, sizes):
 
 def test_identity_class_is_first():
     for gens in (S3, S4):
-        group = close_group(len(gens[0]), gens)
-        conj = conjugacy_classes(group)
+        group = FiniteGroup.from_generators(len(gens[0]), gens)
+        conj = ConjugacyData(group)
         assert conj.classes[0] == [group.index[group.identity]]
 
 
 def test_conjugators():
-    group = close_group(3, S3)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(3, S3)
+    conj = ConjugacyData(group)
     for i, g in enumerate(group.elements):
         x = conj.conjugator[i]
         rep = group.elements[conj.reps[conj.class_of[i]]]
@@ -70,8 +71,8 @@ def test_conjugators():
 
 
 def test_inverse_class_is_an_involution():
-    group = close_group(4, S4)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(4, S4)
+    conj = ConjugacyData(group)
     for c in range(conj.count):
         assert conj.inverse_class[conj.inverse_class[c]] == c
         rep = group.elements[conj.reps[c]]
@@ -80,19 +81,19 @@ def test_inverse_class_is_an_involution():
 
 
 def test_exponent_and_orders():
-    s3 = close_group(3, S3)
+    s3 = FiniteGroup.from_generators(3, S3)
     assert s3.exponent() == 6
     assert not s3.is_abelian()
-    c6 = close_group(6, [(1, 2, 3, 4, 5, 0)])
+    c6 = FiniteGroup.from_generators(6, [(1, 2, 3, 4, 5, 0)])
     assert c6.exponent() == 6
     assert c6.is_abelian()
-    s4 = close_group(4, S4)
+    s4 = FiniteGroup.from_generators(4, S4)
     assert s4.exponent() == 12
 
 
 def test_centralizer_orbit_stabilizer():
-    group = close_group(4, S4)
-    conj = conjugacy_classes(group)
+    group = FiniteGroup.from_generators(4, S4)
+    conj = ConjugacyData(group)
     for c, members in enumerate(conj.classes):
         rep = group.elements[conj.reps[c]]
         z = centralizer(group, rep)
@@ -101,8 +102,21 @@ def test_centralizer_orbit_stabilizer():
             assert perm_mul(h, rep) == perm_mul(rep, h)
 
 
+@pytest.mark.parametrize("gens", [S4, D4, Q8], ids=["S4", "D4", "Q8"])
+def test_centralizer_generators_close_to_its_elements(gens):
+    # centralizer picks its generators with the same closure BFS that
+    # from_generators runs, capped at the order of the ambient group;
+    # the identity's centralizer reaches that cap exactly
+    group = FiniteGroup.from_generators(len(gens[0]), gens)
+    conj = ConjugacyData(group)
+    for rep in conj.reps:
+        z = centralizer(group, group.elements[rep])
+        closed = FiniteGroup.from_generators(z.degree, z.generators)
+        assert closed.elements == z.elements
+
+
 def test_index_tables():
-    group = close_group(3, S3)
+    group = FiniteGroup.from_generators(3, S3)
     rng = random.Random(6)
     for _ in range(40):
         i = rng.randrange(group.order)
@@ -118,16 +132,16 @@ def test_index_tables():
 
 
 def test_content_key_ignores_generating_set():
-    a = close_group(3, S3)
-    b = close_group(3, [(0, 2, 1), (1, 0, 2)])
+    a = FiniteGroup.from_generators(3, S3)
+    b = FiniteGroup.from_generators(3, [(0, 2, 1), (1, 0, 2)])
     assert b.order == 6
     assert a.content_key() == b.content_key()
-    c6 = close_group(6, [(1, 2, 3, 4, 5, 0)])
+    c6 = FiniteGroup.from_generators(6, [(1, 2, 3, 4, 5, 0)])
     assert a.content_key() != c6.content_key()
 
 
 def test_json_round_trip():
-    group = close_group(4, S4)
+    group = FiniteGroup.from_generators(4, S4)
     clone = FiniteGroup.from_json(group.to_json())
     assert clone.elements == group.elements
     assert clone.content_key() == group.content_key()
@@ -135,11 +149,11 @@ def test_json_round_trip():
 
 def test_group_order_cap():
     with pytest.raises(InputError):
-        close_group(4, S4, max_order=10)
+        FiniteGroup.from_generators(4, S4, max_order=10)
 
 
 def test_bad_permutations_are_rejected():
     with pytest.raises(InputError):
-        close_group(3, [(0, 0, 1)])
+        FiniteGroup.from_generators(3, [(0, 0, 1)])
     with pytest.raises(InputError):
-        close_group(3, [(0, 1)])
+        FiniteGroup.from_generators(3, [(0, 1)])

@@ -88,10 +88,10 @@ def test_alias_validation(tmp_path, taft3):
 def test_ml_kind_detection():
     import pathlib
 
-    from doublechar.groups import close_group
+    from doublechar.groups import FiniteGroup
 
     fixture = pathlib.Path(__file__).resolve().parent.parent / "data" / "fk3_ml.json"
-    system = WeightSystem(close_group(3, [(1, 0, 2), (1, 2, 0)]))
+    system = WeightSystem(FiniteGroup.from_generators(3, [(1, 0, 2), (1, 2, 0)]))
     kind, ml = load_profile_file(str(fixture), system)
     assert kind == ML_KIND
     assert ml.dim_b == 12

@@ -3,11 +3,11 @@ import pytest
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import GradedChar, KElement
 from doublechar.nichols import (
+    LowestData,
     NicholsProfile,
     SimpleTable,
     coverma_char,
     ind_char,
-    lowest_data,
     verify_duality_identities,
     verma_char,
 )
@@ -135,7 +135,7 @@ def test_simple_table_validation(taft3):
 
 def test_lowest_data(taft3):
     params, _, table = taft3
-    data = lowest_data(table)
+    data = LowestData(table)
     lam = params.weight_of(0, 2)
     assert data.bar[lam] == params.weight_of(1, 0)
     assert data.level[lam] == -1
@@ -152,7 +152,7 @@ def test_lowest_data_violations(taft3):
         {l0: GradedChar.of(l0) + GradedChar({-1: KElement({l1: 1, l2: 1})})}
     )
     with pytest.raises(InconsistencyError, match="single-weight"):
-        lowest_data(wide)
+        LowestData(wide)
     clash = SimpleTable(
         {
             l0: GradedChar.of(l0),
@@ -160,4 +160,4 @@ def test_lowest_data_violations(taft3):
         }
     )
     with pytest.raises(InconsistencyError, match="bijection"):
-        lowest_data(clash)
+        LowestData(clash)

@@ -14,7 +14,6 @@ from doublechar.taft import (
     _sparse,
     build_profile_and_table,
     composition_series,
-    explicit_matrices,
     head_length,
     lowering_coeffs,
     q_integer,
@@ -78,6 +77,21 @@ def test_head_lengths_cover_every_value_once(n):
     assert total == n * n * (n + 1) // 2
 
 
+def _first_vanishing_rung(params, r, s):
+    """Head length by scanning the chain coefficients for the first zero."""
+    for k, c in enumerate(lowering_coeffs(params, r, s), start=1):
+        if c.is_zero():
+            return k
+    return params.n
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_head_length_is_the_first_vanishing_rung(n):
+    params = TaftParams(n)
+    for r, s in params.all_rs():
+        assert head_length(params, r, s) == _first_vanishing_rung(params, r, s)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_simple_dimension_rule(n):
     # the simple with parameters (r, 1-(r+l)) has dimension l
@@ -97,7 +111,7 @@ def test_composition_series_frozen(taft3):
 
 def test_explicit_matrices_verification(taft3):
     params, _, _ = taft3
-    vm = explicit_matrices(params, 0, 2)
+    vm = VermaMatrices(params, 0, 2)
     q = params.q
     for k in range(3):
         assert vm.g1[k][k] == q**k
@@ -112,7 +126,7 @@ def test_matrix_relations_hold_for_all_weights():
     for n in (2, 3):
         params = TaftParams(n)
         for r, s in params.all_rs():
-            vm = explicit_matrices(params, r, s)
+            vm = VermaMatrices(params, r, s)
             assert vm.series[0] == ((r, s), 0)
             shifts = [shift for _, shift in vm.series]
             assert shifts == sorted(shifts, reverse=True)
@@ -188,7 +202,7 @@ def _small_dense():
 
 def test_mat_pow_by_squaring_matches_repeated_products():
     params = TaftParams(5)
-    vm = explicit_matrices(params, 1, 3)
+    vm = VermaMatrices(params, 1, 3)
     cases = [vm.raising, vm.lowering, _small_dense()]
     for m in cases:
         n = len(m)
@@ -223,7 +237,7 @@ def test_nullspace_of_a_dense_matrix_takes_the_inverse_path(monkeypatch):
 
 def test_nullspace_of_a_ladder_needs_no_inverse(monkeypatch):
     params = TaftParams(6)
-    vm = explicit_matrices(params, 0, 2)
+    vm = VermaMatrices(params, 0, 2)
     calls = _count_inverses(monkeypatch)
     kernel = _cyc_nullspace(vm.raising)
     assert calls == []

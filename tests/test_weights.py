@@ -6,7 +6,7 @@ import pytest
 from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InputError
 from doublechar.graded import KElement
-from doublechar.groups import close_group, perm_inv, perm_mul
+from doublechar.groups import FiniteGroup, perm_inv, perm_mul
 from doublechar.weights import Weight, WeightSystem
 
 
@@ -19,7 +19,7 @@ def commuting_pairs(group):
 
 def cyclic_system(n):
     gen = tuple(list(range(1, n)) + [0])
-    return WeightSystem(close_group(n, [gen]))
+    return WeightSystem(FiniteGroup.from_generators(n, [gen]))
 
 
 def test_s3_census(s3_system):
@@ -244,7 +244,7 @@ ORACLE_GROUPS = {
 
 
 def test_q8_generators_give_the_quaternion_group():
-    group = close_group(8, Q8_GENS)
+    group = FiniteGroup.from_generators(8, Q8_GENS)
     assert group.order == 8 and not group.is_abelian()
     involutions = [g for g in group.elements if g != group.identity and perm_mul(g, g) == group.identity]
     assert len(involutions) == 1
@@ -252,7 +252,7 @@ def test_q8_generators_give_the_quaternion_group():
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_fusion_and_duals_match_brute_force(name):
-    system = WeightSystem(close_group(*ORACLE_GROUPS[name]))
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS[name]))
     weights = system.weights
     for w in weights:
         assert system.dual(w) == brute_dual(system, w)
@@ -280,7 +280,7 @@ def textbook_pair_char(system, w, g_index, h_index):
 
 @pytest.mark.parametrize("name", ["D4", "Q8", "S4"])
 def test_pair_char_matches_textbook_definition(name):
-    system = WeightSystem(close_group(*ORACLE_GROUPS[name]))
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS[name]))
     n = system.group.order
     for w in system.weights:
         for g in range(n):
