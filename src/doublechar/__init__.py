@@ -46,7 +46,6 @@ from .taft import (
     TaftParams,
     VermaMatrices,
     build_profile_and_table,
-    composition_series,
     head_length,
     lowering_coeffs,
     simple_char,
@@ -80,7 +79,6 @@ __all__ = [
     "WeightSystem",
     "bgg_matrices",
     "build_profile_and_table",
-    "composition_series",
     "coverma_char",
     "decompose_into_simples",
     "gc_dual",

@@ -34,7 +34,7 @@ def decompose_into_simples(char, table):
     """
     out = {}
     residual = char
-    guard = sum(abs(m) for k in char.layers.values() for m in k.terms.values()) + 1
+    guard = sum(abs(m) for k in char.terms.values() for m in k.terms.values()) + 1
     depth = 0
     if table.entries:
         depth = max(0, -min(c.min_degree() for c in table.entries.values()))

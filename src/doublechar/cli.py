@@ -151,6 +151,16 @@ def _cache_dir(args):
     return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV) or None
 
 
+def _check_duality(profile, error):
+    """Raise error at the first weight where a duality identity fails,
+    naming every identity that fails there."""
+    for lam in profile.system.weights:
+        res = verify_duality_identities(profile, lam)
+        if not all(res.values()):
+            failed = ", ".join(k for k, v in res.items() if not v)
+            raise error(f"duality identities failed for {lam}: {failed}")
+
+
 def _load_system(args):
     group = load_group_file(args.group, getattr(args, "max_group_order", DEFAULT_MAX_ORDER))
     return WeightSystem(group, cache_dir=_cache_dir(args))
@@ -424,8 +434,7 @@ def cmd_taft(args):
     n = args.n
     if not 2 <= n <= 12:
         raise InputError("the rank-one generator supports 2 <= n <= 12")
-    cache = args.cache_dir or os.environ.get(CACHE_ENV) or None
-    params = TaftParams(n, cache_dir=cache)
+    params = TaftParams(n, cache_dir=_cache_dir(args))
     system = params.system
     profile, table = build_profile_and_table(params)
     aliases = params.aliases()
@@ -445,11 +454,7 @@ def cmd_taft(args):
                 f"engine decomposition of the Verma of ({r},{s}) disagrees "
                 f"with the matrix composition series"
             )
-    for lam in system.weights:
-        res = verify_duality_identities(profile, lam)
-        if not all(res.values()):
-            failed = ", ".join(k for k, v in res.items() if not v)
-            raise OracleError(f"duality identities failed for {lam}: {failed}")
+    _check_duality(profile, OracleError)
     expected_simple = {params.weight_of(r, (1 - r) % n) for r in range(n)}
     flagged = {w for w, f in report.flags.items() if f == SIMPLE_PROJECTIVE}
     if flagged != expected_simple:
@@ -496,11 +501,7 @@ def cmd_verify(args):
               "decomposition matrix")
         return
     profile = data
-    for lam in system.weights:
-        res = verify_duality_identities(profile, lam)
-        if not all(res.values()):
-            failed = ", ".join(k for k, v in res.items() if not v)
-            raise InconsistencyError(f"duality identities failed for {lam}: {failed}")
+    _check_duality(profile, InconsistencyError)
     print(f"ok: duality identities ({len(system.weights)} weights)")
     if not getattr(args, "simples", None):
         return

@@ -4,6 +4,13 @@ Values live in Q(zeta_e), stored as coefficient vectors in the power basis
 1, z, ..., z^(phi(e)-1) of Q[x]/(Phi_e(x)) with z = zeta_e.  Arithmetic
 between different orders embeds both operands into the lcm order, so
 equality is canonical.  Everything is exact; no floats.
+
+One substitution kernel, `_substitute`, rewrites sum c_i z^i as
+sum c_i zeta_order^(i*step): with step = order/e it embeds into a larger
+field, with step = k prime to e it is the Galois automorphism z -> z^k
+(`galois`; `conjugate` is k = -1).  The inverse needs no polynomial
+Euclid: the product of the other Galois conjugates of x times x is the
+rational norm N(x), so 1/x is that product divided by N(x).
 """
 
 from __future__ import annotations
@@ -96,6 +103,18 @@ def _reduce(vec, e):
     return v
 
 
+def _substitute(coeffs, order, step):
+    """sum c_i zeta_order^(i*step mod order), reduced mod Phi_order."""
+    table = _power_table(order)
+    acc = [0] * _degree(order)
+    for i, c in enumerate(coeffs):
+        if c:
+            for j, r in enumerate(table[i * step % order]):
+                if r:
+                    acc[j] += c * r
+    return acc
+
+
 class Cyclotomic:
     """An element of Q(zeta_e) in the power basis of Phi_e."""
 
@@ -125,16 +144,14 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError("embedding target must be a multiple of the order")
-        step = order // self.order
-        table = _power_table(order)
-        acc = [0] * _degree(order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[i * step]
-                for j, r in enumerate(row):
-                    if r:
-                        acc[j] += c * r
-        return Cyclotomic(order, acc)
+        return Cyclotomic(order, _substitute(self.coeffs, order, order // self.order))
+
+    def galois(self, k):
+        """The Galois automorphism zeta_e -> zeta_e^k; k must be prime to e."""
+        e = self.order
+        if gcd(k, e) != 1:
+            raise ValueError(f"{k} is not prime to the order {e}")
+        return Cyclotomic(e, _substitute(self.coeffs, e, k))
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -163,14 +180,13 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, L = self._aligned(other)
-        return Cyclotomic(L, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,27 +218,20 @@ class Cyclotomic:
         return out
 
     def inverse(self):
+        """1/x = rest / N(x): rest is the product of galois(k) over the
+        other units k mod e, and x * rest is the norm N(x), a rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, u = _poly_xgcd(list(self.coeffs), phi)
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible mod Phi_e")
-        inv = [Fraction(c, 1) / g[0] for c in u]
-        return Cyclotomic(self.order, _reduce(inv, self.order))
+        e = self.order
+        rest = Cyclotomic.from_rational(1, e)
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                rest = rest * self.galois(k)
+        return rest / (self * rest).to_rational()
 
     def conjugate(self):
         """Galois automorphism zeta_e -> zeta_e^(-1)."""
-        e = self.order
-        table = _power_table(e)
-        acc = [0] * _degree(e)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(e - i) % e]
-                for j, r in enumerate(row):
-                    if r:
-                        acc[j] += c * r
-        return Cyclotomic(e, acc)
+        return self.galois(-1)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -268,63 +277,6 @@ class Cyclotomic:
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
-
-
-def _poly_trim(p):
-    while p and (p[-1] == 0):
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            a[k + j] -= c * b[j]
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_xgcd(a, b):
-    """Return (g, u) with u*a = g mod b and g a nonzero constant, for gcd(a,b)=1."""
-    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    s0, s1 = [Fraction(1)], []
-    _poly_trim(r0)
-    _poly_trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-    return r0, s0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 def zeta(order, power=1):

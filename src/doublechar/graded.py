@@ -3,32 +3,24 @@
 KElement is a finite multiset of weights with integer multiplicities,
 the ungraded character of a finite-dimensional module.  GradedChar
 attaches a degree to every layer, so it is a Laurent polynomial in t
-whose coefficients are KElements.  Products need fusion, so the
-operations that multiply or dualize take the WeightSystem as an
-argument; everything else is system-free bookkeeping.
+whose coefficients are KElements.  Both are sparse sums
+(`laurent._SparseSum`), which holds their storage, zero-dropping,
+immutability, +, -, == and hash; this module adds only what differs.
+Products need fusion, so the operations that multiply or dualize take
+the WeightSystem as an argument; everything else is system-free
+bookkeeping.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, field
-from .laurent import LaurentInt
+from .laurent import LaurentInt, _SparseSum
 
 
-class KElement:
+class KElement(_SparseSum):
     """An integer linear combination of weights."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        data = dict(terms)
-        object.__setattr__(self, "terms", {w: m for w, m in data.items() if m})
-
-    def __setattr__(self, *a):
-        raise AttributeError("KElement is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of(cls, weight, mult=1):
@@ -37,33 +29,12 @@ class KElement:
     def items(self):
         return sorted(self.terms.items())
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out.get(w, 0) + m
-        return KElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out.get(w, 0) - m
-        return KElement(out)
-
-    def __neg__(self):
-        return KElement({w: -m for w, m in self.terms.items()})
-
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return KElement({w: m * k for w, m in self.terms.items()})
+        return self._scaled(k)
 
     __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def is_nonnegative(self):
         return all(m > 0 for m in self.terms.values())
@@ -80,18 +51,10 @@ class KElement:
             for w2, m2 in other.terms.items():
                 for w3, n in system.fusion(w1, w2).items():
                     out[w3] = out.get(w3, 0) + m1 * m2 * n
-        return KElement(out)
+        return KElement._new({w: m for w, m in out.items() if m})
 
     def dual(self, system):
-        return KElement({system.dual(w): m for w, m in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, KElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return KElement._new({system.dual(w): m for w, m in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -102,119 +65,72 @@ class KElement:
         return " + ".join(parts)
 
 
-class GradedChar:
+class GradedChar(_SparseSum):
     """A Laurent polynomial in t with KElement coefficients."""
 
-    __slots__ = ("layers",)
-
-    def __init__(self, layers=()):
-        data = {}
-        for d, k in dict(layers).items():
-            if not isinstance(k, KElement):
-                k = KElement(k)
-            if k:
-                data[d] = k
-        object.__setattr__(self, "layers", data)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GradedChar is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
+    _kind = KElement
 
     @classmethod
     def of(cls, weight, deg=0, mult=1):
         return cls({deg: KElement.of(weight, mult)})
 
     def degrees(self):
-        return sorted(self.layers)
+        return sorted(self.terms)
 
     def layer(self, d):
-        return self.layers.get(d, KElement.zero())
+        return self.terms.get(d, KElement.zero())
 
     def min_degree(self):
-        if not self.layers:
+        if not self.terms:
             raise InputError("zero character has no degrees")
-        return min(self.layers)
+        return min(self.terms)
 
     def max_degree(self):
-        if not self.layers:
+        if not self.terms:
             raise InputError("zero character has no degrees")
-        return max(self.layers)
-
-    def is_zero(self):
-        return not self.layers
-
-    def __bool__(self):
-        return bool(self.layers)
-
-    def __add__(self, other):
-        out = dict(self.layers)
-        for d, k in other.layers.items():
-            out[d] = out.get(d, KElement.zero()) + k
-        return GradedChar(out)
-
-    def __sub__(self, other):
-        out = dict(self.layers)
-        for d, k in other.layers.items():
-            out[d] = out.get(d, KElement.zero()) - k
-        return GradedChar(out)
-
-    def __neg__(self):
-        return GradedChar({d: -k for d, k in self.layers.items()})
+        return max(self.terms)
 
     def scale(self, mult):
         """Multiply by a plain integer or by a Laurent polynomial in t."""
         if isinstance(mult, int):
-            return GradedChar({d: k * mult for d, k in self.layers.items()})
+            return self._scaled(mult)
         if isinstance(mult, LaurentInt):
             out = {}
             for e, c in mult.terms.items():
-                for d, k in self.layers.items():
+                for d, k in self.terms.items():
                     cur = out.get(d + e)
                     out[d + e] = (cur + k * c) if cur is not None else k * c
             return GradedChar(out)
         raise InputError("characters scale by integers or Laurent polynomials")
 
     def shift(self, k):
-        return GradedChar({d + k: v for d, v in self.layers.items()})
+        return GradedChar._new({d + k: v for d, v in self.terms.items()})
 
     def eval_one(self):
         """Forget the grading: the sum of all layers."""
-        total = KElement.zero()
-        for k in self.layers.values():
-            total = total + k
-        return total
+        return sum(self.terms.values(), KElement.zero())
 
     def dim(self, system):
-        return sum(k.dim(system) for k in self.layers.values())
+        return sum(k.dim(system) for k in self.terms.values())
 
     def weight_series(self):
         """Weight-major view: weight -> Laurent polynomial of multiplicities."""
         out = {}
-        for d, k in self.layers.items():
+        for d, k in self.terms.items():
             for w, m in k.terms.items():
                 out.setdefault(w, {})[d] = m
         return {w: LaurentInt(poly) for w, poly in sorted(out.items())}
 
     def is_nonnegative(self):
-        return all(k.is_nonnegative() for k in self.layers.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedChar):
-            return NotImplemented
-        return self.layers == other.layers
-
-    def __hash__(self):
-        return hash(frozenset((d, k) for d, k in self.layers.items()))
+        return all(k.is_nonnegative() for k in self.terms.values())
 
     def __repr__(self):
-        if not self.layers:
+        if not self.terms:
             return "0"
         parts = []
         for d in self.degrees():
-            k = self.layers[d]
+            k = self.terms[d]
             if d == 0:
                 parts.append(f"({k!r})")
             else:
@@ -229,7 +145,7 @@ class GradedChar:
                 {
                     "deg": d,
                     "weights": [
-                        {"w": w.label, "m": m} for w, m in self.layers[d].items()
+                        {"w": w.label, "m": m} for w, m in self.terms[d].items()
                     ],
                 }
                 for d in self.degrees()
@@ -255,8 +171,8 @@ class GradedChar:
 def gc_mul(a, b, system):
     """Product of graded characters, expanding weight pairs by fusion."""
     out = {}
-    for d, ka in a.layers.items():
-        for e, kb in b.layers.items():
+    for d, ka in a.terms.items():
+        for e, kb in b.terms.items():
             prod = ka.mul(kb, system)
             if prod:
                 cur = out.get(d + e)
@@ -266,4 +182,4 @@ def gc_mul(a, b, system):
 
 def gc_dual(a, system):
     """Dual character: degrees negate and every weight dualizes."""
-    return GradedChar({-d: k.dual(system) for d, k in a.layers.items()})
+    return GradedChar({-d: k.dual(system) for d, k in a.terms.items()})

@@ -48,7 +48,11 @@ def perm_order(a):
 
 
 def check_perm(p, degree):
-    if len(p) != degree or sorted(p) != list(range(degree)):
+    if (
+        len(p) != degree
+        or not all(is_int(x) for x in p)
+        or sorted(p) != list(range(degree))
+    ):
         raise InputError(f"not a permutation of 0..{degree - 1}: {list(p)}")
     return tuple(p)
 

@@ -1,36 +1,111 @@
-"""Sparse integer Laurent polynomials in one variable t.
+"""Sparse sums, and integer Laurent polynomials in one variable t.
 
-Zero is the empty map; no explicit zero coefficients are stored.  These
-carry the graded multiplicities p_{N,lambda} and the t <-> 1/t involution
-used by the reciprocity matrices.
+`_SparseSum` is the one copy of the additive rules shared by LaurentInt
+here and by KElement and GradedChar in `graded`: a finite map key ->
+nonzero coefficient (zero is the empty map, and no zero coefficient is
+ever stored), immutable, added, negated, compared and hashed termwise.
+LaurentInt carries the graded multiplicities p_{N,lambda} and the
+t <-> 1/t involution used by the reciprocity matrices.
 """
 
 from __future__ import annotations
 
 
-class LaurentInt:
-    """Finite map degree -> nonzero integer coefficient."""
+class _SparseSum:
+    """Finite map key -> nonzero coefficient of type `_kind`.
+
+    Subclasses set `_kind` and add their products and views; `_coerce`
+    names the operands, besides the same type, that take part in +, -
+    and ==."""
 
     __slots__ = ("terms",)
+    _kind = int
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for d, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    nc = t.get(d, 0) + c
-                    if nc:
-                        t[d] = nc
-                    elif d in t:
-                        del t[d]
-        object.__setattr__(self, "terms", t)
+    def __init__(self, terms=()):
+        kind = self._kind
+        data = {}
+        for key, c in dict(terms).items():
+            if not isinstance(c, kind):
+                raise TypeError(
+                    f"{type(self).__name__} coefficients must be {kind.__name__}, "
+                    f"got {c!r}"
+                )
+            if c:
+                data[key] = c
+        object.__setattr__(self, "terms", data)
+
+    @classmethod
+    def _new(cls, terms):
+        """Wrap a dict that already holds only nonzero coefficients."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
 
     def __setattr__(self, *a):
-        raise AttributeError("LaurentInt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._new({})
+
+    def _coerce(self, other):
+        return other if type(other) is type(self) else None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            if key in out:
+                c = out[key] + c
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def _scaled(self, k):
+        """Every coefficient times the integer k."""
+        return self._new({key: c * k for key, c in self.terms.items()} if k else {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class LaurentInt(_SparseSum):
+    """Finite map degree -> nonzero integer coefficient."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls):
@@ -40,39 +115,16 @@ class LaurentInt:
     def monomial(cls, coeff, degree=0):
         return cls({degree: coeff})
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        t = dict(self.terms)
-        for d, c in other.terms.items():
-            nc = t.get(d, 0) + c
-            if nc:
-                t[d] = nc
-            elif d in t:
-                del t[d]
-        return LaurentInt(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentInt({d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    def _coerce(self, other):
+        if isinstance(other, LaurentInt):
+            return other
+        if isinstance(other, int):
+            return LaurentInt({0: other})
+        return None
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentInt({d: c * other for d, c in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, LaurentInt):
             return NotImplemented
         t = {}
@@ -86,21 +138,15 @@ class LaurentInt:
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentInt({d + k: c for d, c in self.terms.items()})
+        return LaurentInt._new({d + k: c for d, c in self.terms.items()})
 
     def bar(self):
         """The involution t -> 1/t."""
-        return LaurentInt({-d: c for d, c in self.terms.items()})
+        return LaurentInt._new({-d: c for d, c in self.terms.items()})
 
     def eval_one(self):
         """Evaluate at t = 1 (sum of coefficients)."""
         return sum(self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def is_nonnegative(self):
         return all(c > 0 for c in self.terms.values())
@@ -110,15 +156,6 @@ class LaurentInt:
 
     def max_degree(self):
         return max(self.terms) if self.terms else None
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"LaurentInt({self})"
@@ -142,16 +179,3 @@ class LaurentInt:
 
     def to_json(self):
         return {str(d): c for d, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(d): int(c) for d, c in obj.items()})
-
-
-def _coerce(x):
-    if isinstance(x, LaurentInt):
-        return x
-    if isinstance(x, int):
-        return LaurentInt({0: x})
-    return None
-

@@ -269,11 +269,6 @@ class VermaMatrices:
         object.__setattr__(self, "series", tuple(series))
 
 
-def composition_series(params, r, s):
-    """Factors of the chain module as ((r, s), shift) pairs, top first."""
-    return VermaMatrices(params, r, s).series
-
-
 # ---- sparse matrix helpers over the cyclotomics ----
 #
 # A matrix is a list of _Row dicts column -> nonzero Cyclotomic.  Since

@@ -16,10 +16,10 @@ from doublechar import (
     NON_SIMPLE,
     SIMPLE_PROJECTIVE,
     TaftParams,
+    VermaMatrices,
     WeightSystem,
     bgg_matrices,
     build_profile_and_table,
-    composition_series,
     decompose_into_simples,
     head_length,
     ind_char,
@@ -273,7 +273,7 @@ def test_criterion_11_oracle_engine_equivalence(acceptance_line):
             for w in profile.system.weights:
                 r, s = params.rs_of(w)
                 from_matrices = {
-                    (rs, shift): 1 for rs, shift in composition_series(params, r, s)
+                    (rs, shift): 1 for rs, shift in VermaMatrices(params, r, s).series
                 }
                 dec = decompose_into_simples(verma_char(profile, w), table)
                 from_span = {

@@ -2,15 +2,36 @@ import cmath
 import random
 from fractions import Fraction
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doublechar.cyclotomic import Cyclotomic, cyclotomic_polynomial, zeta
 
 
-def approx(x):
-    """Numeric image of a cyclotomic under zeta_e -> exp(2*pi*i/e)."""
-    root = cmath.exp(2j * cmath.pi / x.order)
+def approx(x, power=1):
+    """Numeric image of a cyclotomic under zeta_e -> exp(2*pi*i*power/e)."""
+    root = cmath.exp(2j * cmath.pi * power / x.order)
     return sum(c * root**k for k, c in enumerate(x.coeffs))
+
+
+ORDERS = range(1, 31)
+# every order 1..30, including the e = 2 mod 4 ones, with random vectors
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def coeff_vectors(e):
+    d = len(cyclotomic_polynomial(e)) - 1
+    return st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(
+        lambda c: Cyclotomic(e, c)
+    )
+
+
+def units(e):
+    """Integers k prime to e, negative ones and ones past e included."""
+    return st.sampled_from([k for k in range(-2 * e - 1, 2 * e + 2) if gcd(k, e) == 1])
 
 
 def test_zeta_has_exact_order():
@@ -115,3 +136,45 @@ def test_rationality():
 def test_coefficient_length_is_enforced():
     with pytest.raises(ValueError):
         Cyclotomic(4, [1, 2, 3])
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_inverse_by_norm(e, data):
+    a = data.draw(coeff_vectors(e))
+    assume(not a.is_zero())
+    inv = a.inverse()
+    assert inv.order == e
+    assert a * inv == 1
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_galois_is_evaluation_at_a_power(e, data):
+    a = data.draw(coeff_vectors(e))
+    k = data.draw(units(e))
+    assert abs(approx(a.galois(k)) - approx(a, k)) < 1e-9
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_galois_composes_multiplicatively(e, data):
+    a = data.draw(coeff_vectors(e))
+    j, k = data.draw(units(e)), data.draw(units(e))
+    assert a.galois(j).galois(k) == a.galois(j * k)
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_conjugate_is_galois_minus_one(e, data):
+    a = data.draw(coeff_vectors(e))
+    assert a.conjugate() == a.galois(-1)
+
+
+def test_galois_needs_a_unit():
+    with pytest.raises(ValueError):
+        zeta(6).galois(2)

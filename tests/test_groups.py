@@ -157,3 +157,15 @@ def test_bad_permutations_are_rejected():
         FiniteGroup.from_generators(3, [(0, 0, 1)])
     with pytest.raises(InputError):
         FiniteGroup.from_generators(3, [(0, 1)])
+
+
+def test_boolean_points_are_rejected():
+    # True == 1 and False == 0, so a sorted comparison alone lets this through
+    with pytest.raises(InputError):
+        FiniteGroup.from_generators(2, [(True, False)])
+
+
+def test_float_points_are_rejected():
+    # 2.0 == 2 passes a sorted comparison, then cannot index a tuple
+    with pytest.raises(InputError):
+        FiniteGroup.from_generators(3, [(1, 2.0, 0)])

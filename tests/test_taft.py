@@ -13,7 +13,6 @@ from doublechar.taft import (
     _mat_pow,
     _sparse,
     build_profile_and_table,
-    composition_series,
     head_length,
     lowering_coeffs,
     q_integer,
@@ -104,9 +103,9 @@ def test_simple_dimension_rule(n):
 
 def test_composition_series_frozen(taft3):
     params, _, _ = taft3
-    assert composition_series(params, 0, 2) == (((0, 2), 0), ((2, 1), -2))
-    assert composition_series(params, 2, 2) == (((2, 2), 0),)
-    assert composition_series(params, 0, 0) == (((0, 0), 0), ((1, 1), -1))
+    assert VermaMatrices(params, 0, 2).series == (((0, 2), 0), ((2, 1), -2))
+    assert VermaMatrices(params, 2, 2).series == (((2, 2), 0),)
+    assert VermaMatrices(params, 0, 0).series == (((0, 0), 0), ((1, 1), -1))
 
 
 def test_explicit_matrices_verification(taft3):
