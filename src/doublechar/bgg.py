@@ -156,11 +156,15 @@ def _require_full_table(system, table):
 
 
 def _reciprocity(weights, verma_simple):
-    """BGG reciprocity and the simple-projective rule, shared by the graded
-    and the ungraded report.  The projective of mu has the Verma of lam in
-    its standard filtration with the bar of the multiplicity of the simple
-    of mu in the Verma of lam; a Verma is simple projective exactly when
-    its only composition factor is its own simple, once, in degree 0."""
+    """BGG reciprocity, the Cartan matrix and the simple-projective rule,
+    shared by the graded and the ungraded report.
+
+    The projective of mu has the Verma of lam in its standard filtration
+    with the bar of the multiplicity of the simple of mu in the Verma of
+    lam, so with D = verma_simple the Cartan matrix is C = D-bar^T D:
+    cartan[mu][nu] = sum over lam of projective_verma[mu][lam] *
+    verma_simple[lam][nu].  A Verma is simple projective exactly when its
+    only composition factor is its own simple, once, in degree 0."""
     projective_verma = {
         mu: {
             lam: verma_simple[lam][mu].bar()
@@ -169,12 +173,19 @@ def _reciprocity(weights, verma_simple):
         }
         for mu in weights
     }
+    cartan = {}
+    for mu in weights:
+        row = {}
+        for lam, coeff in projective_verma[mu].items():
+            for nu, m in verma_simple[lam].items():
+                row[nu] = row.get(nu, LaurentInt.zero()) + coeff * m
+        cartan[mu] = {nu: c for nu, c in sorted(row.items()) if not c.is_zero()}
     flags = {}
     for lam in weights:
         dec = verma_simple[lam]
         is_simple = list(dec) == [lam] and dec[lam] == LaurentInt.one()
         flags[lam] = SIMPLE_PROJECTIVE if is_simple else NON_SIMPLE
-    return projective_verma, flags
+    return projective_verma, cartan, flags
 
 
 def bgg_matrices(profile, table):
@@ -190,7 +201,7 @@ def bgg_matrices(profile, table):
     verma_simple = {
         lam: decompose_into_simples(vermas[lam], table) for lam in weights
     }
-    projective_verma, flags = _reciprocity(weights, verma_simple)
+    projective_verma, cartan, flags = _reciprocity(weights, verma_simple)
 
     # the Verma whose composition series governs W(lam) is twisted by
     # the top weight: lam_ov * lam
@@ -212,10 +223,6 @@ def bgg_matrices(profile, table):
         for lam, coeff in projective_verma[mu].items():
             total = total + vermas[lam].scale(coeff)
         projective_chars[mu] = total
-
-    cartan = {
-        mu: decompose_into_simples(projective_chars[mu], table) for mu in weights
-    }
 
     report = BGGReport(
         system,
@@ -440,17 +447,7 @@ def ungraded_bgg(ml, system):
         }
         for lam in weights
     }
-    projective_verma, flags = _reciprocity(weights, verma_simple)
-    cartan = {}
-    for mu in weights:
-        row = {}
-        for nu in weights:
-            total = 0
-            for lam, c in projective_verma[mu].items():
-                total += c.eval_one() * verma_simple[lam].get(nu, LaurentInt.zero()).eval_one()
-            if total:
-                row[nu] = LaurentInt.monomial(total)
-        cartan[mu] = row
+    projective_verma, cartan, flags = _reciprocity(weights, verma_simple)
     return BGGReport(
         system,
         weights,

@@ -114,7 +114,8 @@ class CharacterTable:
                 want = n if a == b else 0
                 if not (acc.is_rational() and acc.to_rational() == want):
                     raise InconsistencyError(
-                        f"orthogonality fails for character rows {a} and {b}"
+                        f"orthogonality fails for character rows {a} and {b}: "
+                        f"inner product {acc!r}, expected {want}"
                     )
 
     # ---- serialization and caching ----

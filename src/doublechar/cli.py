@@ -544,27 +544,31 @@ def cmd_verify(args):
 
 
 def _check_cartan(report):
-    weights = report.weights
-    ev = {
-        lam: {mu: c.eval_one() for mu, c in report.verma_simple[lam].items()}
-        for lam in weights
-    }
-    for mu in weights:
-        for nu in weights:
-            c1 = report.cartan[mu].get(nu, LaurentInt.zero()).eval_one()
-            c2 = report.cartan[nu].get(mu, LaurentInt.zero()).eval_one()
-            if c1 != c2:
-                raise InconsistencyError(
-                    f"Cartan matrix is not symmetric at ({mu}, {nu})"
-                )
-            dtd = sum(
-                ev[lam].get(mu, 0) * ev[lam].get(nu, 0) for lam in weights
+    """C(1) is symmetric and equals D(1)^T D(1), with D = verma_simple.
+
+    Both sides are summed over nonzero entries only, and the pairs are
+    checked in canonical order, so the first failing pair is named."""
+    cartan, dtd = {}, {}
+    for mu, row in report.cartan.items():
+        for nu, c in row.items():
+            cartan[mu, nu] = c.eval_one()
+    for row in report.verma_simple.values():
+        ev = [(mu, c.eval_one()) for mu, c in row.items()]
+        for mu, a in ev:
+            for nu, b in ev:
+                dtd[mu, nu] = dtd.get((mu, nu), 0) + a * b
+    pairs = set(cartan) | {(nu, mu) for mu, nu in cartan} | set(dtd)
+    for mu, nu in sorted(pairs):
+        c1 = cartan.get((mu, nu), 0)
+        if c1 != cartan.get((nu, mu), 0):
+            raise InconsistencyError(
+                f"Cartan matrix is not symmetric at ({mu}, {nu})"
             )
-            if c1 != dtd:
-                raise InconsistencyError(
-                    f"Cartan entry ({mu}, {nu}) differs from the squared "
-                    f"decomposition matrix"
-                )
+        if c1 != dtd.get((mu, nu), 0):
+            raise InconsistencyError(
+                f"Cartan entry ({mu}, {nu}) differs from the squared "
+                f"decomposition matrix"
+            )
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ from __future__ import annotations
 class _SparseSum:
     """Finite map key -> nonzero coefficient of type `_kind`.
 
-    Subclasses set `_kind` and add their products and views; `_coerce`
-    names the operands, besides the same type, that take part in +, -
-    and ==."""
+    Subclasses set `_kind` and add their products and views.  Only
+    operands of the same type take part in +, - and ==; an int is never
+    equal to a sum, so equal values always hash equal."""
 
     __slots__ = ("terms",)
     _kind = int
@@ -65,8 +65,6 @@ class _SparseSum:
             out[key] = c
         return self._new(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new({key: -c for key, c in self.terms.items()})
 
@@ -75,12 +73,6 @@ class _SparseSum:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def _scaled(self, k):
         """Every coefficient times the integer k."""
@@ -114,13 +106,6 @@ class LaurentInt(_SparseSum):
     @classmethod
     def monomial(cls, coeff, degree=0):
         return cls({degree: coeff})
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentInt):
-            return other
-        if isinstance(other, int):
-            return LaurentInt({0: other})
-        return None
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -14,9 +14,18 @@ and one representative c_k per class K_k of its centralizer Z_i:
     T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
                 chi_lam(g1, c) chi_mu(g2, c).
 
-Duals are the same projection onto the unit weight (i the identity
-class, Z_i = G, chi_j trivial).  Every multiplicity is an exact
-cyclotomic number that must come out a nonnegative integer.
+Every multiplicity is an exact cyclotomic number that must come out a
+nonnegative integer.
+
+Duals and products with a one-dimensional weight (z, chi), z central,
+are single weights with closed forms:
+
+    (g, rho)* = (g^(-1), conj rho),
+    (z, chi) (x) (g, rho) = (z g, chi|_{Z_g} rho).
+
+Each is the row of the centralizer table of its class i that equals its
+pair character at (r_i, c_k).  The dual is the charge conjugation
+C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table.
@@ -95,9 +104,6 @@ class WeightSystem:
     def dim(self, w):
         return len(self.conj.classes[w.class_index]) * self.tables[w.class_index].degrees[w.irrep_index]
 
-    def is_one_dimensional(self, w):
-        return self.dim(w) == 1
-
     # ---- pair characters ----
 
     def pair_char(self, w, g_index, h_index):
@@ -137,7 +143,7 @@ class WeightSystem:
         for i, factors in enumerate(self._factor_lists(lam, mu)):
             if not factors:
                 continue
-            mults = self._multiplicities(lam, mu, i, factors, self._class_rows(i)[1])
+            mults = self._multiplicities(lam, mu, i, factors)
             for j, mult in enumerate(mults):
                 if mult:
                     result[Weight(i, j)] = mult
@@ -149,31 +155,26 @@ class WeightSystem:
         return result
 
     def dual(self, lam):
-        """The unique weight pairing with lam into the unit weight."""
+        """The dual weight (g^(-1), conj rho) of lam = (g, rho)."""
         hit = self._dual_cache.get(lam)
         if hit is not None:
             return hit
-        group = self.group
-        # the unit weight lives over the identity class, whose centralizer
-        # is G itself; its trivial row is the first
-        factors = [(g, group.inverse_index(g)) for g in self.conj.classes[lam.class_index]]
-        trivial = self._class_rows(self.unit.class_index)[1][:1]
         b = self.conj.inverse_class[lam.class_index]
-        found = []
-        for nu in self.weights:
-            if nu.class_index != b:
-                continue
-            (mult,) = self._multiplicities(lam, nu, self.unit.class_index, factors, trivial)
-            if mult == 1:
-                found.append(nu)
-            elif mult:
-                raise InconsistencyError(
-                    f"unit weight appears {mult} times in {lam} (x) {nu}"
-                )
+        g = self.group.inverse_index(self.conj.reps[b])
+        row = [self.pair_char(lam, g, h).conjugate() for h in self._class_rows(b)[0]]
+        found = self._weight_with_row(b, row, f"dual of {lam}")
+        self._dual_cache[lam] = found
+        return found
+
+    def _weight_with_row(self, i, row, what):
+        """The weight over class i whose centralizer character is row."""
+        found = [j for j, values in enumerate(self.tables[i].values) if list(values) == row]
         if len(found) != 1:
-            raise InconsistencyError(f"weight {lam} does not have a unique dual")
-        self._dual_cache[lam] = found[0]
-        return found[0]
+            raise InconsistencyError(
+                f"{what}: {len(found)} characters of the centralizer of class "
+                f"{i} equal the computed row {row}, expected exactly one"
+            )
+        return Weight(i, found[0])
 
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of
@@ -207,12 +208,12 @@ class WeightSystem:
             hit = self._rows_cache[i] = (reps, rows)
         return hit
 
-    def _multiplicities(self, lam, mu, i, factors, rows):
-        """Multiplicity of (i, j) in lam (x) mu for each weighted row j:
+    def _multiplicities(self, lam, mu, i, factors):
+        """Multiplicity of (i, j) in lam (x) mu for each row j:
         (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k), where T is the
         pair character of lam (x) mu and c_k runs over the class
         representatives of Z_i."""
-        reps, _ = self._class_rows(i)
+        reps, rows = self._class_rows(i)
         values = []
         for h in reps:
             left, right = [], []
@@ -233,15 +234,19 @@ class WeightSystem:
         return out
 
     def product_one_dimensional(self, onedim, lam):
-        """Fusion with a one-dimensional weight; always a single weight."""
+        """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
+        one-dimensional weight onedim = (z, chi)."""
         if self.dim(onedim) != 1:
             raise InputError(f"weight {onedim} is not one-dimensional")
-        out = self.fusion(onedim, lam)
-        if len(out) != 1 or next(iter(out.values())) != 1:
-            raise InconsistencyError(
-                f"product of {onedim} and {lam} is not a single weight"
-            )
-        return next(iter(out))
+        group, conj = self.group, self.conj
+        z = conj.reps[onedim.class_index]
+        i = conj.class_of[group.mul_index(z, conj.reps[lam.class_index])]
+        g = group.mul_index(group.inverse_index(z), conj.reps[i])
+        row = [
+            self.pair_char(onedim, z, h) * self.pair_char(lam, g, h)
+            for h in self._class_rows(i)[0]
+        ]
+        return self._weight_with_row(i, row, f"product of {onedim} and {lam}")
 
     def census(self):
         """One row per weight: label, class size, irrep degree, dimension."""

@@ -24,6 +24,7 @@ from doublechar.nichols import (
     LowestData,
     verma_char,
 )
+from doublechar.taft import TaftParams, build_profile_and_table
 from doublechar.weights import WeightSystem
 from doublechar.groups import FiniteGroup
 
@@ -138,6 +139,18 @@ def test_cartan_matrix(taft3_report):
             assert c == r.cartan[nu].get(mu, LaurentInt.zero()).bar()
             dtd = sum(ev[lam].get(mu, 0) * ev[lam].get(nu, 0) for lam in r.weights)
             assert c.eval_one() == dtd
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cartan_rule_matches_decomposed_projectives(n):
+    # the report's C = D-bar^T D against the span decomposition of each
+    # assembled projective character into simples
+    profile, table = build_profile_and_table(TaftParams(n))
+    report = bgg_matrices(profile, table)
+    for mu in report.weights:
+        assert report.cartan[mu] == decompose_into_simples(
+            report.projective_chars[mu], table
+        )
 
 
 def test_maximal_shift_summand(taft3, taft3_report):

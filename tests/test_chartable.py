@@ -3,6 +3,7 @@ import pytest
 
 from doublechar.chartable import CharacterTable, _working_prime
 from doublechar.cyclotomic import Cyclotomic, zeta
+from doublechar.errors import InconsistencyError
 from doublechar.groups import ConjugacyData, FiniteGroup, perm_mul
 
 S3 = [(1, 0, 2), (1, 2, 0)]
@@ -152,3 +153,20 @@ def test_deterministic_recompute():
     a = CharacterTable.compute(group)
     b = CharacterTable.compute(group)
     assert a.to_json() == b.to_json()
+
+
+def test_orthogonality_failure_names_both_sides():
+    group = FiniteGroup.from_generators(3, S3)
+    table = CharacterTable.compute(group)
+    # flip the sign character to +1 on the transpositions: rows 0 and 1
+    # then pair to 1 + 3 + 2 = 6 instead of 0
+    sign = list(table.values[1])
+    j = next(j for j, v in enumerate(sign) if v == -1)
+    sign[j] = Cyclotomic.from_rational(1)
+    values = (table.values[0], tuple(sign)) + table.values[2:]
+    broken = CharacterTable(group, table.conj, table.exponent, values, table.degrees)
+    with pytest.raises(InconsistencyError) as info:
+        broken._verify()
+    assert str(info.value) == (
+        "orthogonality fails for character rows 0 and 1: inner product 6, expected 0"
+    )

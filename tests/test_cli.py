@@ -7,6 +7,7 @@ import pytest
 
 from doublechar import cli
 from doublechar.errors import OracleError
+from doublechar.laurent import LaurentInt
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -320,6 +321,45 @@ def test_tensor_dimension_mismatch_exits_3(capsys, monkeypatch, taft_files):
     assert code == 3
     assert "decomposition sums to 18" in err
     assert out == ""
+
+
+def _patch_cartan(monkeypatch, mu, nu, value):
+    """Make bgg_matrices return a report whose Cartan entry (mu, nu) is
+    value, or missing when value is None."""
+    real = cli.bgg_matrices
+
+    def patched(*args):
+        report = real(*args)
+        row = report.cartan[report.system.by_label[mu]]
+        w = report.system.by_label[nu]
+        if value is None:
+            del row[w]
+        else:
+            row[w] = value
+        return report
+
+    monkeypatch.setattr(cli, "bgg_matrices", patched)
+
+
+def test_verify_asymmetric_cartan_exits_3(capsys, monkeypatch, taft_files):
+    _patch_cartan(monkeypatch, "g1r0", "g2r1", LaurentInt.monomial(5))
+    code, out, err = run(capsys, "verify", *_taft_args(taft_files))
+    assert code == 3
+    assert "Cartan matrix is not symmetric at (g1r0, g2r1)" in err
+    assert "ok: graded reciprocity transpose and leading entries" in out
+    assert "ok: Cartan matrix" not in out
+
+
+def test_verify_wrong_cartan_entry_exits_3(capsys, monkeypatch, taft_files):
+    # the diagonal entry is at least 1, so dropping it leaves a 0 there
+    _patch_cartan(monkeypatch, "g2r2", "g2r2", None)
+    code, out, err = run(capsys, "verify", *_taft_args(taft_files))
+    assert code == 3
+    assert (
+        "Cartan entry (g2r2, g2r2) differs from the squared decomposition matrix"
+        in err
+    )
+    assert "ok: Cartan matrix" not in out
 
 
 def _write_mutated(src, dst, mutate):

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from doublechar.chartable import CharacterTable
 from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
-from doublechar.errors import InputError
+from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import KElement
 from doublechar.groups import FiniteGroup, perm_inv, perm_mul
 from doublechar.weights import Weight, WeightSystem
@@ -133,7 +136,7 @@ def test_dual_is_an_involution(s3_system):
 
 def test_product_with_one_dimensional_matches_fusion(s3_system):
     for a in s3_system.weights:
-        if not s3_system.is_one_dimensional(a):
+        if s3_system.dim(a) != 1:
             continue
         for b in s3_system.weights:
             w = s3_system.product_one_dimensional(a, b)
@@ -286,3 +289,98 @@ def test_pair_char_matches_textbook_definition(name):
         for g in range(n):
             for h in range(n):
                 assert system.pair_char(w, g, h) == textbook_pair_char(system, w, g, h)
+
+
+def _with_duplicated_row(system, i, j, k):
+    """Replace row k of the centralizer table of class i by a copy of row j."""
+    table = system.tables[i]
+    values = list(table.values)
+    values[k] = values[j]
+    system.tables[i] = CharacterTable(
+        table.group, table.conj, table.exponent, tuple(values), table.degrees
+    )
+
+
+def test_dual_lookup_failure_names_weight_class_and_row():
+    # in C3 the dual of g1r1 is g2r2; with row 2 of class 2 gone, no
+    # row of that class matches
+    system = cyclic_system(3)
+    assert system.dual(Weight(1, 1)) == Weight(2, 2)
+    system = cyclic_system(3)
+    _with_duplicated_row(system, 2, 1, 2)
+    with pytest.raises(InconsistencyError) as info:
+        system.dual(Weight(1, 1))
+    row = [system.pair_char(Weight(1, 1), 1, h).conjugate() for h in (0, 1, 2)]
+    assert str(info.value) == (
+        f"dual of g1r1: 0 characters of the centralizer of class 2 equal the "
+        f"computed row {row}, expected exactly one"
+    )
+    # the row that now appears twice matches two characters
+    with pytest.raises(InconsistencyError, match="dual of g1r2: 2 characters"):
+        system.dual(Weight(1, 2))
+
+
+def test_product_lookup_failure_names_both_weights():
+    system = cyclic_system(3)
+    assert system.product_one_dimensional(Weight(1, 0), Weight(1, 1)) == Weight(2, 1)
+    system = cyclic_system(3)
+    _with_duplicated_row(system, 2, 1, 0)
+    with pytest.raises(InconsistencyError) as info:
+        system.product_one_dimensional(Weight(1, 0), Weight(1, 1))
+    assert str(info.value).startswith(
+        "product of g1r0 and g1r1: 2 characters of the centralizer of class 2 "
+        "equal the computed row ["
+    )
+
+
+# ---- the closed-form duals and one-dimensional products on random groups ----
+
+# groups of order above the cap are rejected while they are closed, which
+# keeps the brute-force dual scan cheap
+ORDER_CAP = 24
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    try:
+        return FiniteGroup.from_generators(degree, [tuple(g) for g in gens], ORDER_CAP)
+    except InputError:
+        assume(False)
+
+
+@PROPERTY
+@given(small_groups())
+def test_duals_match_the_projection_and_are_involutions(group):
+    system = WeightSystem(group)
+    for w in system.weights:
+        d = system.dual(w)
+        assert d == brute_dual(system, w)
+        assert system.dual(d) == w
+
+
+@PROPERTY
+@given(small_groups())
+def test_one_dimensional_products_match_fusion(group):
+    system = WeightSystem(group)
+    for a in system.weights:
+        if system.dim(a) != 1:
+            continue
+        for b in system.weights:
+            assert system.fusion(a, b) == {system.product_one_dimensional(a, b): 1}
+
+
+@PROPERTY
+@given(small_groups())
+def test_fusion_rigidity(group):
+    # N_ab^c = N_{a c*}^{b*}
+    system = WeightSystem(group)
+    weights = system.weights
+    for a in weights:
+        for b in weights:
+            ab = system.fusion(a, b)
+            for c in weights:
+                acd = system.fusion(a, system.dual(c))
+                assert ab.get(c, 0) == acd.get(system.dual(b), 0)
