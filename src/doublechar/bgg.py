@@ -284,7 +284,7 @@ def ind_into_projectives(profile, table, mu, report=None):
         report = bgg_matrices(profile, table)
     out = {}
     for lam in system.weights:
-        series = table[lam].weight_series().get(mu)
+        series = table[lam].series(mu)
         if series is not None:
             out[lam] = series.bar()
     rebuilt = GradedChar.zero()

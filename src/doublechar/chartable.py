@@ -2,12 +2,15 @@
 
 The table is computed by Dixon's modular refinement of Burnside's class
 matrix method: all work happens in a prime field F_p with p = 1 (mod
-exponent), where every character value becomes a sum of powers of a
-fixed primitive root.  Root multiplicities are recovered with a
-discrete Fourier transform over F_p and reassembled as exact cyclotomic
-integers.  The finished table is verified against the orthogonality
-relations before it is returned, so a successfully constructed
-CharacterTable is self-certifying.
+exponent e), where every character value becomes a sum of powers of a
+fixed primitive e-th root of unity omega.  The value on a class whose
+representative has order o is a sum of o-th roots of unity, so its root
+multiplicities are recovered with a discrete Fourier transform of
+length o over F_p (with omega_o = omega^(e/o)), reassembled as an exact
+cyclotomic integer of Q(zeta_o) and embedded into Q(zeta_e).  The
+finished table is verified against the orthogonality relations before
+it is returned, so a successfully constructed CharacterTable is
+self-certifying.
 
 Row order is canonical: ascending degree, then descending
 lexicographic order of the tuple of value coordinates in the power
@@ -239,7 +242,14 @@ def _split_spaces(group, conj, p):
 
 
 def _dixon(group, conj, e):
-    """All irreducible character rows, unsorted, as lists of Cyclotomic."""
+    """All irreducible character rows, unsorted, as lists of Cyclotomic.
+
+    The value chi(r_j) on the class of r_j, of order o, is lifted from
+    theta(r_j^s), s < o, by a DFT of length o: the multiplicity of
+    zeta_o^c is (1/o) sum_s theta(r_j^s) omega_o^(-cs) mod p.  The
+    multiplicities must lie in [0, deg] and sum to deg; the value is
+    built in Q(zeta_o) and embedded into Q(zeta_e).
+    """
     n = group.order
     k = conj.count
     p = _working_prime(e, n)
@@ -247,25 +257,29 @@ def _dixon(group, conj, e):
     inv_cls = conj.inverse_class
     vectors = _split_spaces(group, conj, p)
 
-    # power maps: pm[j][s] = class of rep_j^s, for the Fourier lift
+    omega = pow(primitive_root(p), (p - 1) // e, p)
+    omega_inv = pow(omega, -1, p)
+    size_inv = [pow(sz, -1, p) for sz in sizes]
+
+    # power maps: pm[j][s] = class of rep_j^s for s < o, the order of
+    # rep_j; per distinct o, the inverse powers of omega_o = omega^(e/o),
+    # 1/o mod p and the power basis of Q(zeta_o)
     pm = []
+    lifts = {}
     for r in conj.reps:
-        row = []
-        cur = group.identity_index
-        for _ in range(e):
+        row = [conj.class_of[group.identity_index]]
+        cur = r
+        while cur != group.identity_index:
             row.append(conj.class_of[cur])
             cur = group.mul_index(cur, r)
         pm.append(row)
-
-    omega = pow(primitive_root(p), (p - 1) // e, p)
-    omega_inv = pow(omega, -1, p)
-    ipow = [1] * e
-    for s in range(1, e):
-        ipow[s] = (ipow[s - 1] * omega_inv) % p
-    e_inv = pow(e, -1, p)
-    table = _power_table(e)
-    dim = _degree(e)
-    size_inv = [pow(sz, -1, p) for sz in sizes]
+        o = len(row)
+        if o not in lifts:
+            step = pow(omega_inv, e // o, p)
+            ipow = [1] * o
+            for s in range(1, o):
+                ipow[s] = (ipow[s - 1] * step) % p
+            lifts[o] = (ipow, pow(o, -1, p), _power_table(o), _degree(o))
 
     rows = []
     for w in vectors:
@@ -278,25 +292,33 @@ def _dixon(group, conj, e):
         deg = _sqrt_small(deg_sq, p)
         theta = [(deg * w[j] * size_inv[j]) % p for j in range(k)]
         row = []
-        for j in range(k):
+        for j, pmj in enumerate(pm):
+            o = len(pmj)
+            ipow, o_inv, table, dim = lifts[o]
+            vals = [theta[c] for c in pmj]
             coeffs = [0] * dim
             total = 0
-            pmj = pm[j]
-            for c in range(e):
+            for c in range(o):
                 acc = 0
-                for s_ in range(e):
-                    acc += theta[pmj[s_]] * ipow[(c * s_) % e]
-                m = (acc * e_inv) % p
+                for s_, v in enumerate(vals):
+                    acc += v * ipow[(c * s_) % o]
+                m = (acc * o_inv) % p
                 if m > deg:
-                    raise InconsistencyError("root multiplicity exceeds the degree")
+                    raise InconsistencyError(
+                        f"root multiplicity {m} exceeds the degree {deg} "
+                        f"at class {j} (element order {o})"
+                    )
                 total += m
                 if m:
                     trow = table[c]
                     for t in range(dim):
                         coeffs[t] += m * trow[t]
             if total != deg:
-                raise InconsistencyError("root multiplicities do not sum to the degree")
-            row.append(Cyclotomic(e, coeffs))
+                raise InconsistencyError(
+                    f"root multiplicities sum to {total}, not the degree {deg}, "
+                    f"at class {j} (element order {o})"
+                )
+            row.append(Cyclotomic(o, coeffs).embed(e))
         rows.append(row)
     return rows
 

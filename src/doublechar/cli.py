@@ -493,7 +493,8 @@ def cmd_verify(args):
                 right = report.verma_simple[lam].get(mu, LaurentInt.zero())
                 if left != right:
                     raise InconsistencyError(
-                        f"ungraded reciprocity fails at ({mu}, {lam})"
+                        f"ungraded reciprocity fails at ({mu}, {lam}): "
+                        f"projective coefficient {left}, Verma coefficient {right}"
                     )
         print("ok: ungraded reciprocity transpose")
         _check_cartan(report)
@@ -512,9 +513,11 @@ def cmd_verify(args):
         rebuilt = GradedChar.zero()
         for mu, coeff in report.verma_simple[lam].items():
             rebuilt = rebuilt + table[mu].scale(coeff)
-        if rebuilt != verma_char(profile, lam):
+        expected = verma_char(profile, lam)
+        if rebuilt != expected:
             raise InconsistencyError(
-                f"simple-basis reassembly of the Verma of {lam} failed"
+                f"simple-basis reassembly of the Verma of {lam} failed: "
+                f"rebuilt {rebuilt!r}, expected {expected!r}"
             )
     print("ok: simple-basis reassembly")
     for mu in system.weights:
@@ -523,7 +526,9 @@ def cmd_verify(args):
             right = report.verma_simple[lam].get(mu, LaurentInt.zero()).bar()
             if left != right:
                 raise InconsistencyError(
-                    f"graded reciprocity fails at ({mu}, {lam})"
+                    f"graded reciprocity fails at ({mu}, {lam}): "
+                    f"projective coefficient {left}, bar of the Verma "
+                    f"coefficient {right}"
                 )
             if left and left.min_degree() < 0:
                 raise InconsistencyError(

@@ -114,13 +114,11 @@ class GradedChar(_SparseSum):
     def dim(self, system):
         return sum(k.dim(system) for k in self.terms.values())
 
-    def weight_series(self):
-        """Weight-major view: weight -> Laurent polynomial of multiplicities."""
-        out = {}
-        for d, k in self.terms.items():
-            for w, m in k.terms.items():
-                out.setdefault(w, {})[d] = m
-        return {w: LaurentInt(poly) for w, poly in sorted(out.items())}
+    def series(self, w):
+        """The multiplicity of the weight w per degree, as a Laurent
+        polynomial in t, or None when w occurs in no layer."""
+        poly = {d: k.terms[w] for d, k in self.terms.items() if w in k.terms}
+        return LaurentInt._new(poly) if poly else None
 
     def is_nonnegative(self):
         return all(k.is_nonnegative() for k in self.terms.values())

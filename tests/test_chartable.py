@@ -1,10 +1,16 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given
+from test_weights import PROPERTY, small_groups
 
+from doublechar import chartable
 from doublechar.chartable import CharacterTable, _working_prime
-from doublechar.cyclotomic import Cyclotomic, zeta
+from doublechar.cyclotomic import Cyclotomic, _degree, _power_table, zeta
 from doublechar.errors import InconsistencyError
-from doublechar.groups import ConjugacyData, FiniteGroup, perm_mul
+from doublechar.groups import ConjugacyData, FiniteGroup, perm_mul, perm_order
+from doublechar.modp import primitive_root
 
 S3 = [(1, 0, 2), (1, 2, 0)]
 S4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
@@ -169,4 +175,147 @@ def test_orthogonality_failure_names_both_sides():
         broken._verify()
     assert str(info.value) == (
         "orthogonality fails for character rows 0 and 1: inner product 6, expected 0"
+    )
+
+
+# ---- the per-class Fourier lift against the length-e lift ----
+
+
+def brute_dixon_rows(group, conj, e):
+    """Character rows lifted with one DFT of length e, the group exponent,
+    over e power-map entries per class: the lift before it was cut to the
+    order of each class representative."""
+    n = group.order
+    k = conj.count
+    p = _working_prime(e, n)
+    sizes = conj.sizes()
+    inv_cls = conj.inverse_class
+    vectors = chartable._split_spaces(group, conj, p)
+
+    pm = []
+    for r in conj.reps:
+        row = []
+        cur = group.identity_index
+        for _ in range(e):
+            row.append(conj.class_of[cur])
+            cur = group.mul_index(cur, r)
+        pm.append(row)
+
+    omega = pow(primitive_root(p), (p - 1) // e, p)
+    omega_inv = pow(omega, -1, p)
+    ipow = [1] * e
+    for s in range(1, e):
+        ipow[s] = (ipow[s - 1] * omega_inv) % p
+    e_inv = pow(e, -1, p)
+    table = _power_table(e)
+    dim = _degree(e)
+    size_inv = [pow(sz, -1, p) for sz in sizes]
+
+    rows = []
+    for w in vectors:
+        scale = pow(w[0], -1, p)
+        w = [(x * scale) % p for x in w]
+        s = sum(w[r] * w[inv_cls[r]] * size_inv[r] for r in range(k)) % p
+        deg = chartable._sqrt_small((n * pow(s, -1, p)) % p, p)
+        theta = [(deg * w[j] * size_inv[j]) % p for j in range(k)]
+        row = []
+        for j in range(k):
+            coeffs = [0] * dim
+            total = 0
+            for c in range(e):
+                acc = 0
+                for s_ in range(e):
+                    acc += theta[pm[j][s_]] * ipow[(c * s_) % e]
+                m = (acc * e_inv) % p
+                assert m <= deg
+                total += m
+                for t in range(dim):
+                    coeffs[t] += m * table[c][t]
+            assert total == deg
+            row.append(Cyclotomic(e, coeffs))
+        rows.append(row)
+    return rows
+
+
+def assert_lift_matches_brute(group):
+    conj = ConjugacyData(group)
+    e = group.exponent()
+    rows = chartable._sorted_rows(brute_dixon_rows(group, conj, e), e)
+    brute = CharacterTable(
+        group,
+        conj,
+        e,
+        tuple(tuple(r) for r in rows),
+        tuple(int(r[0].to_rational()) for r in rows),
+    )
+    assert CharacterTable.compute(group, conj).to_json() == brute.to_json()
+
+
+def _on(degree, *cycles):
+    """The permutation of range(degree) with the given disjoint cycles."""
+    perm = list(range(degree))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
+# name: (degree, generators, order)
+LIFT_GROUPS = {
+    "S3": (3, S3, 6),
+    "S4": (4, S4, 24),
+    "S5": (5, [_on(5, (0, 1)), _on(5, (0, 1, 2, 3, 4))], 120),
+    "A5": (5, [_on(5, (0, 1, 2)), _on(5, (0, 1, 2, 3, 4))], 60),
+    "Z7": (7, [_on(7, (0, 1, 2, 3, 4, 5, 6))], 7),
+    "Z12": (12, [_on(12, tuple(range(12)))], 12),
+    "D8": (4, D4, 8),
+    "D12": (6, [_on(6, tuple(range(6))), _on(6, (1, 5), (2, 4))], 12),
+    # the regular representation of Q8 = <i, j>, elements numbered
+    # 1, i, -1, -i, j, -k, -j, k; unlike D8 it has a single involution
+    "Q8": (8, [_on(8, (0, 1, 2, 3), (4, 5, 6, 7)), _on(8, (0, 4, 2, 6), (1, 7, 3, 5))], 8),
+    "Z3xS3": (6, [_on(6, (0, 1, 2)), _on(6, (3, 4)), _on(6, (3, 4, 5))], 18),
+    "Z4xZ6": (10, [_on(10, (0, 1, 2, 3)), _on(10, (4, 5, 6, 7, 8, 9))], 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_GROUPS))
+def test_lift_matches_the_length_e_lift(name):
+    degree, gens, order = LIFT_GROUPS[name]
+    group = FiniteGroup.from_generators(degree, gens)
+    assert group.order == order
+    assert_lift_matches_brute(group)
+
+
+@PROPERTY
+@given(small_groups())
+def test_lift_matches_the_length_e_lift_on_random_groups(group):
+    assert_lift_matches_brute(group)
+
+
+@PROPERTY
+@given(small_groups())
+def test_values_are_fixed_by_the_galois_group_of_their_class(group):
+    # chi(g) lies in Q(zeta_o) for o the order of g, so every automorphism
+    # zeta_e -> zeta_e^k with k = 1 (mod o) fixes it
+    table = CharacterTable.compute(group)
+    e = table.exponent
+    for j, rep in enumerate(table.conj.reps):
+        o = perm_order(group.elements[rep])
+        for k in range(1, e + 1):
+            if gcd(k, e) == 1 and k % o == 1 % o:
+                for row in table.values:
+                    assert row[j].galois(k) == row[j]
+
+
+def test_lift_failure_names_the_class_and_both_sides(monkeypatch):
+    real = chartable._sqrt_small
+    monkeypatch.setattr(chartable, "_sqrt_small", lambda a, p: real(a, p) + 1)
+    group = FiniteGroup.from_generators(3, S3)
+    with pytest.raises(InconsistencyError) as info:
+        CharacterTable.compute(group)
+    # every degree comes out one too large: the linear characters lift to
+    # twice themselves, which passes, but the 2-dimensional character,
+    # now claimed as 3/2 of itself, breaks on the transpositions
+    assert str(info.value) == (
+        "root multiplicity 5 exceeds the degree 3 at class 1 (element order 2)"
     )

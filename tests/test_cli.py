@@ -323,22 +323,31 @@ def test_tensor_dimension_mismatch_exits_3(capsys, monkeypatch, taft_files):
     assert out == ""
 
 
-def _patch_cartan(monkeypatch, mu, nu, value):
-    """Make bgg_matrices return a report whose Cartan entry (mu, nu) is
-    value, or missing when value is None."""
-    real = cli.bgg_matrices
+def _patch_report(monkeypatch, name, mutate):
+    """Make cli.<name> return a report changed in place by
+    mutate(report, by_label)."""
+    real = getattr(cli, name)
 
     def patched(*args):
         report = real(*args)
-        row = report.cartan[report.system.by_label[mu]]
-        w = report.system.by_label[nu]
-        if value is None:
-            del row[w]
-        else:
-            row[w] = value
+        mutate(report, report.system.by_label)
         return report
 
-    monkeypatch.setattr(cli, "bgg_matrices", patched)
+    monkeypatch.setattr(cli, name, patched)
+
+
+def _patch_cartan(monkeypatch, mu, nu, value):
+    """Make bgg_matrices return a report whose Cartan entry (mu, nu) is
+    value, or missing when value is None."""
+
+    def corrupt(report, w):
+        row = report.cartan[w[mu]]
+        if value is None:
+            del row[w[nu]]
+        else:
+            row[w[nu]] = value
+
+    _patch_report(monkeypatch, "bgg_matrices", corrupt)
 
 
 def test_verify_asymmetric_cartan_exits_3(capsys, monkeypatch, taft_files):
@@ -360,6 +369,52 @@ def test_verify_wrong_cartan_entry_exits_3(capsys, monkeypatch, taft_files):
         in err
     )
     assert "ok: Cartan matrix" not in out
+
+
+def test_verify_graded_reciprocity_failure_names_both_sides(capsys, monkeypatch, taft_files):
+    def corrupt(report, w):
+        report.projective_verma[w["g0r0"]][w["g0r0"]] = LaurentInt.monomial(2, 1)
+
+    _patch_report(monkeypatch, "bgg_matrices", corrupt)
+    code, out, err = run(capsys, "verify", *_taft_args(taft_files))
+    assert code == 3
+    assert (
+        "graded reciprocity fails at (g0r0, g0r0): projective coefficient 2*t, "
+        "bar of the Verma coefficient 1"
+    ) in err
+    assert "ok: simple-basis reassembly" in out
+
+
+def test_verify_reassembly_failure_names_both_sides(capsys, monkeypatch, taft_files):
+    def corrupt(report, w):
+        report.verma_simple[w["g0r0"]][w["g0r0"]] = LaurentInt.monomial(2)
+
+    _patch_report(monkeypatch, "bgg_matrices", corrupt)
+    code, out, err = run(capsys, "verify", *_taft_args(taft_files))
+    assert code == 3
+    assert (
+        "simple-basis reassembly of the Verma of g0r0 failed: "
+        "rebuilt (g2r2)*t^-2 + (g1r1)*t^-1 + (2*g0r0), "
+        "expected (g2r2)*t^-2 + (g1r1)*t^-1 + (g0r0)"
+    ) in err
+    assert "ok: simple-basis reassembly" not in out
+
+
+def test_verify_ungraded_reciprocity_failure_names_both_sides(capsys, monkeypatch):
+    # the ungraded route builds its report with ungraded_bgg, not bgg_matrices
+    def corrupt(report, w):
+        report.projective_verma[w["g0r0"]][w["g0r0"]] = LaurentInt.monomial(7)
+
+    _patch_report(monkeypatch, "ungraded_bgg", corrupt)
+    code, out, err = run(
+        capsys, "verify", "--group", DATA / "s3_group.json", "--profile", DATA / "fk3_ml.json"
+    )
+    assert code == 3
+    assert (
+        "ungraded reciprocity fails at (g0r0, g0r0): projective coefficient 7, "
+        "Verma coefficient 2"
+    ) in err
+    assert "ok: ungraded reciprocity transpose" not in out
 
 
 def _write_mutated(src, dst, mutate):

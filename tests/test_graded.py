@@ -85,10 +85,22 @@ def test_shift_scale_eval(s3_system):
 def test_weight_series(s3_system):
     w = s3_system.weights
     ch = GradedChar.of(w[1]) + GradedChar.of(w[1], deg=2) + GradedChar.of(w[4], deg=-1)
-    series = ch.weight_series()
-    assert series[w[1]] == LaurentInt({0: 1, 2: 1})
-    assert series[w[4]] == LaurentInt.monomial(1, -1)
-    assert list(series) == sorted(series)
+    assert ch.series(w[1]) == LaurentInt({0: 1, 2: 1})
+    assert ch.series(w[4]) == LaurentInt.monomial(1, -1)
+    rng = random.Random(7)
+    for _ in range(15):
+        ch = rand_char(rng, s3_system, virtual=True)
+        # the weight-major view, built layer by layer
+        view = {}
+        for d in ch.degrees():
+            for weight, m in ch.layer(d).items():
+                view.setdefault(weight, {})[d] = m
+        for weight in w:
+            got = ch.series(weight)
+            if weight in view:
+                assert got == LaurentInt(view[weight])
+            else:
+                assert got is None
 
 
 def test_gc_mul(s3_system):
