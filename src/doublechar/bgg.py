@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistencyError, InputError, SpanError, field, is_int
-from .graded import GradedChar, KElement
+from .graded import KElement, combine
 from .laurent import LaurentInt
-from .nichols import LowestData, coverma_char, ind_char, verma_char
+from .nichols import LowestData, ind_char
 
 SIMPLE_PROJECTIVE = "simple_projective"
 NON_SIMPLE = "non_simple"
@@ -195,34 +195,25 @@ def bgg_matrices(profile, table):
     weights = list(system.weights)
     lowest = LowestData(table)
 
-    # one character and one top-weight twist per weight, local to this
-    # call: both are reused across the W^2 loops below
-    vermas = {lam: verma_char(profile, lam) for lam in weights}
     verma_simple = {
-        lam: decompose_into_simples(vermas[lam], table) for lam in weights
+        lam: decompose_into_simples(profile.vermas[lam], table) for lam in weights
     }
     projective_verma, cartan, flags = _reciprocity(weights, verma_simple)
 
     # the Verma whose composition series governs W(lam) is twisted by
     # the top weight: lam_ov * lam
-    twisted = {
-        lam: system.product_one_dimensional(profile.lambda_ov, lam) for lam in weights
-    }
     projective_coverma = {}
     for mu in weights:
         row = {}
         for lam in weights:
-            coeff = verma_simple[twisted[lam]].get(mu)
+            coeff = verma_simple[profile.twist_ov[lam]].get(mu)
             if coeff is not None:
                 row[lam] = coeff.bar().shift(-profile.n_top)
         projective_coverma[mu] = row
 
-    projective_chars = {}
-    for mu in weights:
-        total = GradedChar.zero()
-        for lam, coeff in projective_verma[mu].items():
-            total = total + vermas[lam].scale(coeff)
-        projective_chars[mu] = total
+    projective_chars = {
+        mu: combine(projective_verma[mu], profile.vermas) for mu in weights
+    }
 
     report = BGGReport(
         system,
@@ -235,22 +226,16 @@ def bgg_matrices(profile, table):
         cartan,
         flags,
     )
-    _check_report(report, profile, table, lowest)
+    _check_report(report, profile, lowest)
     return report
 
 
-def _check_report(report, profile, table, lowest):
+def _check_report(report, profile, lowest):
     """Internal consistency: the two filtrations of each projective
     carry the same character, and the maximal-shift summand obeys the
     twisted lowest-weight law."""
-    system = profile.system
-    covermas = {}
     for mu in report.weights:
-        rebuilt = GradedChar.zero()
-        for lam, coeff in report.projective_coverma[mu].items():
-            if lam not in covermas:
-                covermas[lam] = coverma_char(profile, lam)
-            rebuilt = rebuilt + covermas[lam].scale(coeff)
+        rebuilt = combine(report.projective_coverma[mu], profile.covermas)
         if rebuilt != report.projective_chars[mu]:
             raise InconsistencyError(
                 f"standard and costandard filtrations of the projective of "
@@ -263,7 +248,7 @@ def _check_report(report, profile, table, lowest):
             if top_shift is None or s > top_shift or (s == top_shift and lam < top_lam):
                 top_shift, top_lam = s, lam
         want_shift = lowest.level[mu] + report.n_top
-        want_lam = system.product_one_dimensional(profile.lambda_ov, lowest.bar[mu])
+        want_lam = profile.twist_ov[lowest.bar[mu]]
         if top_shift != want_shift or top_lam != want_lam:
             raise InconsistencyError(
                 f"maximal Verma shift of the projective of {mu} is "
@@ -287,10 +272,7 @@ def ind_into_projectives(profile, table, mu, report=None):
         series = table[lam].series(mu)
         if series is not None:
             out[lam] = series.bar()
-    rebuilt = GradedChar.zero()
-    for lam, coeff in out.items():
-        rebuilt = rebuilt + report.projective_chars[lam].scale(coeff)
-    if rebuilt != ind_char(profile, mu):
+    if combine(out, report.projective_chars) != ind_char(profile, mu):
         raise InconsistencyError(
             f"projective expansion of the induced module of {mu} does not "
             f"match its character; the simple table is inconsistent"

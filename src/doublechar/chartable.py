@@ -25,8 +25,8 @@ import json
 import os
 import tempfile
 
-from .cyclotomic import Cyclotomic, _degree, _power_table
-from .errors import InconsistencyError
+from .cyclotomic import Cyclotomic, _degree, _power_table, dot
+from .errors import InconsistencyError, is_int
 from .groups import ConjugacyData
 from .modp import (
     charpoly,
@@ -109,11 +109,11 @@ class CharacterTable:
         sizes = conj.sizes()
         inv = conj.inverse_class
         n = group.order
+        # <chi_a, chi_b> = sum_j chi_a(j) chi_b(j^-1) |K_j|, one dot per pair
+        weighted = [[row[inv[j]] * sizes[j] for j in range(k)] for row in self.values]
         for a in range(k):
             for b in range(a, k):
-                acc = Cyclotomic.from_rational(0)
-                for j in range(k):
-                    acc = acc + self.values[a][j] * self.values[b][inv[j]] * sizes[j]
+                acc = dot(self.values[a], weighted[b])
                 want = n if a == b else 0
                 if not (acc.is_rational() and acc.to_rational() == want):
                     raise InconsistencyError(
@@ -141,9 +141,17 @@ class CharacterTable:
         e = obj["exponent"]
         if conj is None:
             conj = ConjugacyData(group)
-        values = tuple(
-            tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in obj["values"]
-        )
+        # check the shape before building any value: a foreign exponent
+        # would build (and cache) a table in the wrong field
+        if not is_int(e) or e != group.exponent():
+            raise InconsistencyError("character table exponent differs from the group's")
+        rows = obj["values"]
+        k = conj.count
+        if not isinstance(rows, list) or len(rows) != k or any(
+            not isinstance(row, list) or len(row) != k for row in rows
+        ):
+            raise InconsistencyError(f"character table values are not {k} rows of {k}")
+        values = tuple(tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in rows)
         # orthogonality cannot see a permutation of the rows, which would
         # silently relabel every weight built on this table
         keys = [_row_key(row, e) for row in values]

@@ -30,7 +30,7 @@ from .errors import (
     OracleError,
     SpanError,
 )
-from .graded import GradedChar
+from .graded import GradedChar, combine
 from .groups import DEFAULT_MAX_ORDER
 from .jsonio import (
     ML_KIND,
@@ -46,7 +46,7 @@ from .jsonio import (
     write_text,
 )
 from .laurent import LaurentInt
-from .nichols import verify_duality_identities, verma_char
+from .nichols import verify_duality_identities
 from .taft import TaftParams, VermaMatrices, build_profile_and_table
 from .weights import WeightSystem
 
@@ -510,10 +510,8 @@ def cmd_verify(args):
     report = bgg_matrices(profile, table)
     print("ok: costandard filtration consistency and maximal-shift law")
     for lam in system.weights:
-        rebuilt = GradedChar.zero()
-        for mu, coeff in report.verma_simple[lam].items():
-            rebuilt = rebuilt + table[mu].scale(coeff)
-        expected = verma_char(profile, lam)
+        rebuilt = combine(report.verma_simple[lam], table)
+        expected = profile.vermas[lam]
         if rebuilt != expected:
             raise InconsistencyError(
                 f"simple-basis reassembly of the Verma of {lam} failed: "

@@ -181,3 +181,9 @@ def gc_mul(a, b, system):
 def gc_dual(a, system):
     """Dual character: degrees negate and every weight dualizes."""
     return GradedChar({-d: k.dual(system) for d, k in a.terms.items()})
+
+
+def combine(row, chars):
+    """The character sum over w of chars[w] scaled by row[w], an integer
+    or Laurent coefficient."""
+    return sum((chars[w].scale(c) for w, c in row.items()), GradedChar.zero())

@@ -4,14 +4,19 @@ A profile records the graded character of a braided graded algebra
 whose components are weights of the double: component j sits in degree
 -j when inducing from below (standard modules) and degree +j through
 its dual when inducing from above (costandard modules).  The top
-component must be one-dimensional; its weight and that weight's dual
-drive all the twisting in the duality identities.
+component must be one-dimensional; its weight lambda_v and that
+weight's dual lambda_ov drive all the twisting in the duality
+identities.  A validated profile carries, built once for every weight
+lam, the standard character ch M(lam), the costandard character
+ch W(lam) and both twists lambda_v (x) lam and lambda_ov (x) lam.
 
 Profiles and simple tables are input data, validated here; nothing in
 this module tries to compute them from a braiding.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import InconsistencyError, InputError, field
 from .graded import GradedChar, KElement, gc_dual, gc_mul
@@ -20,7 +25,11 @@ from .graded import GradedChar, KElement, gc_dual, gc_mul
 class NicholsProfile:
     """Graded character of the inducing algebra, one KElement per degree."""
 
-    __slots__ = ("system", "components", "n_top", "lambda_v", "lambda_ov")
+    # dim_b is the total dimension of the inducing algebra; vermas and
+    # covermas map each weight lam to ch M(lam) and ch W(lam); twist_v and
+    # twist_ov map lam to lambda_v (x) lam and lambda_ov (x) lam
+    __slots__ = ("system", "components", "dual_components", "n_top", "lambda_v",
+                 "lambda_ov", "dim_b", "vermas", "covermas", "twist_v", "twist_ov")
 
     def __init__(self, system, components):
         components = [
@@ -64,19 +73,23 @@ class NicholsProfile:
                 "profile invariant 'invertible-top' violated: "
                 "the top weight times its dual is not the unit"
             )
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "n_top", n_top)
-        object.__setattr__(self, "lambda_v", lam_v)
-        object.__setattr__(self, "lambda_ov", lam_ov)
+        put = functools.partial(object.__setattr__, self)
+        put("system", system)
+        put("components", tuple(components))
+        put("dual_components", tuple(k.dual(system) for k in components))
+        put("n_top", n_top)
+        put("lambda_v", lam_v)
+        put("lambda_ov", lam_ov)
+        put("dim_b", sum(k.dim(system) for k in components))
+        weights = system.weights
+        put("vermas", {lam: verma_char(self, lam) for lam in weights})
+        put("covermas", {lam: coverma_char(self, lam) for lam in weights})
+        one_dim = system.product_one_dimensional
+        put("twist_v", {lam: one_dim(lam_v, lam) for lam in weights})
+        put("twist_ov", {lam: one_dim(lam_ov, lam) for lam in weights})
 
     def __setattr__(self, *a):
         raise AttributeError("NicholsProfile is immutable")
-
-    @property
-    def dim_b(self):
-        """Total dimension of the inducing algebra."""
-        return sum(k.dim(self.system) for k in self.components)
 
     def to_json(self, group_ref):
         return {
@@ -115,29 +128,24 @@ class NicholsProfile:
 
 def verma_char(profile, lam):
     """Standard module character: component j acts at degree -j."""
-    system = profile.system
     base = KElement.of(lam)
     return GradedChar(
-        {-j: comp.mul(base, system) for j, comp in enumerate(profile.components)}
+        {-j: k.mul(base, profile.system) for j, k in enumerate(profile.components)}
     )
 
 
 def coverma_char(profile, lam):
     """Costandard module character: dual components act at degree +j."""
-    system = profile.system
     base = KElement.of(lam)
     return GradedChar(
-        {
-            j: comp.dual(system).mul(base, system)
-            for j, comp in enumerate(profile.components)
-        }
+        {j: k.mul(base, profile.system) for j, k in enumerate(profile.dual_components)}
     )
 
 
 def ind_char(profile, lam):
     """Character of the module induced from the group part alone."""
     system = profile.system
-    return gc_mul(coverma_char(profile, system.unit), verma_char(profile, lam), system)
+    return gc_mul(profile.covermas[system.unit], profile.vermas[lam], system)
 
 
 def verify_duality_identities(profile, lam):
@@ -146,20 +154,19 @@ def verify_duality_identities(profile, lam):
     flags; nothing is thrown on failure."""
     system = profile.system
     n = profile.n_top
-    twisted = system.product_one_dimensional(profile.lambda_v, lam)
-    lam_star = system.dual(lam)
-    twisted_star = system.dual(twisted)
+    twisted = profile.twist_v[lam]
 
-    e1 = gc_dual(coverma_char(profile, twisted), system).shift(n)
-    e2 = coverma_char(profile, lam_star)
-    e3 = gc_dual(verma_char(profile, lam), system)
-    e4 = verma_char(profile, twisted_star).shift(n)
+    e1 = gc_dual(profile.covermas[twisted], system).shift(n)
+    e2 = profile.covermas[system.dual(lam)]
+    e3 = gc_dual(profile.vermas[lam], system)
+    e4 = profile.vermas[system.dual(twisted)].shift(n)
 
     return {
         "coverma_dual_matches_dual_weight": e1 == e2,
         "dual_weight_matches_verma_dual": e2 == e3,
         "verma_dual_matches_shifted_verma": e3 == e4,
-        "ungraded_verma_dual": e3.eval_one() == verma_char(profile, twisted_star).eval_one(),
+        # a shift leaves the value at t = 1 unchanged
+        "ungraded_verma_dual": e3.eval_one() == e4.eval_one(),
     }
 
 

@@ -65,19 +65,16 @@ class WeightSystem:
     def __init__(self, group, cache_dir=None):
         self.group = group
         self.conj = ConjugacyData(group)
-        self.centralizers = []
-        self.cent_conj = []
+        # tables[i].group is the centralizer Z_i of the class
+        # representative r_i, and tables[i].conj its classes
         self.tables = []
         shared = {}
         for rep in self.conj.reps:
             z = centralizer(group, group.elements[rep])
             key = z.content_key()
             if key not in shared:
-                cd = ConjugacyData(z)
-                shared[key] = (z, cd, CharacterTable.load_or_compute(z, cache_dir, cd))
-            self.centralizers.append(shared[key][0])
-            self.cent_conj.append(shared[key][1])
-            self.tables.append(shared[key][2])
+                shared[key] = CharacterTable.load_or_compute(z, cache_dir, ConjugacyData(z))
+            self.tables.append(shared[key])
         self.weights = [
             Weight(i, j)
             for i in range(self.conj.count)
@@ -121,10 +118,11 @@ class WeightSystem:
         if x_inv is None:
             x_inv = self._conjugator_inv[g_index] = perm_inv(x)
         moved = perm_mul(x_inv, perm_mul(self.group.elements[h_index], x))
-        k = self.centralizers[i].index.get(moved)
+        table = self.tables[i]
+        k = table.group.index.get(moved)
         if k is None:
             return CYC_ZERO
-        return self.tables[i].values[w.irrep_index][self.cent_conj[i].class_of[k]]
+        return table.values[w.irrep_index][table.conj.class_of[k]]
 
     # ---- fusion ----
 
@@ -197,13 +195,12 @@ class WeightSystem:
         Built on first use."""
         hit = self._rows_cache.get(i)
         if hit is None:
-            z = self.centralizers[i]
-            cd = self.cent_conj[i]
-            reps = [self.group.index[z.elements[r]] for r in cd.reps]
-            sizes = cd.sizes()
+            table = self.tables[i]
+            reps = [self.group.index[table.group.elements[r]] for r in table.conj.reps]
+            sizes = table.conj.sizes()
             rows = [
                 [v.conjugate() * size for v, size in zip(row, sizes)]
-                for row in self.tables[i].values
+                for row in table.values
             ]
             hit = self._rows_cache[i] = (reps, rows)
         return hit
@@ -226,7 +223,7 @@ class WeightSystem:
                     left.append(v1)
                     right.append(v2)
             values.append(dot(left, right))
-        order = self.centralizers[i].order
+        order = self.tables[i].group.order
         out = []
         for row in rows:
             acc = dot(values, row)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from doublechar import cli
+from doublechar import WeightSystem, cli, nichols
+from doublechar.cyclotomic import Cyclotomic
 from doublechar.errors import OracleError
 from doublechar.laurent import LaurentInt
 
@@ -179,6 +180,38 @@ def test_verify_taft_files(capsys, taft_files):
     )
     assert code == 0
     assert out.count("ok:") == 6
+
+
+def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
+    """The profile builds every weight's standard and costandard
+    character and both top-weight twists once; the duality identities,
+    the report checks, the induced modules and the reassembly only read
+    them."""
+    calls = {"verma_char": 0, "coverma_char": 0, "product_one_dimensional": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    # replace each function in every doublechar namespace that holds it
+    for name in ("verma_char", "coverma_char"):
+        real = getattr(nichols, name)
+        wrapper = counted(name, real)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("doublechar") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    real = WeightSystem.product_one_dimensional
+    monkeypatch.setattr(
+        WeightSystem, "product_one_dimensional", counted("product_one_dimensional", real)
+    )
+    code, out, _ = run(capsys, "verify", *_taft_args(taft_files))
+    assert code == 0
+    assert out.count("ok:") == 6
+    W = 9
+    assert calls == {"verma_char": W, "coverma_char": W, "product_one_dimensional": 2 * W + 1}
 
 
 def test_verify_ml_fixture(capsys):
@@ -471,6 +504,39 @@ def test_permuted_cached_table_is_recomputed(capsys, tmp_path):
     code, got, _ = run(capsys, *args, "--cache-dir", cache)
     assert code == 0
     assert got == want
+    assert json.loads(entry.read_text()) == json.loads(canonical)
+
+
+def _short_rows(obj):
+    obj["values"] = [row[:-1] for row in obj["values"]]
+
+
+def _doubled_exponent(obj):
+    # the same values, re-embedded in Q(zeta_12): a valid table, but in
+    # a field that is not the one the group's exponent gives
+    e = obj["exponent"]
+    obj["values"] = [
+        [list(Cyclotomic(e, coeffs).embed(2 * e).coeffs) for coeffs in row]
+        for row in obj["values"]
+    ]
+    obj["exponent"] = 2 * e
+
+
+@pytest.mark.parametrize(
+    "mutate", [_short_rows, _doubled_exponent], ids=["short-rows", "doubled-exponent"]
+)
+def test_misshapen_cached_table_is_recomputed(capsys, tmp_path, mutate):
+    cache = tmp_path / "cache"
+    args = ["weights", "--group", DATA / "s3_group.json", "--cache-dir", cache]
+    code, want, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = [p for p in cache.glob("chartable-*.json") if json.loads(p.read_text())["exponent"] == 6]
+    canonical = entry.read_text()
+    _write_mutated(entry, entry, mutate)
+    code, got, err = run(capsys, *args)
+    assert code == 0, err
+    assert got == want
+    # the entry was rejected and rewritten from a fresh computation
     assert json.loads(entry.read_text()) == json.loads(canonical)
 
 

@@ -195,8 +195,8 @@ def brute_fusion(system, lam, mu):
     }
     result = {}
     for i in sorted(support):
-        z = system.centralizers[i]
-        cd = system.cent_conj[i]
+        z = system.tables[i].group
+        cd = system.tables[i].conj
         sums = [CYC_ZERO] * cd.count
         for g_index in conj.classes[i]:
             x = conj.conjugator[g_index]
@@ -277,8 +277,8 @@ def textbook_pair_char(system, w, g_index, h_index):
         return CYC_ZERO
     x = conj.conjugator[g_index]
     moved = perm_mul(perm_inv(x), perm_mul(h, x))
-    z = system.centralizers[i]
-    return system.tables[i].values[w.irrep_index][system.cent_conj[i].class_of[z.index[moved]]]
+    z = system.tables[i].group
+    return system.tables[i].values[w.irrep_index][system.tables[i].conj.class_of[z.index[moved]]]
 
 
 @pytest.mark.parametrize("name", ["D4", "Q8", "S4"])
