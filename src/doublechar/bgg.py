@@ -354,22 +354,6 @@ class MLMatrixData:
             raise InputError("ml_matrix payload needs a nonnegative n_top")
         return cls(rows, dim_b, n_top)
 
-    def to_json(self, group_ref):
-        return {
-            "format": 1,
-            "kind": "ml_matrix",
-            "group": group_ref,
-            "dim_b": self.dim_b,
-            "n_top": self.n_top,
-            "rows": [
-                {
-                    "w": lam.label,
-                    "factors": [{"w": w.label, "m": m} for w, m in k.items()],
-                }
-                for lam, k in sorted(self.rows.items())
-            ],
-        }
-
     def _check_dims(self, system):
         """If the matrix determines the simple dimensions uniquely,
         insist they come out as positive integers."""

@@ -35,7 +35,6 @@ from .modp import (
     poly_roots,
     primitive_root,
     rref,
-    sqrt_mod,
 )
 
 _FORMAT = 1
@@ -151,6 +150,14 @@ class CharacterTable:
             not isinstance(row, list) or len(row) != k for row in rows
         ):
             raise InconsistencyError(f"character table values are not {k} rows of {k}")
+        # a float or boolean coefficient passes the exact checks below
+        # because 1.0 == True == 1, and would then live on in every value
+        if not all(
+            isinstance(coeffs, list) and all(is_int(c) for c in coeffs)
+            for row in rows
+            for coeffs in row
+        ):
+            raise InconsistencyError("character table coefficients are not integers")
         values = tuple(tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in rows)
         # orthogonality cannot see a permutation of the rows, which would
         # silently relabel every weight built on this table
@@ -332,11 +339,13 @@ def _dixon(group, conj, e):
 
 
 def _sqrt_small(a, p):
-    """The square root of a mod p lying in (0, p/2); degrees always do."""
-    r = sqrt_mod(a, p)
-    if r is None or r == 0:
-        raise InconsistencyError("degree square has no usable square root")
-    return min(r, p - r)
+    """The square root of a mod p lying in (0, p/2), by a scan from 1:
+    degrees always lie there, and are at most sqrt(|G|)."""
+    a %= p
+    for d in range(1, (p + 1) // 2):
+        if d * d % p == a:
+            return d
+    raise InconsistencyError("degree square has no usable square root")
 
 
 def _row_key(row, e):

@@ -2,8 +2,10 @@
 
 Elements are 0-based image tuples, canonically ordered lexicographically.
 The scale of interest is small (order cap 10,000 by default), so closure is
-one plain BFS, shared by `FiniteGroup.from_generators` and `centralizer`,
-and no stabilizer chains are kept.
+one plain BFS and no stabilizer chains are kept.  Conjugacy classes come
+from one walk under conjugation by the generators, which records a
+conjugator for every element; the centralizer of a class representative
+is read off that walk as its stabilizer (Schreier's lemma).
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ class FiniteGroup:
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
+        # (s, s^(-1)) for each generator s, for walks under conjugation
+        self.generator_pairs = tuple((s, perm_inv(s)) for s in self.generators)
         self.elements = tuple(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity_perm(degree)
@@ -170,7 +174,8 @@ class ConjugacyData:
     Representatives are the lexicographically minimal members; classes are
     ordered by representative, so the identity class is always class 0.
     For every element g the stored conjugator x_g satisfies
-    x_g * rep * x_g^(-1) = g; x_rep is the identity.
+    x_g * rep * x_g^(-1) = g; x_rep is the identity.  conjugator_inv
+    holds each x_g^(-1).
     """
 
     def __init__(self, group):
@@ -179,26 +184,27 @@ class ConjugacyData:
         elements = group.elements
         class_of = [-1] * n
         conjugator = [None] * n
+        conjugator_inv = [None] * n
         classes = []
         reps = []
-        gen_pairs = [(s, perm_inv(s)) for s in group.generators]
         for start in range(n):
             if class_of[start] >= 0:
                 continue
             cid = len(classes)
             rep = elements[start]
             class_of[start] = cid
-            conjugator[start] = group.identity
+            conjugator[start] = conjugator_inv[start] = group.identity
             members = [start]
             queue = [start]
             while queue:
                 i = queue.pop()
                 gi = elements[i]
-                for s, s_inv in gen_pairs:
+                for s, s_inv in group.generator_pairs:
                     j = group.index[perm_mul(perm_mul(s, gi), s_inv)]
                     if class_of[j] < 0:
                         class_of[j] = cid
                         conjugator[j] = perm_mul(s, conjugator[i])
+                        conjugator_inv[j] = perm_mul(conjugator_inv[i], s_inv)
                         members.append(j)
                         queue.append(j)
             members.sort()
@@ -208,6 +214,7 @@ class ConjugacyData:
         self.reps = reps
         self.class_of = class_of
         self.conjugator = conjugator
+        self.conjugator_inv = conjugator_inv
         self.inverse_class = [
             class_of[group.inverse_index(r)] for r in reps
         ]
@@ -220,16 +227,30 @@ class ConjugacyData:
         return [len(c) for c in self.classes]
 
 
-def centralizer(group, g):
-    """The subgroup commuting with g, on the same points."""
-    g = tuple(g)
-    if g not in group.index:
-        raise InputError("element does not belong to the group")
-    members = [h for h in group.elements if perm_mul(h, g) == perm_mul(g, h)]
+def centralizer(group, conj, i):
+    """The centralizer of the representative r of class i, on the same points.
+
+    It is the stabilizer of r under conjugation.  For each member a of
+    the class and each generator s, with b = s a s^(-1), the element
+    x_b^(-1) s x_a fixes r, and these Schreier elements generate the
+    stabilizer; only those outside the closure so far are kept.  A class
+    of one member is central, and its centralizer is the group itself.
+    """
+    members = conj.classes[i]
+    if len(members) == 1:
+        return group
+    order = group.order // len(members)
+    elements = group.elements
     gens = []
     have = {group.identity}
-    for h in members:
-        if h not in have:
-            gens.append(h)
-            have = _closure(group.degree, gens, group.order)
-    return FiniteGroup(group.degree, gens, members)
+    for a in members:
+        x_a = conj.conjugator[a]
+        for s, s_inv in group.generator_pairs:
+            b = group.index[perm_mul(perm_mul(s, elements[a]), s_inv)]
+            h = perm_mul(conj.conjugator_inv[b], perm_mul(s, x_a))
+            if h not in have:
+                gens.append(h)
+                have = _closure(group.degree, gens, order)
+        if len(have) == order:
+            break
+    return FiniteGroup(group.degree, gens, sorted(have))

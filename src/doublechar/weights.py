@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .chartable import CharacterTable
 from .cyclotomic import CYC_ZERO, dot
 from .errors import InconsistencyError, InputError
-from .groups import ConjugacyData, centralizer, perm_inv, perm_mul
+from .groups import ConjugacyData, centralizer, perm_mul
 
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
@@ -66,14 +66,16 @@ class WeightSystem:
         self.group = group
         self.conj = ConjugacyData(group)
         # tables[i].group is the centralizer Z_i of the class
-        # representative r_i, and tables[i].conj its classes
+        # representative r_i, and tables[i].conj its classes; a central
+        # class has Z_i = G, whose classes are already known
         self.tables = []
         shared = {}
-        for rep in self.conj.reps:
-            z = centralizer(group, group.elements[rep])
+        for i in range(self.conj.count):
+            z = centralizer(group, self.conj, i)
             key = z.content_key()
             if key not in shared:
-                shared[key] = CharacterTable.load_or_compute(z, cache_dir, ConjugacyData(z))
+                conj = self.conj if z is group else ConjugacyData(z)
+                shared[key] = CharacterTable.load_or_compute(z, cache_dir, conj)
             self.tables.append(shared[key])
         self.weights = [
             Weight(i, j)
@@ -85,7 +87,6 @@ class WeightSystem:
         self._fusion_cache = {}
         self._dual_cache = {}
         self._rows_cache = {}
-        self._conjugator_inv = {}
 
     # ---- basic data ----
 
@@ -113,11 +114,10 @@ class WeightSystem:
         i = w.class_index
         if conj.class_of[g_index] != i:
             return CYC_ZERO
-        x = conj.conjugator[g_index]
-        x_inv = self._conjugator_inv.get(g_index)
-        if x_inv is None:
-            x_inv = self._conjugator_inv[g_index] = perm_inv(x)
-        moved = perm_mul(x_inv, perm_mul(self.group.elements[h_index], x))
+        moved = perm_mul(
+            conj.conjugator_inv[g_index],
+            perm_mul(self.group.elements[h_index], conj.conjugator[g_index]),
+        )
         table = self.tables[i]
         k = table.group.index.get(moved)
         if k is None:

@@ -522,8 +522,20 @@ def _doubled_exponent(obj):
     obj["exponent"] = 2 * e
 
 
+def _float_coefficients(obj):
+    obj["values"] = [[[float(c) for c in coeffs] for coeffs in row] for row in obj["values"]]
+
+
+def _bool_coefficient(obj):
+    # the trivial character at the identity is [1, 0] in Q(zeta_6)
+    assert obj["values"][0][0][0] == 1
+    obj["values"][0][0][0] = True
+
+
 @pytest.mark.parametrize(
-    "mutate", [_short_rows, _doubled_exponent], ids=["short-rows", "doubled-exponent"]
+    "mutate",
+    [_short_rows, _doubled_exponent, _float_coefficients, _bool_coefficient],
+    ids=["short-rows", "doubled-exponent", "float-coefficients", "bool-coefficient"],
 )
 def test_misshapen_cached_table_is_recomputed(capsys, tmp_path, mutate):
     cache = tmp_path / "cache"
@@ -536,8 +548,9 @@ def test_misshapen_cached_table_is_recomputed(capsys, tmp_path, mutate):
     code, got, err = run(capsys, *args)
     assert code == 0, err
     assert got == want
-    # the entry was rejected and rewritten from a fresh computation
-    assert json.loads(entry.read_text()) == json.loads(canonical)
+    # the entry was rejected and rewritten from a fresh computation;
+    # compared as bytes, since json.loads takes 1.0 and true for 1
+    assert entry.read_text() == canonical
 
 
 @pytest.mark.parametrize(

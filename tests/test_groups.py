@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from test_weights import PROPERTY, small_groups
 
 from doublechar.errors import InputError
 from doublechar.groups import (
@@ -29,6 +31,11 @@ def brute_classes(group):
         seen |= orbit
         classes.append(orbit)
     return classes
+
+
+def brute_centralizer(group, g):
+    """Every element commuting with g, by a scan of the whole group."""
+    return tuple(h for h in group.elements if perm_mul(h, g) == perm_mul(g, h))
 
 
 @pytest.mark.parametrize(
@@ -96,7 +103,7 @@ def test_centralizer_orbit_stabilizer():
     conj = ConjugacyData(group)
     for c, members in enumerate(conj.classes):
         rep = group.elements[conj.reps[c]]
-        z = centralizer(group, rep)
+        z = centralizer(group, conj, c)
         assert z.order * len(members) == group.order
         for h in z.elements:
             assert perm_mul(h, rep) == perm_mul(rep, h)
@@ -104,15 +111,28 @@ def test_centralizer_orbit_stabilizer():
 
 @pytest.mark.parametrize("gens", [S4, D4, Q8], ids=["S4", "D4", "Q8"])
 def test_centralizer_generators_close_to_its_elements(gens):
-    # centralizer picks its generators with the same closure BFS that
-    # from_generators runs, capped at the order of the ambient group;
-    # the identity's centralizer reaches that cap exactly
+    # centralizer keeps the Schreier elements that the closure BFS of
+    # from_generators has not yet reached, capped at the centralizer's
+    # order; the identity's centralizer is the group itself
     group = FiniteGroup.from_generators(len(gens[0]), gens)
     conj = ConjugacyData(group)
-    for rep in conj.reps:
-        z = centralizer(group, group.elements[rep])
+    for i in range(conj.count):
+        z = centralizer(group, conj, i)
         closed = FiniteGroup.from_generators(z.degree, z.generators)
         assert closed.elements == z.elements
+
+
+@PROPERTY
+@given(small_groups())
+def test_centralizer_matches_the_commuting_scan(group):
+    conj = ConjugacyData(group)
+    for i, rep in enumerate(conj.reps):
+        z = centralizer(group, conj, i)
+        assert z.elements == brute_centralizer(group, group.elements[rep])
+        closed = FiniteGroup.from_generators(z.degree, z.generators)
+        assert closed.elements == z.elements
+        if len(conj.classes[i]) == 1:
+            assert z is group
 
 
 def test_index_tables():

@@ -10,7 +10,6 @@ from doublechar.modp import (
     poly_roots,
     primitive_root,
     rref,
-    sqrt_mod,
 )
 
 P = 97
@@ -144,15 +143,3 @@ def test_primitive_root_has_full_order():
             x = x * g % p
             powers.add(x)
         assert len(powers) == p - 1
-
-
-def test_sqrt_mod():
-    rng = random.Random(21)
-    for p in (5, 13, 97, 193):
-        for _ in range(20):
-            a = rng.randrange(p)
-            r = sqrt_mod(a * a % p, p)
-            assert r is not None and r * r % p == a * a % p
-        residues = {x * x % p for x in range(p)}
-        non = next(a for a in range(2, p) if a not in residues)
-        assert sqrt_mod(non, p) is None

@@ -9,7 +9,7 @@ from doublechar.chartable import CharacterTable
 from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import KElement
-from doublechar.groups import FiniteGroup, perm_inv, perm_mul
+from doublechar.groups import ConjugacyData, FiniteGroup, perm_inv, perm_mul
 from doublechar.weights import Weight, WeightSystem
 
 
@@ -331,6 +331,24 @@ def test_product_lookup_failure_names_both_weights():
         "product of g1r0 and g1r1: 2 characters of the centralizer of class 2 "
         "equal the computed row ["
     )
+
+
+def test_central_class_reuses_the_group_and_its_classes(monkeypatch):
+    # the identity's centralizer is S5 itself, so its table is built on
+    # the classes the system already has: one ConjugacyData for S5 and
+    # one for each of the 5 other distinct centralizers
+    built = []
+    real = ConjugacyData.__init__
+
+    def counting(self, group):
+        built.append(group.order)
+        real(self, group)
+
+    monkeypatch.setattr(ConjugacyData, "__init__", counting)
+    system = WeightSystem(FiniteGroup.from_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))
+    assert sorted(built) == [4, 5, 6, 8, 12, 120]
+    assert system.tables[0].group is system.group
+    assert system.tables[0].conj is system.conj
 
 
 # ---- the closed-form duals and one-dimensional products on random groups ----
