@@ -18,10 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
+
+
+_order = attrgetter("order")
 
 
 def _norm_num(x):
@@ -289,19 +293,19 @@ def zeta(order, power=1):
 def dot(xs, ys):
     """Exact sum of x * y over two equally long sequences of Cyclotomic.
 
-    Every product is accumulated as an integer polynomial in the lcm
-    order and reduced mod Phi once at the end, so no intermediate
-    Cyclotomic is built."""
+    Every product is accumulated as an integer polynomial in the lcm of
+    the distinct operand orders and reduced mod Phi once at the end, so
+    no intermediate Cyclotomic is built; an operand already at that
+    order is read as it is."""
     order = 1
-    for v in xs:
-        order = _lcm(order, v.order)
-    for v in ys:
-        order = _lcm(order, v.order)
+    for o in set(map(_order, xs)).union(map(_order, ys)):
+        order = _lcm(order, o)
     d = _degree(order)
     conv = [0] * (2 * d - 1)
     for x, y in zip(xs, ys):
-        yc = y.embed(order).coeffs
-        for i, a in enumerate(x.embed(order).coeffs):
+        xc = x.coeffs if x.order == order else x.embed(order).coeffs
+        yc = y.coeffs if y.order == order else y.embed(order).coeffs
+        for i, a in enumerate(xc):
             if a:
                 for j, b in enumerate(yc):
                     if b:

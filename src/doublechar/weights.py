@@ -5,20 +5,8 @@ centralizer of the class representative); it labels an irreducible
 Yetter-Drinfeld module over the group.  Its pair character assigns to
 commuting pairs (g, h) the trace of h on the g-graded component.
 
-Fusion projects the pair character T of lam (x) mu onto each weight
-(i, j).  T is invariant under simultaneous conjugation, so the average
-over the commuting variety collapses to the class representative r_i
-and one representative c_k per class K_k of its centralizer Z_i:
-
-    N_{lam mu}^{(i,j)} = (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k),
-    T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
-                chi_lam(g1, c) chi_mu(g2, c).
-
-Every multiplicity is an exact cyclotomic number that must come out a
-nonnegative integer.
-
-Duals and products with a one-dimensional weight (z, chi), z central,
-are single weights with closed forms:
+Duals and products with a one-dimensional (invertible) weight (z, chi),
+z central, are single weights with closed forms:
 
     (g, rho)* = (g^(-1), conj rho),
     (z, chi) (x) (g, rho) = (z g, chi|_{Z_g} rho).
@@ -26,6 +14,20 @@ are single weights with closed forms:
 Each is the row of the centralizer table of its class i that equals its
 pair character at (r_i, c_k).  The dual is the charge conjugation
 C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
+Fusion takes the second formula whenever either factor is invertible.
+
+Every other pair is fused by projecting the pair character T of
+lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
+conjugation, so the average over the commuting variety collapses to the
+class representative r_i and one representative c_k per class K_k of
+its centralizer Z_i:
+
+    N_{lam mu}^{(i,j)} = (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k),
+    T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
+                chi_lam(g1, c) chi_mu(g2, c).
+
+Every multiplicity is an exact cyclotomic number that must come out a
+nonnegative integer.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table.
@@ -129,25 +131,36 @@ class WeightSystem:
     def fusion(self, lam, mu):
         """Decomposition of lam (x) mu as a multiset of weights.
 
-        Returns a dict weight -> positive multiplicity.  Raises
-        InconsistencyError if the projections fail to be nonnegative
+        Returns a dict weight -> positive multiplicity.  When either
+        factor is one-dimensional the product is the single weight of
+        the closed form; otherwise the pair character is projected onto
+        every weight.  Raises InconsistencyError if the row lookup finds
+        no unique weight, the projections fail to be nonnegative
         integers or the dimension count does not close.
         """
         key = (min(lam, mu), max(lam, mu))
         hit = self._fusion_cache.get(key)
         if hit is not None:
             return dict(hit)
-        result = {}
-        for i, factors in enumerate(self._factor_lists(lam, mu)):
-            if not factors:
-                continue
-            mults = self._multiplicities(lam, mu, i, factors)
-            for j, mult in enumerate(mults):
-                if mult:
-                    result[Weight(i, j)] = mult
-        if sum(m * self.dim(w) for w, m in result.items()) != self.dim(lam) * self.dim(mu):
+        if self.dim(lam) == 1:
+            result = {self._times_invertible(lam, mu): 1}
+        elif self.dim(mu) == 1:
+            result = {self._times_invertible(mu, lam): 1}
+        else:
+            result = {}
+            for i, factors in enumerate(self._factor_lists(lam, mu)):
+                if not factors:
+                    continue
+                mults = self._multiplicities(lam, mu, i, factors)
+                for j, mult in enumerate(mults):
+                    if mult:
+                        result[Weight(i, j)] = mult
+        total = sum(m * self.dim(w) for w, m in result.items())
+        expected = self.dim(lam) * self.dim(mu)
+        if total != expected:
             raise InconsistencyError(
-                f"fusion of {lam} and {mu} does not preserve dimension"
+                f"fusion of {lam} and {mu} does not preserve dimension: "
+                f"sum of m * dim(w) is {total}, dim {lam} * dim {mu} is {expected}"
             )
         self._fusion_cache[key] = dict(result)
         return result
@@ -224,17 +237,22 @@ class WeightSystem:
                     right.append(v2)
             values.append(dot(left, right))
         order = self.tables[i].group.order
-        out = []
-        for row in rows:
-            acc = dot(values, row)
-            out.append(_as_count(acc, order, lam, mu))
-        return out
+        return [
+            _as_count(dot(values, row), order, lam, mu, i, j)
+            for j, row in enumerate(rows)
+        ]
 
     def product_one_dimensional(self, onedim, lam):
         """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
         one-dimensional weight onedim = (z, chi)."""
         if self.dim(onedim) != 1:
             raise InputError(f"weight {onedim} is not one-dimensional")
+        return self._times_invertible(onedim, lam)
+
+    def _times_invertible(self, onedim, lam):
+        """The closed form of product_one_dimensional: the pair character
+        of (z, chi) (x) (g, rho) at the representative r_i of the target
+        class, z times the class of g, looked up among the rows of Z_i."""
         group, conj = self.group, self.conj
         z = conj.reps[onedim.class_index]
         i = conj.class_of[group.mul_index(z, conj.reps[lam.class_index])]
@@ -260,15 +278,14 @@ class WeightSystem:
         return rows
 
 
-def _as_count(acc, n, lam, mu):
-    """Divide an inner product by a centralizer order and demand a count."""
-    if not acc.is_rational():
+def _as_count(acc, n, lam, mu, i, j):
+    """Divide an inner product by a centralizer order and demand a count,
+    the multiplicity of the weight (i, j) in lam (x) mu."""
+    q = acc.to_rational() / n if acc.is_rational() else None
+    if q is None or q.denominator != 1 or q < 0:
+        verdict = "is not rational" if q is None else f"is {q}, not a nonnegative integer"
         raise InconsistencyError(
-            f"fusion multiplicity for {lam} (x) {mu} is not rational"
-        )
-    q = acc.to_rational() / n
-    if q.denominator != 1 or q < 0:
-        raise InconsistencyError(
-            f"fusion multiplicity for {lam} (x) {mu} is not a nonnegative integer"
+            f"fusion multiplicity of {Weight(i, j)} in {lam} (x) {mu}: inner "
+            f"product {acc} over centralizer order {n} {verdict}"
         )
     return int(q)

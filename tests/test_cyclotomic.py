@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublechar.cyclotomic import Cyclotomic, cyclotomic_polynomial, zeta
+from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, cyclotomic_polynomial, dot, zeta
 
 
 def approx(x, power=1):
@@ -173,6 +173,23 @@ def test_galois_composes_multiplicatively(e, data):
 def test_conjugate_is_galois_minus_one(e, data):
     a = data.draw(coeff_vectors(e))
     assert a.conjugate() == a.galois(-1)
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_dot_is_the_sum_of_products_over_mixed_orders(e, data):
+    # operands live at the divisors of e, so some share the lcm order
+    # and some are embedded first
+    divisors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
+    n = data.draw(st.integers(0, 5))
+    xs = [data.draw(divisors.flatmap(coeff_vectors)) for _ in range(n)]
+    ys = [data.draw(divisors.flatmap(coeff_vectors)) for _ in range(n)]
+    total = CYC_ZERO
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    got = dot(xs, ys)
+    assert (got.order, got.coeffs) == (total.order, total.coeffs)
 
 
 def test_galois_needs_a_unit():

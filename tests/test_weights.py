@@ -135,12 +135,60 @@ def test_dual_is_an_involution(s3_system):
 
 
 def test_product_with_one_dimensional_matches_fusion(s3_system):
+    # fusion itself takes the closed form here, so the projection oracle
+    # is the independent side, in both factor orders
     for a in s3_system.weights:
         if s3_system.dim(a) != 1:
             continue
         for b in s3_system.weights:
-            w = s3_system.product_one_dimensional(a, b)
-            assert s3_system.fusion(a, b) == {w: 1}
+            w = {s3_system.product_one_dimensional(a, b): 1}
+            assert brute_fusion(s3_system, a, b) == w == brute_fusion(s3_system, b, a)
+            assert s3_system.fusion(a, b) == w == s3_system.fusion(b, a)
+
+
+def _refuse(*args):
+    raise AssertionError("the projection ran")
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_cyclic_fusion_tables_never_project(n, monkeypatch):
+    # every weight of a cyclic group is invertible, so each product is
+    # one row lookup and the class projection never runs; in Z_n the
+    # weights multiply by adding class and character exponents mod n
+    monkeypatch.setattr(WeightSystem, "_multiplicities", _refuse)
+    system = cyclic_system(n)
+    row_exp = exponent_of_row(system, n)
+    exp_row = {v: k for k, v in row_exp.items()}
+    weights = system.weights
+    for k, a in enumerate(weights):
+        for b in weights[k:]:
+            i = (a.class_index + b.class_index) % n
+            j = exp_row[(row_exp[a.irrep_index] + row_exp[b.irrep_index]) % n]
+            assert system.fusion(a, b) == {Weight(i, j): 1}
+
+
+def test_two_dimensional_pairs_still_project(monkeypatch):
+    # in S3 a product of two 2-dimensional weights has no closed form
+    projected = []
+    real = WeightSystem._multiplicities
+
+    def counting(self, lam, mu, i, factors):
+        projected.append((lam, mu))
+        return real(self, lam, mu, i, factors)
+
+    monkeypatch.setattr(WeightSystem, "_multiplicities", counting)
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
+    two = [w for w in system.weights if system.dim(w) == 2]
+    assert len(two) == 4
+    for k, a in enumerate(two):
+        for b in two[k:]:
+            projected.clear()
+            result = system.fusion(a, b)
+            assert projected and set(projected) == {(a, b)}
+            assert result == brute_fusion(system, a, b)
+    projected.clear()
+    system.fusion(system.by_label["g0r1"], system.by_label["g2r1"])
+    assert projected == []
 
 
 def test_parse_label(s3_system):
@@ -333,6 +381,66 @@ def test_product_lookup_failure_names_both_weights():
     )
 
 
+@pytest.mark.parametrize(
+    "scale, verdict",
+    [
+        (Fraction(1, 2), "inner product 3/2 over centralizer order 3 is 1/2, not a nonnegative integer"),
+        (zeta(3), "inner product 3*z3 over centralizer order 3 is not rational"),
+    ],
+)
+def test_bad_multiplicity_names_weight_inner_product_and_order(monkeypatch, scale, verdict):
+    # g2r1 (x) g2r1 holds g2r1 once, an inner product of 3 over the
+    # centralizer Z3 of class 2; scaling the weighted rows of class 2
+    # scales every inner product there
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
+    a = system.by_label["g2r1"]
+    assert system.fusion(a, a) == {Weight(0, 0): 1, Weight(0, 1): 1, a: 1}
+    system = WeightSystem(system.group)
+    real = WeightSystem._class_rows
+
+    def scaled(self, i):
+        reps, rows = real(self, i)
+        if i == 2:
+            rows = [[v * scale for v in row] for row in rows]
+        return reps, rows
+
+    monkeypatch.setattr(WeightSystem, "_class_rows", scaled)
+    with pytest.raises(InconsistencyError) as info:
+        system.fusion(a, a)
+    assert str(info.value) == f"fusion multiplicity of g2r1 in g2r1 (x) g2r1: {verdict}"
+
+
+_real_multiplicities = WeightSystem._multiplicities
+
+
+def _doubled_counts(self, *args):
+    return [2 * m for m in _real_multiplicities(self, *args)]
+
+
+def _always_unit(self, *args):
+    return self.unit
+
+
+@pytest.mark.parametrize(
+    "lam, mu, patch, fake, total, expected",
+    [
+        # projection: two 3-dimensional weights with every count doubled
+        ("g1r0", "g1r1", "_multiplicities", _doubled_counts, 18, 9),
+        # closed form: the lookup answers with the unit, not a 2-dimensional weight
+        ("g0r1", "g2r1", "_times_invertible", _always_unit, 1, 2),
+    ],
+)
+def test_dimension_law_failure_gives_both_sides(monkeypatch, lam, mu, patch, fake, total, expected):
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
+    monkeypatch.setattr(WeightSystem, patch, fake)
+    with pytest.raises(InconsistencyError) as info:
+        system.fusion(system.by_label[lam], system.by_label[mu])
+    assert str(info.value) == (
+        f"fusion of {lam} and {mu} does not preserve dimension: sum of m * dim(w) "
+        f"is {total}, dim {lam} * dim {mu} is {expected}"
+    )
+
+
 def test_central_class_reuses_the_group_and_its_classes(monkeypatch):
     # the identity's centralizer is S5 itself, so its table is built on
     # the classes the system already has: one ConjugacyData for S5 and
@@ -387,7 +495,22 @@ def test_one_dimensional_products_match_fusion(group):
         if system.dim(a) != 1:
             continue
         for b in system.weights:
-            assert system.fusion(a, b) == {system.product_one_dimensional(a, b): 1}
+            w = {system.product_one_dimensional(a, b): 1}
+            assert brute_fusion(system, a, b) == w == brute_fusion(system, b, a)
+            assert system.fusion(a, b) == w
+
+
+@PROPERTY
+@given(small_groups())
+def test_fusion_is_associative(group):
+    # products of invertible weights take the closed form and the rest
+    # the projection, so these chains mix both routes
+    system = WeightSystem(group)
+    of = [KElement.of(w) for w in system.weights]
+    pairs = {(a, b): x.mul(y, system) for a, x in enumerate(of) for b, y in enumerate(of)}
+    for (a, b), ab in pairs.items():
+        for c, z in enumerate(of):
+            assert ab.mul(z, system) == of[a].mul(pairs[b, c], system)
 
 
 @PROPERTY
