@@ -256,7 +256,7 @@ def _check_report(report, profile, lowest):
             )
 
 
-def ind_into_projectives(profile, table, mu, report=None):
+def ind_into_projectives(profile, table, mu, report):
     """Decompose the module induced from the weight mu into projectives.
 
     The coefficient of the projective of lam is the bar of the series
@@ -265,8 +265,6 @@ def ind_into_projectives(profile, table, mu, report=None):
     """
     system = profile.system
     _require_full_table(system, table)
-    if report is None:
-        report = bgg_matrices(profile, table)
     out = {}
     for lam in system.weights:
         series = table[lam].series(mu)

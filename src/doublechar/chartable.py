@@ -10,7 +10,7 @@ length o over F_p (with omega_o = omega^(e/o)), reassembled as an exact
 cyclotomic integer of Q(zeta_o) and embedded into Q(zeta_e).  The
 finished table is verified against the orthogonality relations before
 it is returned, so a successfully constructed CharacterTable is
-self-certifying.
+self-certifying.  Its columns are `group.conj`, the classes the group owns.
 
 Row order is canonical: ascending degree, then descending
 lexicographic order of the tuple of value coordinates in the power
@@ -27,7 +27,6 @@ import tempfile
 
 from .cyclotomic import Cyclotomic, _degree, _power_table, dot
 from .errors import InconsistencyError, is_int
-from .groups import ConjugacyData
 from .modp import (
     charpoly,
     is_prime,
@@ -64,9 +63,9 @@ class CharacterTable:
 
     __slots__ = ("group", "conj", "exponent", "values", "degrees")
 
-    def __init__(self, group, conj, exponent, values, degrees):
+    def __init__(self, group, exponent, values, degrees):
         self.group = group
-        self.conj = conj
+        self.conj = group.conj
         self.exponent = exponent
         self.values = values
         self.degrees = degrees
@@ -75,20 +74,12 @@ class CharacterTable:
     def count(self):
         return len(self.values)
 
-    def value(self, i, element_index):
-        """Character i evaluated on a group element given by index."""
-        return self.values[i][self.conj.class_of[element_index]]
-
     @classmethod
-    def compute(cls, group, conj=None):
-        if conj is None:
-            conj = ConjugacyData(group)
+    def compute(cls, group):
         e = group.exponent()
-        rows = _dixon(group, conj, e)
-        rows = _sorted_rows(rows, e)
+        rows = _sorted_rows(_dixon(group, e), e)
         table = cls(
             group,
-            conj,
             e,
             tuple(tuple(r) for r in rows),
             tuple(int(r[0].to_rational()) for r in rows),
@@ -100,11 +91,16 @@ class CharacterTable:
         group, conj = self.group, self.conj
         k = conj.count
         if len(self.values) != k:
-            raise InconsistencyError("character count differs from class count")
-        if sum(d * d for d in self.degrees) != group.order:
-            raise InconsistencyError("degree squares do not sum to the group order")
-        if any(not v.is_rational() or v.to_rational() != 1 for v in self.values[0]):
-            raise InconsistencyError("trivial character is not in row 0")
+            raise InconsistencyError(f"{len(self.values)} characters for {k} conjugacy classes")
+        squares = sum(d * d for d in self.degrees)
+        if squares != group.order:
+            raise InconsistencyError(f"degree squares sum to {squares}, not |G| = {group.order}")
+        off = {j: v for j, v in enumerate(self.values[0])
+               if not v.is_rational() or v.to_rational() != 1}
+        if off:
+            raise InconsistencyError(
+                f"trivial character is not in row 0: row 0 takes {off!r} (class: value), not 1"
+            )
         sizes = conj.sizes()
         inv = conj.inverse_class
         n = group.order
@@ -134,18 +130,16 @@ class CharacterTable:
         }
 
     @classmethod
-    def from_json(cls, obj, group, conj=None):
+    def from_json(cls, obj, group):
         if not isinstance(obj, dict) or obj.get("format") != _FORMAT:
             raise ValueError("unrecognized character table payload")
         e = obj["exponent"]
-        if conj is None:
-            conj = ConjugacyData(group)
         # check the shape before building any value: a foreign exponent
         # would build (and cache) a table in the wrong field
         if not is_int(e) or e != group.exponent():
             raise InconsistencyError("character table exponent differs from the group's")
         rows = obj["values"]
-        k = conj.count
+        k = group.conj.count
         if not isinstance(rows, list) or len(rows) != k or any(
             not isinstance(row, list) or len(row) != k for row in rows
         ):
@@ -165,24 +159,24 @@ class CharacterTable:
         if keys != sorted(keys):
             raise InconsistencyError("character table rows are not in canonical order")
         degrees = tuple(int(row[0].to_rational()) for row in values)
-        table = cls(group, conj, e, values, degrees)
+        table = cls(group, e, values, degrees)
         table._verify()
         return table
 
     @classmethod
-    def load_or_compute(cls, group, cache_dir=None, conj=None):
+    def load_or_compute(cls, group, cache_dir=None):
         """Reuse a cached table when possible, else compute and cache it."""
         if cache_dir is None:
-            return cls.compute(group, conj)
+            return cls.compute(group)
         key = hashlib.sha256(group.content_key().encode()).hexdigest()
         path = os.path.join(cache_dir, f"chartable-{key}.json")
         if os.path.exists(path):
             try:
                 with open(path, encoding="utf-8") as fh:
-                    return cls.from_json(json.load(fh), group, conj)
+                    return cls.from_json(json.load(fh), group)
             except (ValueError, KeyError, TypeError, OSError, InconsistencyError):
                 pass  # stale or corrupt entry; recompute below
-        table = cls.compute(group, conj)
+        table = cls.compute(group)
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
@@ -195,8 +189,9 @@ class CharacterTable:
         return table
 
 
-def _class_matrix(group, conj, i):
+def _class_matrix(group, i):
     """A[j][r] = number of x in class i with x^(-1) * rep_r in class j."""
+    conj = group.conj
     k = conj.count
     A = [[0] * k for _ in range(k)]
     cls_of = conj.class_of
@@ -218,15 +213,15 @@ def _restrict(A, basis, pivots, p):
     return [[cols[s][t] for s in range(d)] for t in range(d)]
 
 
-def _split_spaces(group, conj, p):
+def _split_spaces(group, p):
     """Common eigenvectors of all class matrices over F_p, one per character."""
-    k = conj.count
+    k = group.conj.count
     full = [[1 if c == r else 0 for c in range(k)] for r in range(k)]
     spaces = [(full, list(range(k)))]
     for i in range(1, k):
         if all(len(b) == 1 for b, _ in spaces):
             break
-        A = _class_matrix(group, conj, i)
+        A = _class_matrix(group, i)
         refined = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -249,14 +244,18 @@ def _split_spaces(group, conj, p):
                 found += len(rr)
                 refined.append((rr, pv))
             if found != d:
-                raise InconsistencyError("class matrix failed to split a subspace")
+                raise InconsistencyError(
+                    f"class matrix {i} failed to split a subspace: eigenspaces "
+                    f"of total dimension {found} in a subspace of dimension {d}"
+                )
         spaces = refined
-    if any(len(b) != 1 for b, _ in spaces):
-        raise InconsistencyError("class matrices did not separate all characters")
+    left = [len(b) for b, _ in spaces if len(b) != 1]
+    if left:
+        raise InconsistencyError(f"class matrices did not separate subspaces of dimension {left}")
     return [b[0] for b, _ in spaces]
 
 
-def _dixon(group, conj, e):
+def _dixon(group, e):
     """All irreducible character rows, unsorted, as lists of Cyclotomic.
 
     The value chi(r_j) on the class of r_j, of order o, is lifted from
@@ -266,11 +265,12 @@ def _dixon(group, conj, e):
     built in Q(zeta_o) and embedded into Q(zeta_e).
     """
     n = group.order
+    conj = group.conj
     k = conj.count
     p = _working_prime(e, n)
     sizes = conj.sizes()
     inv_cls = conj.inverse_class
-    vectors = _split_spaces(group, conj, p)
+    vectors = _split_spaces(group, p)
 
     omega = pow(primitive_root(p), (p - 1) // e, p)
     omega_inv = pow(omega, -1, p)
@@ -297,9 +297,9 @@ def _dixon(group, conj, e):
             lifts[o] = (ipow, pow(o, -1, p), _power_table(o), _degree(o))
 
     rows = []
-    for w in vectors:
+    for v, w in enumerate(vectors):
         if w[0] == 0:
-            raise InconsistencyError("eigenvector vanishes on the identity class")
+            raise InconsistencyError(f"eigenvector {v} vanishes on the identity class")
         scale = pow(w[0], -1, p)
         w = [(x * scale) % p for x in w]
         s = sum(w[r] * w[inv_cls[r]] * size_inv[r] for r in range(k)) % p

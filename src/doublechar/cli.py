@@ -204,12 +204,12 @@ def _sorted_summands(system, row):
     return sorted(row.items(), key=lambda it: summand_sort_key(system, it[0], it[1]))
 
 
-def _filtration_line(system, names, mu, row, left="P", right="M"):
+def _filtration_line(system, names, mu, row):
     rhs = " + ".join(
-        f"{_coeff_prefix(c)}ch {right}({names[lam.label]})"
+        f"{_coeff_prefix(c)}ch M({names[lam.label]})"
         for lam, c in _sorted_summands(system, row)
     )
-    return f"ch {left}({names[mu.label]}) = {rhs}"
+    return f"ch P({names[mu.label]}) = {rhs}"
 
 
 # ---- weights ----

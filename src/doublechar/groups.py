@@ -2,16 +2,17 @@
 
 Elements are 0-based image tuples, canonically ordered lexicographically.
 The scale of interest is small (order cap 10,000 by default), so closure is
-one plain BFS and no stabilizer chains are kept.  Conjugacy classes come
-from one walk under conjugation by the generators, which records a
-conjugator for every element; the centralizer of a class representative
-is read off that walk as its stabilizer (Schreier's lemma).
+one plain BFS and no stabilizer chains are kept.  A group builds its classes
+once, on first use (`conj`), by one walk under conjugation by the generators
+that records a conjugator per element; a centralizer is read off that walk
+as a stabilizer (Schreier's lemma), and a central class's is the group.
 """
 
 from __future__ import annotations
 
 import json
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InputError, is_int
 
@@ -83,7 +84,7 @@ def _closure(degree, gens, max_order):
 
 
 class FiniteGroup:
-    """A finite permutation group with an explicit, canonically sorted element list."""
+    """A finite permutation group: a sorted element list, and its classes built on first use."""
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
@@ -94,7 +95,6 @@ class FiniteGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity_perm(degree)
         self.identity_index = self.index[self.identity]
-        self._exponent = None
         self._inverse = None
 
     @classmethod
@@ -106,14 +106,13 @@ class FiniteGroup:
     def order(self):
         return len(self.elements)
 
+    @cached_property
+    def conj(self):
+        return ConjugacyData(self)
+
     def exponent(self):
-        if self._exponent is None:
-            ex = 1
-            for g in self.elements:
-                o = perm_order(g)
-                ex = ex * o // gcd(ex, o)
-            self._exponent = ex
-        return self._exponent
+        """The lcm of the orders of the class representatives (conjugates share one)."""
+        return lcm(*(perm_order(self.elements[r]) for r in self.conj.reps))
 
     def inverse_index(self, i):
         if self._inverse is None:
@@ -227,7 +226,7 @@ class ConjugacyData:
         return [len(c) for c in self.classes]
 
 
-def centralizer(group, conj, i):
+def centralizer(group, i):
     """The centralizer of the representative r of class i, on the same points.
 
     It is the stabilizer of r under conjugation.  For each member a of
@@ -236,6 +235,7 @@ def centralizer(group, conj, i):
     stabilizer; only those outside the closure so far are kept.  A class
     of one member is central, and its centralizer is the group itself.
     """
+    conj = group.conj
     members = conj.classes[i]
     if len(members) == 1:
         return group

@@ -85,7 +85,8 @@ def load_simples_file(path, system):
 
 
 def load_aliases_file(path, system):
-    """label -> display name; names must be nonempty and unique."""
+    """label -> display name; names must be nonempty, unique, and never
+    the label of another weight, which would then resolve to two."""
     payload = load_json(path)
     if not isinstance(payload, dict) or "aliases" not in payload:
         raise InputError(f"{path}: alias payload must have an 'aliases' object")
@@ -96,11 +97,17 @@ def load_aliases_file(path, system):
     seen = set()
     for label, name in aliases.items():
         try:
-            system.parse_label(label)
+            lam = system.parse_label(label)
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from None
         if not isinstance(name, str) or not name:
             raise InputError(f"{path}: alias for {label} must be a nonempty string")
+        try:
+            other = system.parse_label(name)
+        except InputError:
+            other = lam  # not a label of this group
+        if other != lam:
+            raise InputError(f"{path}: alias {name!r} for {label} is the label of {other}")
         if name in seen:
             raise InputError(f"{path}: duplicate alias name {name!r}")
         seen.add(name)

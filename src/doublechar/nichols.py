@@ -32,9 +32,6 @@ class NicholsProfile:
                  "lambda_ov", "dim_b", "vermas", "covermas", "twist_v", "twist_ov")
 
     def __init__(self, system, components):
-        components = [
-            k if isinstance(k, KElement) else KElement(k) for k in components
-        ]
         if not components:
             raise InputError("profile invariant 'nonempty' violated: no components")
         n_top = len(components) - 1

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .chartable import CharacterTable
 from .cyclotomic import CYC_ZERO, dot
 from .errors import InconsistencyError, InputError
-from .groups import ConjugacyData, centralizer, perm_mul
+from .groups import centralizer, perm_mul
 
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
@@ -66,18 +66,16 @@ class WeightSystem:
 
     def __init__(self, group, cache_dir=None):
         self.group = group
-        self.conj = ConjugacyData(group)
+        self.conj = group.conj
         # tables[i].group is the centralizer Z_i of the class
-        # representative r_i, and tables[i].conj its classes; a central
-        # class has Z_i = G, whose classes are already known
+        # representative r_i, and tables[i].conj its classes
         self.tables = []
         shared = {}
         for i in range(self.conj.count):
-            z = centralizer(group, self.conj, i)
+            z = centralizer(group, i)
             key = z.content_key()
             if key not in shared:
-                conj = self.conj if z is group else ConjugacyData(z)
-                shared[key] = CharacterTable.load_or_compute(z, cache_dir, conj)
+                shared[key] = CharacterTable.load_or_compute(z, cache_dir)
             self.tables.append(shared[key])
         self.weights = [
             Weight(i, j)

@@ -3,13 +3,13 @@ from math import gcd
 import numpy as np
 import pytest
 from hypothesis import given
-from test_weights import PROPERTY, small_groups
+from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
 from doublechar import chartable
 from doublechar.chartable import CharacterTable, _working_prime
 from doublechar.cyclotomic import Cyclotomic, _degree, _power_table, zeta
 from doublechar.errors import InconsistencyError
-from doublechar.groups import ConjugacyData, FiniteGroup, perm_mul, perm_order
+from doublechar.groups import FiniteGroup, perm_mul, perm_order
 from doublechar.modp import primitive_root
 
 S3 = [(1, 0, 2), (1, 2, 0)]
@@ -68,9 +68,9 @@ def exact_row_orthogonality(group, conj, table):
 )
 def test_degrees_match_regular_representation(degree, gens, expected_degrees):
     group = FiniteGroup.from_generators(degree, gens)
-    conj = ConjugacyData(group)
+    conj = group.conj
     assert numeric_degrees(group, conj) == expected_degrees
-    table = CharacterTable.compute(group, conj)
+    table = CharacterTable.compute(group)
     assert sorted(table.degrees) == expected_degrees
     assert sum(d * d for d in table.degrees) == group.order
     exact_row_orthogonality(group, conj, table)
@@ -96,13 +96,13 @@ def test_c3_table_is_canonical():
     ]
     for i in range(3):
         for j in range(3):
-            assert table.value(i, j) == expected[i][j]
+            assert table.values[i][table.conj.class_of[j]] == expected[i][j]
 
 
 def test_s3_column_values():
     group = FiniteGroup.from_generators(3, S3)
-    conj = ConjugacyData(group)
-    table = CharacterTable.compute(group, conj)
+    conj = group.conj
+    table = CharacterTable.compute(group)
     by_size = {len(c): cid for cid, c in enumerate(conj.classes)}
     transposition, three_cycle = by_size[3], by_size[2]
     cols = {
@@ -147,9 +147,8 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
 
 def test_json_round_trip():
     group = FiniteGroup.from_generators(4, D4)
-    conj = ConjugacyData(group)
-    table = CharacterTable.compute(group, conj)
-    clone = CharacterTable.from_json(table.to_json(), group, conj)
+    table = CharacterTable.compute(group)
+    clone = CharacterTable.from_json(table.to_json(), group)
     assert clone.values == table.values
     assert clone.degrees == table.degrees
 
@@ -170,12 +169,107 @@ def test_orthogonality_failure_names_both_sides():
     j = next(j for j, v in enumerate(sign) if v == -1)
     sign[j] = Cyclotomic.from_rational(1)
     values = (table.values[0], tuple(sign)) + table.values[2:]
-    broken = CharacterTable(group, table.conj, table.exponent, values, table.degrees)
+    broken = CharacterTable(group, table.exponent, values, table.degrees)
     with pytest.raises(InconsistencyError) as info:
         broken._verify()
     assert str(info.value) == (
         "orthogonality fails for character rows 0 and 1: inner product 6, expected 0"
     )
+
+
+def _s3_table_with(**changes):
+    """The S3 table with some of its values or degrees replaced."""
+    group = FiniteGroup.from_generators(3, S3)
+    table = CharacterTable.compute(group)
+    parts = {"values": table.values, "degrees": table.degrees, **changes}
+    return CharacterTable(group, table.exponent, parts["values"], parts["degrees"])
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"values": ()}, "0 characters for 3 conjugacy classes"),
+        ({"degrees": (1, 1, 3)}, "degree squares sum to 11, not |G| = 6"),
+    ],
+)
+def test_count_and_degree_failures_give_both_sides(changes, message):
+    with pytest.raises(InconsistencyError) as info:
+        _s3_table_with(**changes)._verify()
+    assert str(info.value) == message
+
+
+def test_trivial_row_failure_names_the_values():
+    table = _s3_table_with()
+    values = (table.values[1], table.values[0]) + table.values[2:]
+    with pytest.raises(InconsistencyError) as info:
+        _s3_table_with(values=values)._verify()
+    assert str(info.value) == (
+        "trivial character is not in row 0: row 0 takes {1: -1} (class: value), not 1"
+    )
+
+
+def test_split_failure_gives_both_dimensions(monkeypatch):
+    # losing one eigenvalue of the transposition class matrix leaves a
+    # 3-dimensional space covered by eigenspaces of total dimension 2
+    real = chartable.poly_roots
+    monkeypatch.setattr(chartable, "poly_roots", lambda f, p: real(f, p)[:-1])
+    with pytest.raises(InconsistencyError) as info:
+        CharacterTable.compute(FiniteGroup.from_generators(3, S3))
+    assert str(info.value) == (
+        "class matrix 1 failed to split a subspace: eigenspaces of total "
+        "dimension 2 in a subspace of dimension 3"
+    )
+
+
+def test_unseparated_characters_give_the_dimensions_left(monkeypatch):
+    # scalar class matrices split nothing
+    monkeypatch.setattr(
+        chartable, "_class_matrix", lambda group, i: [[int(r == c) for c in range(3)] for r in range(3)]
+    )
+    with pytest.raises(InconsistencyError) as info:
+        CharacterTable.compute(FiniteGroup.from_generators(3, S3))
+    assert str(info.value) == "class matrices did not separate subspaces of dimension [3]"
+
+
+def test_vanishing_eigenvector_is_named(monkeypatch):
+    real = chartable._split_spaces
+
+    def zeroed(group, p):
+        vectors = real(group, p)
+        vectors[2] = [0] + vectors[2][1:]
+        return vectors
+
+    monkeypatch.setattr(chartable, "_split_spaces", zeroed)
+    with pytest.raises(InconsistencyError) as info:
+        CharacterTable.compute(FiniteGroup.from_generators(3, S3))
+    assert str(info.value) == "eigenvector 2 vanishes on the identity class"
+
+
+# ---- column orthogonality: a second route past the row check in _verify ----
+
+
+def assert_column_orthogonality(table):
+    """sum_chi chi(g) conj chi(h) = |Z_g| if g and h are conjugate, else 0,
+    with |Z_g| = |G| / |class of g|."""
+    sizes = table.conj.sizes()
+    k = table.count
+    for a in range(k):
+        for b in range(k):
+            acc = Cyclotomic.from_rational(0, table.exponent)
+            for row in table.values:
+                acc = acc + row[a] * row[b].conjugate()
+            assert acc == (table.group.order // sizes[a] if a == b else 0), (a, b)
+
+
+@PROPERTY
+@given(small_groups())
+def test_columns_are_orthogonal(group):
+    assert_column_orthogonality(CharacterTable.compute(group))
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_GROUPS))
+def test_columns_are_orthogonal_on_larger_groups(name):
+    assert_column_orthogonality(CharacterTable.compute(FiniteGroup.from_generators(*LARGER_GROUPS[name])))
 
 
 # ---- the per-class Fourier lift against the length-e lift ----
@@ -190,7 +284,7 @@ def brute_dixon_rows(group, conj, e):
     p = _working_prime(e, n)
     sizes = conj.sizes()
     inv_cls = conj.inverse_class
-    vectors = chartable._split_spaces(group, conj, p)
+    vectors = chartable._split_spaces(group, p)
 
     pm = []
     for r in conj.reps:
@@ -238,17 +332,15 @@ def brute_dixon_rows(group, conj, e):
 
 
 def assert_lift_matches_brute(group):
-    conj = ConjugacyData(group)
     e = group.exponent()
-    rows = chartable._sorted_rows(brute_dixon_rows(group, conj, e), e)
+    rows = chartable._sorted_rows(brute_dixon_rows(group, group.conj, e), e)
     brute = CharacterTable(
         group,
-        conj,
         e,
         tuple(tuple(r) for r in rows),
         tuple(int(r[0].to_rational()) for r in rows),
     )
-    assert CharacterTable.compute(group, conj).to_json() == brute.to_json()
+    assert CharacterTable.compute(group).to_json() == brute.to_json()
 
 
 def _on(degree, *cycles):

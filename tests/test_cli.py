@@ -243,6 +243,23 @@ def test_input_error_exits(capsys, tmp_path):
     assert code == 2
 
 
+def test_alias_that_is_another_weights_label_exits_2(capsys, tmp_path):
+    # naming g0r0 "g1r0" would print g0r0 as g1r0, and "g1r0" on the
+    # command line would then resolve to the label, not the alias
+    path = tmp_path / "aliases.json"
+    path.write_text(json.dumps({"format": 1, "aliases": {"g0r0": "g1r0", "g1r0": "x"}}))
+    common = ["--group", DATA / "s3_group.json", "--aliases", path]
+    for argv in (["weights", *common], ["fusion", *common, "g1r0", "g0r1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "alias 'g1r0' for g0r0 is the label of g1r0" in err
+    # a weight's own label, or a label this group does not have, is a name
+    path.write_text(json.dumps({"format": 1, "aliases": {"g0r0": "g0r0", "g1r0": "g9r0"}}))
+    code, out, _ = run(capsys, "fusion", *common, "g9r0", "g0r1")
+    assert code == 0
+    assert out.strip() == "g9r0 (x) g0r1 = g1r1"
+
+
 def test_inconsistent_matrix_exits_3(capsys, tmp_path):
     obj = json.loads((DATA / "fk3_ml.json").read_text())
     rows = {r["w"]: r for r in obj["rows"]}

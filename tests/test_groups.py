@@ -1,8 +1,9 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given
-from test_weights import PROPERTY, small_groups
+from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
 from doublechar.errors import InputError
 from doublechar.groups import (
@@ -11,6 +12,7 @@ from doublechar.groups import (
     centralizer,
     perm_inv,
     perm_mul,
+    perm_order,
 )
 
 S3 = [(1, 0, 2), (1, 2, 0)]
@@ -36,6 +38,11 @@ def brute_classes(group):
 def brute_centralizer(group, g):
     """Every element commuting with g, by a scan of the whole group."""
     return tuple(h for h in group.elements if perm_mul(h, g) == perm_mul(g, h))
+
+
+def brute_exponent(group):
+    """The lcm of the orders of every element, by a scan of the whole group."""
+    return lcm(*(perm_order(g) for g in group.elements))
 
 
 @pytest.mark.parametrize(
@@ -98,12 +105,24 @@ def test_exponent_and_orders():
     assert s4.exponent() == 12
 
 
+@PROPERTY
+@given(small_groups())
+def test_exponent_matches_the_element_scan(group):
+    assert group.exponent() == brute_exponent(group)
+
+
+@pytest.mark.parametrize("name, exponent", [("S5", 60), ("A5", 30), ("S6", 60)])
+def test_exponent_matches_the_element_scan_on_larger_groups(name, exponent):
+    group = FiniteGroup.from_generators(*LARGER_GROUPS[name])
+    assert group.exponent() == brute_exponent(group) == exponent
+
+
 def test_centralizer_orbit_stabilizer():
     group = FiniteGroup.from_generators(4, S4)
-    conj = ConjugacyData(group)
+    conj = group.conj
     for c, members in enumerate(conj.classes):
         rep = group.elements[conj.reps[c]]
-        z = centralizer(group, conj, c)
+        z = centralizer(group, c)
         assert z.order * len(members) == group.order
         for h in z.elements:
             assert perm_mul(h, rep) == perm_mul(rep, h)
@@ -115,9 +134,9 @@ def test_centralizer_generators_close_to_its_elements(gens):
     # from_generators has not yet reached, capped at the centralizer's
     # order; the identity's centralizer is the group itself
     group = FiniteGroup.from_generators(len(gens[0]), gens)
-    conj = ConjugacyData(group)
+    conj = group.conj
     for i in range(conj.count):
-        z = centralizer(group, conj, i)
+        z = centralizer(group, i)
         closed = FiniteGroup.from_generators(z.degree, z.generators)
         assert closed.elements == z.elements
 
@@ -125,9 +144,9 @@ def test_centralizer_generators_close_to_its_elements(gens):
 @PROPERTY
 @given(small_groups())
 def test_centralizer_matches_the_commuting_scan(group):
-    conj = ConjugacyData(group)
+    conj = group.conj
     for i, rep in enumerate(conj.reps):
-        z = centralizer(group, conj, i)
+        z = centralizer(group, i)
         assert z.elements == brute_centralizer(group, group.elements[rep])
         closed = FiniteGroup.from_generators(z.degree, z.generators)
         assert closed.elements == z.elements

@@ -345,7 +345,7 @@ def _with_duplicated_row(system, i, j, k):
     values = list(table.values)
     values[k] = values[j]
     system.tables[i] = CharacterTable(
-        table.group, table.conj, table.exponent, tuple(values), table.degrees
+        table.group, table.exponent, tuple(values), table.degrees
     )
 
 
@@ -475,6 +475,15 @@ def small_groups(draw):
         return FiniteGroup.from_generators(degree, [tuple(g) for g in gens], ORDER_CAP)
     except InputError:
         assume(False)
+
+
+# fixed groups past the reach of small_groups(): random degree-6 pairs
+# almost always close above ORDER_CAP, so degree 6 comes in through S6
+LARGER_GROUPS = {
+    "S5": (5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    "A5": (5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+    "S6": (6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]),
+}
 
 
 @PROPERTY
