@@ -34,7 +34,6 @@ from .graded import GradedChar, KElement, gc_dual, gc_mul
 from .groups import FiniteGroup
 from .laurent import LaurentInt
 from .nichols import (
-    LowestData,
     NicholsProfile,
     SimpleTable,
     coverma_char,
@@ -65,7 +64,6 @@ __all__ = [
     "InputError",
     "KElement",
     "LaurentInt",
-    "LowestData",
     "MLMatrixData",
     "NON_SIMPLE",
     "NicholsProfile",

@@ -6,8 +6,9 @@ standard-filtration multiplicities of a projective cover are the
 bar-involuted composition multiplicities of the matching Verma, the
 costandard multiplicities are a twisted shift of the same data, and
 induced modules decompose against the weight series of the simples.
-The engine consumes validated profiles and simple tables; it never
-tries to prove that the filtrations exist.
+The engine consumes profiles, simple tables and composition matrices
+that their constructors have already validated and completed, so it
+only computes; it never tries to prove that the filtrations exist.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .errors import InconsistencyError, InputError, SpanError, field, is_int
 from .graded import KElement, combine
 from .laurent import LaurentInt
-from .nichols import LowestData, ind_char
+from .nichols import ind_char
 
 SIMPLE_PROJECTIVE = "simple_projective"
 NON_SIMPLE = "non_simple"
@@ -29,24 +30,13 @@ def decompose_into_simples(char, table):
     Eliminates leading terms from the top degree down; each simple
     character starts with its own weight in degree 0, so the top layer
     of the residual is always read off verbatim.  Raises SpanError
-    (carrying the residual) when a coefficient would be negative or a
-    weight has no simple entry to cancel it.
+    (carrying the residual) when a coefficient would be negative.
     """
     out = {}
     residual = char
-    guard = sum(abs(m) for k in char.terms.values() for m in k.terms.values()) + 1
-    depth = 0
-    if table.entries:
-        depth = max(0, -min(c.min_degree() for c in table.entries.values()))
-    guard *= depth + 2
-    steps = 0
+    # each pass clears the top layer, since layer 0 of L(w) is exactly w, and
+    # subtracts only nonnegative terms below it: the positive mass drops by >= 1
     while not residual.is_zero():
-        steps += 1
-        if steps > guard:
-            raise SpanError(
-                "decomposition did not terminate; the simple table is corrupt",
-                residual=residual,
-            )
         d = residual.max_degree()
         layer = residual.layer(d)
         for w, m in layer.items():
@@ -54,12 +44,6 @@ def decompose_into_simples(char, table):
                 raise SpanError(
                     f"character is not in the nonnegative span of the simples: "
                     f"weight {w} has coefficient {m} at degree {d}",
-                    residual=residual,
-                )
-            if w not in table:
-                raise SpanError(
-                    f"character is not in the span of the simples: "
-                    f"no simple entry for weight {w} (degree {d})",
                     residual=residual,
                 )
             out.setdefault(w, {})[d] = m
@@ -147,14 +131,6 @@ class BGGReport:
         return obj
 
 
-def _require_full_table(system, table):
-    missing = [w.label for w in system.weights if w not in table]
-    if missing:
-        raise InputError(
-            "simple table is incomplete; missing entries for " + ", ".join(missing)
-        )
-
-
 def _reciprocity(weights, verma_simple):
     """BGG reciprocity, the Cartan matrix and the simple-projective rule,
     shared by the graded and the ungraded report.
@@ -191,9 +167,7 @@ def _reciprocity(weights, verma_simple):
 def bgg_matrices(profile, table):
     """The full reciprocity report for a graded profile and simple table."""
     system = profile.system
-    _require_full_table(system, table)
     weights = list(system.weights)
-    lowest = LowestData(table)
 
     verma_simple = {
         lam: decompose_into_simples(profile.vermas[lam], table) for lam in weights
@@ -226,11 +200,11 @@ def bgg_matrices(profile, table):
         cartan,
         flags,
     )
-    _check_report(report, profile, lowest)
+    _check_report(report, profile, table)
     return report
 
 
-def _check_report(report, profile, lowest):
+def _check_report(report, profile, table):
     """Internal consistency: the two filtrations of each projective
     carry the same character, and the maximal-shift summand obeys the
     twisted lowest-weight law."""
@@ -247,8 +221,9 @@ def _check_report(report, profile, lowest):
             s = coeff.max_degree()
             if top_shift is None or s > top_shift or (s == top_shift and lam < top_lam):
                 top_shift, top_lam = s, lam
-        want_shift = lowest.level[mu] + report.n_top
-        want_lam = profile.twist_ov[lowest.bar[mu]]
+        bottom, level = table.lowest[mu]
+        want_shift = level + report.n_top
+        want_lam = profile.twist_ov[bottom]
         if top_shift != want_shift or top_lam != want_lam:
             raise InconsistencyError(
                 f"maximal Verma shift of the projective of {mu} is "
@@ -264,7 +239,6 @@ def ind_into_projectives(profile, table, mu, report):
     the product formula for the induced character.
     """
     system = profile.system
-    _require_full_table(system, table)
     out = {}
     for lam in system.weights:
         series = table[lam].series(mu)
@@ -308,11 +282,12 @@ def tensor_projectives(report, profile, mu, nu):
 
 class MLMatrixData:
     """Ungraded composition multiplicities [Verma : simple], as shipped
-    for examples whose graded refinement is not available."""
+    for examples whose graded refinement is not available; complete and
+    validated once built, one row for every weight."""
 
     __slots__ = ("rows", "dim_b", "n_top")
 
-    def __init__(self, rows, dim_b, n_top):
+    def __init__(self, system, rows, dim_b, n_top):
         for lam, k in rows.items():
             if not k.is_nonnegative():
                 raise InputError(
@@ -322,6 +297,12 @@ class MLMatrixData:
                 raise InputError(
                     f"multiplicity row of {lam} must contain its own weight"
                 )
+        _check_dims(rows, dim_b, system)
+        missing = [w.label for w in system.weights if w not in rows]
+        if missing:
+            raise InputError(
+                "composition matrix is incomplete; missing rows for " + ", ".join(missing)
+            )
         object.__setattr__(self, "rows", dict(rows))
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "n_top", n_top)
@@ -350,45 +331,46 @@ class MLMatrixData:
             raise InputError("ml_matrix payload needs a positive dim_b")
         if not is_int(n_top) or n_top < 0:
             raise InputError("ml_matrix payload needs a nonnegative n_top")
-        return cls(rows, dim_b, n_top)
+        return cls(system, rows, dim_b, n_top)
 
-    def _check_dims(self, system):
-        """If the matrix determines the simple dimensions uniquely,
-        insist they come out as positive integers."""
-        weights = sorted(self.rows)
-        k = len(weights)
-        idx = {w: i for i, w in enumerate(weights)}
-        aug = []
-        for lam in weights:
-            row = [Fraction(0)] * k
-            for w, m in self.rows[lam].terms.items():
-                if w not in idx:
-                    raise InputError(
-                        f"row of {lam} mentions {w}, which has no row of its own"
-                    )
-                row[idx[w]] = Fraction(m)
-            row.append(Fraction(self.dim_b * system.dim(lam)))
-            aug.append(row)
-        # Gaussian elimination over the rationals
-        r = 0
-        for c in range(k):
-            piv = next((i for i in range(r, k) if aug[i][c]), None)
-            if piv is None:
-                return  # underdetermined; nothing to certify
-            aug[r], aug[piv] = aug[piv], aug[r]
-            aug[r] = [x / aug[r][c] for x in aug[r]]
-            for i in range(k):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        for i in range(k):
-            v = aug[i][k]
-            if v.denominator != 1 or v <= 0:
-                raise InconsistencyError(
-                    "composition matrix does not admit positive integral "
-                    "simple dimensions"
+
+def _check_dims(rows, dim_b, system):
+    """If the matrix determines the simple dimensions uniquely, insist
+    they come out as positive integers."""
+    weights = sorted(rows)
+    k = len(weights)
+    idx = {w: i for i, w in enumerate(weights)}
+    aug = []
+    for lam in weights:
+        row = [Fraction(0)] * k
+        for w, m in rows[lam].terms.items():
+            if w not in idx:
+                raise InputError(
+                    f"row of {lam} mentions {w}, which has no row of its own"
                 )
+            row[idx[w]] = Fraction(m)
+        row.append(Fraction(dim_b * system.dim(lam)))
+        aug.append(row)
+    # Gaussian elimination over the rationals
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, k) if aug[i][c]), None)
+        if piv is None:
+            return  # underdetermined; nothing to certify
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(k):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    for i in range(k):
+        v = aug[i][k]
+        if v.denominator != 1 or v <= 0:
+            raise InconsistencyError(
+                "composition matrix does not admit positive integral "
+                "simple dimensions"
+            )
 
 
 def ungraded_bgg(ml, system):
@@ -397,14 +379,7 @@ def ungraded_bgg(ml, system):
     Every Laurent entry is a constant; the fields that need the grading
     (costandard matrix, assembled characters) stay None.
     """
-    ml._check_dims(system)
     weights = sorted(ml.rows)
-    missing = [w.label for w in system.weights if w not in ml.rows]
-    if missing:
-        raise InputError(
-            "composition matrix is incomplete; missing rows for " + ", ".join(missing)
-        )
-
     verma_simple = {
         lam: {
             w: LaurentInt.monomial(m) for w, m in ml.rows[lam].items()

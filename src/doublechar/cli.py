@@ -204,6 +204,10 @@ def _sorted_summands(system, row):
     return sorted(row.items(), key=lambda it: summand_sort_key(system, it[0], it[1]))
 
 
+def _simples_sum(names, row):
+    return " + ".join(f"{_coeff_prefix(c)}L({names[w.label]})" for w, c in sorted(row.items()))
+
+
 def _filtration_line(system, names, mu, row):
     rhs = " + ".join(
         f"{_coeff_prefix(c)}ch M({names[lam.label]})"
@@ -452,14 +456,18 @@ def cmd_taft(args):
         if report.verma_simple[lam] != expected:
             raise OracleError(
                 f"engine decomposition of the Verma of ({r},{s}) disagrees "
-                f"with the matrix composition series"
+                f"with the matrix composition series: engine "
+                f"{_simples_sum(names, report.verma_simple[lam])}, matrices "
+                f"{_simples_sum(names, expected)}"
             )
     _check_duality(profile, OracleError)
     expected_simple = {params.weight_of(r, (1 - r) % n) for r in range(n)}
     flagged = {w for w, f in report.flags.items() if f == SIMPLE_PROJECTIVE}
     if flagged != expected_simple:
         raise OracleError(
-            "simple projective classification does not match the rank-one rule"
+            "simple projective classification does not match the rank-one rule: "
+            f"flagged {sorted(names[w.label] for w in flagged)}, "
+            f"expected {sorted(names[w.label] for w in expected_simple)}"
         )
 
     print(f"all {n * n} weights verified; {len(flagged)} simple projective Vermas")

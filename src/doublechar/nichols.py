@@ -8,10 +8,14 @@ component must be one-dimensional; its weight lambda_v and that
 weight's dual lambda_ov drive all the twisting in the duality
 identities.  A validated profile carries, built once for every weight
 lam, the standard character ch M(lam), the costandard character
-ch W(lam) and both twists lambda_v (x) lam and lambda_ov (x) lam.
+ch W(lam) and both twists lambda_v (x) lam and lambda_ov (x) lam, read
+off the bottom layer of ch M(lam) and the top layer of ch W(lam).  A
+simple table holds one character L(lam), the head of M(lam), for every
+weight lam.
 
-Profiles and simple tables are input data, validated here; nothing in
-this module tries to compute them from a braiding.
+Profiles and simple tables are input data, complete and validated once
+built here, so the reciprocity engine only computes; nothing in this
+module tries to compute them from a braiding.
 """
 
 from __future__ import annotations
@@ -64,26 +68,28 @@ class NicholsProfile:
                 "profile invariant 'one-dimensional-top' violated: "
                 "the top weight must be one-dimensional"
             )
-        lam_ov = system.dual(lam_v)
-        if system.product_one_dimensional(lam_v, lam_ov) != system.unit:
-            raise InconsistencyError(
-                "profile invariant 'invertible-top' violated: "
-                "the top weight times its dual is not the unit"
-            )
         put = functools.partial(object.__setattr__, self)
         put("system", system)
         put("components", tuple(components))
         put("dual_components", tuple(k.dual(system) for k in components))
         put("n_top", n_top)
         put("lambda_v", lam_v)
-        put("lambda_ov", lam_ov)
+        put("lambda_ov", system.dual(lam_v))
         put("dim_b", sum(k.dim(system) for k in components))
         weights = system.weights
-        put("vermas", {lam: verma_char(self, lam) for lam in weights})
-        put("covermas", {lam: coverma_char(self, lam) for lam in weights})
-        one_dim = system.product_one_dimensional
-        put("twist_v", {lam: one_dim(lam_v, lam) for lam in weights})
-        put("twist_ov", {lam: one_dim(lam_ov, lam) for lam in weights})
+        vermas = {lam: verma_char(self, lam) for lam in weights}
+        covermas = {lam: coverma_char(self, lam) for lam in weights}
+        put("vermas", vermas)
+        put("covermas", covermas)
+        # the bottom layer of M(lam) is the single weight lambda_v (x) lam,
+        # and the top layer of W(lam) the single weight lambda_ov (x) lam
+        put("twist_v", {lam: next(iter(vermas[lam].layer(-n_top).terms)) for lam in weights})
+        put("twist_ov", {lam: next(iter(covermas[lam].layer(n_top).terms)) for lam in weights})
+        if self.twist_ov[lam_v] != system.unit:
+            raise InconsistencyError(
+                "profile invariant 'invertible-top' violated: "
+                "the top weight times its dual is not the unit"
+            )
 
     def __setattr__(self, *a):
         raise AttributeError("NicholsProfile is immutable")
@@ -168,11 +174,16 @@ def verify_duality_identities(profile, lam):
 
 
 class SimpleTable:
-    """Graded characters of the simple modules, keyed by highest weight."""
+    """Graded characters of the simple modules, one for every weight of
+    the system, keyed by highest weight.
 
-    __slots__ = ("entries",)
+    lowest[lam] is the (weight, degree) of the bottom layer of the entry
+    of lam.  Each bottom layer is a single weight, and no two entries
+    share it, so lam -> lowest weight permutes the weights."""
 
-    def __init__(self, entries):
+    __slots__ = ("entries", "lowest")
+
+    def __init__(self, system, entries):
         data = dict(entries)
         for lam, char in data.items():
             if char.is_zero():
@@ -195,19 +206,37 @@ class SimpleTable:
                     "simple-table invariant 'nonnegative' violated: "
                     f"entry {lam} has a negative multiplicity"
                 )
+        missing = [w.label for w in system.weights if w not in data]
+        if missing:
+            raise InputError(
+                "simple table is incomplete; missing entries for " + ", ".join(missing)
+            )
+        lowest = {}
+        for lam in system.weights:
+            level = data[lam].min_degree()
+            bottom = data[lam].layer(level)
+            if len(bottom.terms) != 1:
+                raise InconsistencyError(
+                    "lowest-layer invariant 'single-weight' violated: "
+                    f"entry {lam} has {len(bottom.terms)} weights in degree {level}"
+                )
+            lowest[lam] = (next(iter(bottom.terms)), level)
+        owner = {}
+        for lam, (b, _) in lowest.items():
+            if b in owner:
+                raise InconsistencyError(
+                    "lowest-layer invariant 'bijection' violated: "
+                    f"entries {owner[b]} and {lam} share the lowest weight {b}"
+                )
+            owner[b] = lam
         object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "lowest", lowest)
 
     def __setattr__(self, *a):
         raise AttributeError("SimpleTable is immutable")
 
-    def __contains__(self, lam):
-        return lam in self.entries
-
     def __getitem__(self, lam):
-        try:
-            return self.entries[lam]
-        except KeyError:
-            raise InputError(f"simple table has no entry for weight {lam}") from None
+        return self.entries[lam]
 
     def weights(self):
         return sorted(self.entries)
@@ -230,43 +259,4 @@ class SimpleTable:
             entries[lam] = GradedChar.from_json(
                 field(item, "char", dict, "simple-table entry"), system
             )
-        return cls(entries)
-
-
-class LowestData:
-    """For each table entry, the weight and degree of its lowest layer."""
-
-    __slots__ = ("bar", "level")
-
-    def __init__(self, table):
-        bar = {}
-        level = {}
-        for lam in table.weights():
-            char = table[lam]
-            l = char.min_degree()
-            bottom = char.layer(l)
-            if len(bottom.terms) != 1:
-                raise InconsistencyError(
-                    "lowest-layer invariant 'single-weight' violated: "
-                    f"entry {lam} has {len(bottom.terms)} weights in degree {l}"
-                )
-            bar[lam] = next(iter(bottom.terms))
-            level[lam] = l
-        seen = {}
-        for lam, b in bar.items():
-            if b in seen:
-                raise InconsistencyError(
-                    "lowest-layer invariant 'bijection' violated: "
-                    f"entries {seen[b]} and {lam} share the lowest weight {b}"
-                )
-            seen[b] = lam
-        if set(bar) != set(bar.values()):
-            raise InconsistencyError(
-                "lowest-layer invariant 'bijection' violated: "
-                "the lowest-weight map does not permute the table's weights"
-            )
-        object.__setattr__(self, "bar", bar)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LowestData is immutable")
+        return cls(system, entries)

@@ -50,8 +50,12 @@ class TaftParams:
         powers = [zeta(n, 0)]
         for _ in range(1, n):
             powers.append(powers[-1] * q)
-        if powers[-1] * q != CYC_ONE or any(p == CYC_ONE for p in powers[1:]):
-            raise OracleError("chosen root of unity is not primitive")
+        ones = [k for k in range(1, n) if powers[k] == CYC_ONE]
+        if powers[-1] * q != CYC_ONE or ones:
+            raise OracleError(
+                f"chosen root of unity q = {q} is not primitive of order {n}: "
+                f"q^{n} = {powers[-1] * q}, expected 1; q^k = 1 for k in {ones}, expected none"
+            )
         cycle = tuple((i + 1) % n for i in range(n))
         group = FiniteGroup.from_generators(n, [cycle])
         system = WeightSystem(group, cache_dir=cache_dir)
@@ -59,7 +63,10 @@ class TaftParams:
         # index a; rows, however, must be matched by table values
         table = system.tables[0]
         if table.count != n or system.conj.count != n:
-            raise OracleError("cyclic group data has the wrong shape")
+            raise OracleError(
+                f"cyclic group data has the wrong shape: {table.count} characters and "
+                f"{system.conj.count} classes, expected {n} of each"
+            )
         exp_to_row = {}
         gen_class = system.conj.class_of[group.index[cycle]]
         for s in range(n):
@@ -69,7 +76,8 @@ class TaftParams:
             ]
             if len(hits) != 1:
                 raise OracleError(
-                    f"character with generator value q^{s} is not unique in the table"
+                    f"characters with generator value q^{s} = {target}: rows {hits}, "
+                    f"expected exactly one"
                 )
             exp_to_row[s] = hits[0]
         object.__setattr__(self, "n", n)
@@ -151,7 +159,7 @@ def build_profile_and_table(params):
     entries = {}
     for r, s in params.all_rs():
         entries[params.weight_of(r, s)] = simple_char(params, r, s)
-    return profile, SimpleTable(entries)
+    return profile, SimpleTable(params.system, entries)
 
 
 class VermaMatrices:
@@ -202,68 +210,56 @@ class VermaMatrices:
         params, n = self.params, self.params.n
         q, q_inv = params.powers[1], params.powers[n - 1]
         r, s = self.r, self.s
+        g1, g2, e, f = self.g1, self.g2, self.raising, self.lowering
+
+        def expect(identity, left, right):
+            if left != right:
+                raise OracleError(
+                    f"Verma of ({r},{s}): {identity} fails: {left} against {right}"
+                )
 
         # distinct diagonal weights: every invariant subspace is then a
         # span of basis vectors
-        pairs = [((r + k) % n, (s + k) % n) for k in range(n)]
-        if len(set(pairs)) != n:
-            raise OracleError("chain weights are not pairwise distinct")
+        pairs = {((r + k) % n, (s + k) % n) for k in range(n)}
+        expect("distinct chain weights = n", len(pairs), n)
 
         # group-likes commute and scale the ladder operators by q^(-1)/q
-        if _mat_mul(self.g1, self.g2) != _mat_mul(self.g2, self.g1):
-            raise OracleError("group-like actions do not commute")
-        for g in (self.g1, self.g2):
-            if _mat_mul(g, self.raising) != _scale(_mat_mul(self.raising, g), q_inv):
-                raise OracleError("raising operator does not have bidegree (1,1)")
-            if _mat_mul(g, self.lowering) != _scale(_mat_mul(self.lowering, g), q):
-                raise OracleError("lowering operator does not have bidegree (-1,-1)")
+        expect("g1 g2 = g2 g1", _mat_mul(g1, g2), _mat_mul(g2, g1))
+        for name, g in (("g1", g1), ("g2", g2)):
+            expect(f"{name} E = q^-1 E {name}", _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
+            expect(f"{name} F = q F {name}", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
 
-        # nilpotency
-        if not _is_zero_matrix(_mat_pow(self.raising, n)):
-            raise OracleError("raising operator is not nilpotent of order n")
-        if not _is_zero_matrix(_mat_pow(self.lowering, n)):
-            raise OracleError("lowering operator is not nilpotent of order n")
+        # nilpotency; no zero is ever stored, so the zero matrix has empty rows
+        expect("E^n = 0", _mat_pow(e, n), [{}] * n)
+        expect("F^n = 0", _mat_pow(f, n), [{}] * n)
 
         # singular vectors: kernel of the raising matrix, computed by
-        # exact elimination, must consist of basis vectors
-        kernel = _cyc_nullspace(self.raising)
-        kernel_indices = set()
-        for vec in kernel:
-            support = [k for k, x in enumerate(vec) if not x.is_zero()]
-            if len(support) != 1:
-                raise OracleError("kernel of the raising operator is not diagonal")
-            kernel_indices.add(support[0])
+        # exact elimination, must consist of basis vectors, sitting where
+        # the head-length formula puts them
+        supports = sorted(
+            [k for k, x in enumerate(vec) if not x.is_zero()] for vec in _cyc_nullspace(e)
+        )
         head = head_length(params, r, s)
         singular = [head] if head < n else []
-        if kernel_indices != {0, *singular}:
-            raise OracleError(
-                "matrix kernel disagrees with the head-length formula: "
-                f"kernel {sorted(kernel_indices)}, formula {[0, *singular]}"
-            )
+        expect("supports of the kernel of E = [0], [head length]", supports,
+               [[k] for k in (0, *singular)])
 
         # the span of the tail from the first singular index is a
         # submodule; any cut above it fails to be one
         if head < n:
-            for mat in (self.g1, self.g2, self.raising, self.lowering):
-                if not _tail_invariant(mat, head):
-                    raise OracleError("tail span at the singular index is not invariant")
-            for cut in range(1, head):
-                if _tail_invariant(self.raising, cut):
-                    raise OracleError(
-                        f"unexpected invariant tail above the singular index (cut {cut})"
-                    )
+            for name, mat in (("g1", g1), ("g2", g2), ("E", e), ("F", f)):
+                expect(f"{name} keeps the span from e_{head}", _tail_invariant(mat, head), True)
+            first = next(c for c in range(1, n) if _tail_invariant(e, c))
+            expect("first tail that E keeps = head length", first, head)
 
         # composition series: segments of the chain between singular indices
         cuts = [0] + singular + [n]
         series = []
         for a, b in zip(cuts, cuts[1:]):
-            factor_r, factor_s = (r + a) % n, (s + a) % n
-            if head_length(params, factor_r, factor_s) != b - a:
-                raise OracleError(
-                    f"segment [{a},{b}) does not match the head length of "
-                    f"({factor_r},{factor_s})"
-                )
-            series.append(((factor_r, factor_s), -a))
+            fr, fs = (r + a) % n, (s + a) % n
+            expect(f"head length of ({fr},{fs}) = length of segment [{a},{b})",
+                   head_length(params, fr, fs), b - a)
+            series.append(((fr, fs), -a))
         object.__setattr__(self, "singular_indices", tuple(singular))
         object.__setattr__(self, "head_dim", head)
         object.__setattr__(self, "series", tuple(series))
@@ -332,10 +328,6 @@ def _mat_pow(m, e):
         if e:
             m = _mat_mul(m, m)
     return _diag([CYC_ONE] * len(m)) if out is None else out
-
-
-def _is_zero_matrix(m):
-    return all(x.is_zero() for row in m for x in row.values())
 
 
 def _tail_invariant(mat, cut):

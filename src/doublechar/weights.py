@@ -30,7 +30,8 @@ Every multiplicity is an exact cyclotomic number that must come out a
 nonnegative integer.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
-centralizer character table.
+centralizer character table, in ASCII digits without leading zeros;
+parse_label rejects every other spelling.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class WeightSystem:
 
     def parse_label(self, label):
         m = _LABEL_RE.match(label)
-        if not m:
+        w = m and Weight(int(m.group(1)), int(m.group(2)))
+        # only the canonical spelling: no leading zeros, no non-ASCII digits
+        if not w or w.label != label:
             raise InputError(f"malformed weight label {label!r}")
-        i, j = int(m.group(1)), int(m.group(2))
-        if i >= self.conj.count or j >= self.tables[i].count:
+        if w.class_index >= self.conj.count or w.irrep_index >= self.tables[w.class_index].count:
             raise InputError(f"weight label {label!r} is out of range for this group")
-        return Weight(i, j)
+        return w
 
     def dim(self, w):
         return len(self.conj.classes[w.class_index]) * self.tables[w.class_index].degrees[w.irrep_index]
@@ -240,17 +242,12 @@ class WeightSystem:
             for j, row in enumerate(rows)
         ]
 
-    def product_one_dimensional(self, onedim, lam):
-        """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
-        one-dimensional weight onedim = (z, chi)."""
-        if self.dim(onedim) != 1:
-            raise InputError(f"weight {onedim} is not one-dimensional")
-        return self._times_invertible(onedim, lam)
-
     def _times_invertible(self, onedim, lam):
-        """The closed form of product_one_dimensional: the pair character
-        of (z, chi) (x) (g, rho) at the representative r_i of the target
-        class, z times the class of g, looked up among the rows of Z_i."""
+        """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
+        one-dimensional weight onedim = (z, chi): the pair character of
+        the product at the representative r_i of the target class, z times
+        the class of g, looked up among the rows of Z_i.  Only fusion calls
+        it, so every product is evaluated once and cached there."""
         group, conj = self.group, self.conj
         z = conj.reps[onedim.class_index]
         i = conj.class_of[group.mul_index(z, conj.reps[lam.class_index])]

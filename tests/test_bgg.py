@@ -1,7 +1,11 @@
 import json
 import pathlib
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublechar.bgg import (
     MLMatrixData,
@@ -14,14 +18,13 @@ from doublechar.bgg import (
     ungraded_bgg,
 )
 from doublechar.errors import InconsistencyError, InputError, SpanError
-from doublechar.graded import GradedChar, KElement
+from doublechar.graded import GradedChar, KElement, combine
 from doublechar.laurent import LaurentInt
 from doublechar.nichols import (
     NicholsProfile,
     SimpleTable,
     coverma_char,
     ind_char,
-    LowestData,
     verma_char,
 )
 from doublechar.taft import TaftParams, build_profile_and_table
@@ -66,10 +69,45 @@ def test_decompose_failure_carries_residual(taft3):
 
 
 def test_decompose_needs_matching_entries(taft3):
+    # every weight has an entry, so the elimination always finds the
+    # simple it needs; a single weight whose simple is longer leaves the
+    # negative lower layers of that simple, which no simple can cancel
     params, profile, table = taft3
-    partial = SimpleTable({params.weight_of(0, 0): table[params.weight_of(0, 0)]})
-    with pytest.raises(SpanError):
-        decompose_into_simples(verma_char(profile, params.weight_of(0, 0)), partial)
+    for w in profile.system.weights:
+        if table[w] == GradedChar.of(w):
+            assert decompose_into_simples(GradedChar.of(w, deg=2), table) == {
+                w: LaurentInt.monomial(1, 2)
+            }
+        else:
+            with pytest.raises(SpanError, match="nonnegative span") as exc:
+                decompose_into_simples(GradedChar.of(w), table)
+            assert exc.value.residual == GradedChar.of(w) - table[w]
+
+
+@functools.lru_cache(maxsize=None)
+def _taft_table(n):
+    return build_profile_and_table(TaftParams(n))[1]
+
+
+@st.composite
+def taft_simple_combinations(draw):
+    """A taft n = 2..6 simple table and a random nonnegative Laurent
+    combination of its simples."""
+    n = draw(st.integers(2, 6))
+    table = _taft_table(n)
+    weights = table.weights()
+    picked = draw(st.lists(st.sampled_from(weights), max_size=6, unique=True))
+    coeff = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), min_size=1, max_size=3)
+    return table, {w: LaurentInt(draw(coeff)) for w in picked}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(taft_simple_combinations())
+def test_decompose_recovers_nonnegative_combinations(case):
+    # the elimination loop ends without a step guard and returns exactly
+    # the coefficients the character was built from
+    table, coeffs = case
+    assert decompose_into_simples(combine(coeffs, table), table) == dict(sorted(coeffs.items()))
 
 
 def test_report_projective_rows(taft3, taft3_report):
@@ -156,17 +194,17 @@ def test_cartan_rule_matches_decomposed_projectives(n):
 def test_maximal_shift_summand(taft3, taft3_report):
     params, profile, table = taft3
     system = profile.system
-    low = LowestData(table)
     for mu in system.weights:
+        bottom, level = table.lowest[mu]
         row = taft3_report.projective_verma[mu]
         top_shift = max(c.max_degree() for c in row.values())
-        assert top_shift == low.level[mu] + profile.n_top
+        assert top_shift == level + profile.n_top
         tops = [
             lam
             for lam, c in row.items()
             if c.max_degree() == top_shift
         ]
-        expected = system.product_one_dimensional(profile.lambda_ov, low.bar[mu])
+        (expected,) = system.fusion(profile.lambda_ov, bottom)
         assert tops == [expected]
 
 
@@ -191,21 +229,25 @@ def test_tensor_of_projectives(taft3, taft3_report):
 
 def test_tensor_degenerate_profile(c3_system):
     profile = NicholsProfile(c3_system, [KElement.of(c3_system.unit)])
-    table = SimpleTable({w: GradedChar.of(w) for w in c3_system.weights})
+    table = SimpleTable(c3_system, {w: GradedChar.of(w) for w in c3_system.weights})
     report = bgg_matrices(profile, table)
     assert all(f == SIMPLE_PROJECTIVE for f in report.flags.values())
     for mu in c3_system.weights:
         for nu in c3_system.weights:
             out = tensor_projectives(report, profile, mu, nu)
-            prod = c3_system.product_one_dimensional(mu, nu)
+            (prod,) = c3_system.fusion(mu, nu)
             assert out == {prod: ONE}
 
 
 def test_bgg_requires_full_table(taft3):
+    # a table without every weight cannot be built, so no report ever
+    # sees one
     params, profile, table = taft3
-    partial = SimpleTable({params.weight_of(0, 0): table[params.weight_of(0, 0)]})
-    with pytest.raises(InputError):
-        bgg_matrices(profile, partial)
+    system = profile.system
+    kept = params.weight_of(0, 0)
+    missing = ", ".join(w.label for w in system.weights if w != kept)
+    with pytest.raises(InputError, match=f"missing entries for {missing}$"):
+        SimpleTable(system, {kept: table[kept]})
 
 
 def fk3_data():
@@ -248,12 +290,16 @@ def test_ml_validation():
     system, ml = fk3_data()
     by = system.by_label
     with pytest.raises(InputError, match="negative"):
-        MLMatrixData({by["g0r0"]: KElement({by["g0r0"]: 1, by["g0r1"]: -1})}, 12, 4)
+        MLMatrixData(system, {by["g0r0"]: KElement({by["g0r0"]: 1, by["g0r1"]: -1})}, 12, 4)
     with pytest.raises(InputError, match="own weight"):
-        MLMatrixData({by["g0r0"]: KElement({by["g0r1"]: 1})}, 12, 4)
-    partial = MLMatrixData({by["g0r0"]: KElement({by["g0r0"]: 1})}, 12, 4)
+        MLMatrixData(system, {by["g0r0"]: KElement({by["g0r1"]: 1})}, 12, 4)
     with pytest.raises(InputError, match="missing rows"):
-        ungraded_bgg(partial, system)
+        MLMatrixData(system, {by["g0r0"]: KElement({by["g0r0"]: 1})}, 12, 4)
+    # a row naming a weight without a row fails before the completeness check
+    rows = dict(ml.rows)
+    del rows[by["g1r1"]]
+    with pytest.raises(InputError, match="row of g0r0 mentions g1r1"):
+        MLMatrixData(system, rows, 12, 4)
 
 
 def test_ml_dimension_certificate():
@@ -263,9 +309,12 @@ def test_ml_dimension_certificate():
     # produce an integral solution
     rows = {w: KElement.of(w) for w in system.weights}
     rows[by["g0r0"]] = KElement({by["g0r0"]: 5})
-    bad = MLMatrixData(rows, 12, 4)
     with pytest.raises(InconsistencyError, match="simple dimensions"):
-        ungraded_bgg(bad, system)
+        MLMatrixData(system, rows, 12, 4)
+    # the certificate runs before the completeness check
+    del rows[by["g2r2"]]
+    with pytest.raises(InconsistencyError, match="simple dimensions"):
+        MLMatrixData(system, rows, 12, 4)
 
 
 def test_ungraded_route_matches_graded_at_t1(taft3, taft3_report):
@@ -277,7 +326,7 @@ def test_ungraded_route_matches_graded_at_t1(taft3, taft3_report):
         )
         for lam in system.weights
     }
-    ml = MLMatrixData(rows, profile.dim_b, profile.n_top)
+    ml = MLMatrixData(system, rows, profile.dim_b, profile.n_top)
     flat = ungraded_bgg(ml, system)
     for mu in system.weights:
         for lam in system.weights:

@@ -184,10 +184,12 @@ def test_verify_taft_files(capsys, taft_files):
 
 def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     """The profile builds every weight's standard and costandard
-    character and both top-weight twists once; the duality identities,
-    the report checks, the induced modules and the reassembly only read
-    them."""
-    calls = {"verma_char": 0, "coverma_char": 0, "product_one_dimensional": 0}
+    character once and reads both top-weight twists off them; the
+    duality identities, the report checks, the induced modules and the
+    reassembly only read them.  Each product with an invertible weight
+    is evaluated once, through the fusion cache: the taft 3 files fuse
+    24 distinct such pairs."""
+    calls = {"verma_char": 0, "coverma_char": 0, "_times_invertible": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -203,15 +205,13 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("doublechar") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
-    real = WeightSystem.product_one_dimensional
-    monkeypatch.setattr(
-        WeightSystem, "product_one_dimensional", counted("product_one_dimensional", real)
-    )
+    real = WeightSystem._times_invertible
+    monkeypatch.setattr(WeightSystem, "_times_invertible", counted("_times_invertible", real))
     code, out, _ = run(capsys, "verify", *_taft_args(taft_files))
     assert code == 0
     assert out.count("ok:") == 6
     W = 9
-    assert calls == {"verma_char": W, "coverma_char": W, "product_one_dimensional": 2 * W + 1}
+    assert calls == {"verma_char": W, "coverma_char": W, "_times_invertible": 24}
 
 
 def test_verify_ml_fixture(capsys):
@@ -306,6 +306,37 @@ def test_oracle_failure_exits_4(capsys, monkeypatch):
     code, _, err = run(capsys, "taft", "3")
     assert code == 4
     assert "oracle verification failed" in err
+
+
+def test_taft_disagreement_prints_both_series(capsys, monkeypatch):
+    real = cli.VermaMatrices
+
+    class Shifted:
+        # the matrix series of every weight, one degree lower
+        def __init__(self, params, r, s):
+            self.series = tuple((f, k - 1) for f, k in real(params, r, s).series)
+
+    monkeypatch.setattr(cli, "VermaMatrices", Shifted)
+    code, out, err = run(capsys, "taft", "3")
+    assert code == 4 and out == ""
+    assert (
+        "engine decomposition of the Verma of (0,0) disagrees with the matrix "
+        "composition series: engine L(0,0) + t^-1 L(1,1), "
+        "matrices t^-1 L(0,0) + t^-2 L(1,1)"
+    ) in err
+
+
+def test_taft_classification_failure_prints_both_sets(capsys, monkeypatch):
+    def flag_unit(report, w):
+        report.flags[w["g0r0"]] = cli.SIMPLE_PROJECTIVE
+
+    _patch_report(monkeypatch, "bgg_matrices", flag_unit)
+    code, out, err = run(capsys, "taft", "3")
+    assert code == 4 and out == ""
+    assert (
+        "simple projective classification does not match the rank-one rule: "
+        "flagged ['0,0', '0,1', '1,0', '2,2'], expected ['0,1', '1,0', '2,2']"
+    ) in err
 
 
 def test_cache_dir_env_and_flag(capsys, tmp_path, monkeypatch):
@@ -502,6 +533,26 @@ def test_ml_matrix_missing_rows_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "bgg", "--group", DATA / "s3_group.json", "--profile", path)
     assert code == 2
     assert "'rows'" in err
+
+
+def test_simples_missing_an_entry_exits_2(capsys, tmp_path, taft_files):
+    def drop_last(obj):
+        del obj["simples"][-1]
+
+    path = _write_mutated(taft_files / "simples.json", tmp_path / "simples.json", drop_last)
+    code, out, err = run(capsys, "bgg", *_taft_args(taft_files), "--simples", path)
+    assert code == 2 and out == ""
+    assert "simple table is incomplete; missing entries for g2r2" in err
+
+
+def test_noncanonical_alias_label_exits_2(capsys, tmp_path):
+    # the aliases are looked up by canonical label, so "g01r0" would be
+    # dropped without a word
+    path = tmp_path / "aliases.json"
+    path.write_text(json.dumps({"format": 1, "aliases": {"g01r0": "sigma"}}))
+    code, out, err = run(capsys, "weights", "--group", DATA / "s3_group.json", "--aliases", path)
+    assert code == 2 and out == ""
+    assert "malformed weight label 'g01r0'" in err
 
 
 def test_permuted_cached_table_is_recomputed(capsys, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import GradedChar, KElement
 from doublechar.nichols import (
-    LowestData,
     NicholsProfile,
     SimpleTable,
     coverma_char,
@@ -42,9 +41,9 @@ def test_taft_profile_attributes(taft3):
     assert profile.dim_b == 3
     assert profile.lambda_v == params.weight_of(2, 2)
     assert profile.lambda_ov == params.weight_of(1, 1)
-    assert profile.system.product_one_dimensional(
-        profile.lambda_v, profile.lambda_ov
-    ) == profile.system.unit
+    system = profile.system
+    assert system.fusion(profile.lambda_v, profile.lambda_ov) == {system.unit: 1}
+    assert profile.twist_ov[profile.lambda_v] == system.unit
 
 
 def test_degenerate_profile(c3_system):
@@ -88,8 +87,11 @@ def test_verma_socle_is_twisted_top():
         system = profile.system
         for lam in system.weights:
             bottom = verma_char(profile, lam).layer(-profile.n_top)
-            twisted = system.product_one_dimensional(profile.lambda_v, lam)
-            assert bottom == KElement.of(twisted)
+            assert bottom == KElement(system.fusion(profile.lambda_v, lam))
+            assert bottom == KElement.of(profile.twist_v[lam])
+            top = coverma_char(profile, lam).layer(profile.n_top)
+            assert top == KElement(system.fusion(profile.lambda_ov, lam))
+            assert top == KElement.of(profile.twist_ov[lam])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -122,42 +124,53 @@ def test_simple_table_validation(taft3):
     system = profile.system
     lam, other = params.weight_of(0, 0), params.weight_of(1, 1)
     with pytest.raises(InputError, match="leading-term"):
-        SimpleTable({lam: GradedChar.of(other)})
+        SimpleTable(system, {lam: GradedChar.of(other)})
     with pytest.raises(InputError, match="nonpositive-degrees"):
-        SimpleTable({lam: GradedChar.of(lam) + GradedChar.of(other, deg=1)})
+        SimpleTable(system, {lam: GradedChar.of(lam) + GradedChar.of(other, deg=1)})
     with pytest.raises(InputError, match="nonnegative"):
-        SimpleTable({lam: GradedChar.of(lam) - GradedChar.of(other, deg=-1)})
-    assert lam in table
+        SimpleTable(system, {lam: GradedChar.of(lam) - GradedChar.of(other, deg=-1)})
     assert table[lam].layer(0) == KElement.of(lam)
-    with pytest.raises(InputError):
-        SimpleTable({})[lam]
+    assert table.weights() == system.weights
+    with pytest.raises(InputError, match="incomplete; missing entries for g0r0, g0r1"):
+        SimpleTable(system, {})
 
 
 def test_lowest_data(taft3):
     params, _, table = taft3
-    data = LowestData(table)
     lam = params.weight_of(0, 2)
-    assert data.bar[lam] == params.weight_of(1, 0)
-    assert data.level[lam] == -1
+    assert table.lowest[lam] == (params.weight_of(1, 0), -1)
     # the lowest-weight map permutes the weights
-    assert sorted(data.bar.values()) == sorted(data.bar)
-    for lam, level in data.level.items():
+    bottoms = [b for b, _ in table.lowest.values()]
+    assert sorted(bottoms) == sorted(table.lowest) == table.weights()
+    for lam, (_, level) in table.lowest.items():
         assert -2 <= level <= 0
 
 
 def test_lowest_data_violations(taft3):
-    params, _, _ = taft3
+    params, profile, table = taft3
+    system = profile.system
     l0, l1, l2 = (params.weight_of(r, 0) for r in range(3))
-    wide = SimpleTable(
-        {l0: GradedChar.of(l0) + GradedChar({-1: KElement({l1: 1, l2: 1})})}
-    )
+    # l0's simple is l0 alone, so its lowest weight is l0
+    assert table[l0] == GradedChar.of(l0)
+    wide = dict(table.entries)
+    wide[l0] = GradedChar.of(l0) + GradedChar({-1: KElement({l1: 1, l2: 1})})
     with pytest.raises(InconsistencyError, match="single-weight"):
-        LowestData(wide)
-    clash = SimpleTable(
-        {
-            l0: GradedChar.of(l0),
-            l1: GradedChar.of(l1) + GradedChar.of(l0, deg=-1),
-        }
-    )
-    with pytest.raises(InconsistencyError, match="bijection"):
-        LowestData(clash)
+        SimpleTable(system, wide)
+    clash = dict(table.entries)
+    clash[l1] = GradedChar.of(l1) + GradedChar.of(l0, deg=-1)
+    with pytest.raises(
+        InconsistencyError, match=f"bijection.*entries {l0} and {l1} share the lowest weight {l0}"
+    ):
+        SimpleTable(system, clash)
+    # with several faults the first check in this order fires: each
+    # entry, completeness, single-weight, bijection
+    both = dict(clash)
+    both[l2] = GradedChar.of(l2) + GradedChar({-1: KElement({l0: 1, l1: 1})})
+    with pytest.raises(InconsistencyError, match="single-weight"):
+        SimpleTable(system, both)
+    del both[params.weight_of(2, 2)]
+    with pytest.raises(InputError, match="incomplete"):
+        SimpleTable(system, both)
+    both[l0] = GradedChar.of(l1)
+    with pytest.raises(InputError, match="leading-term"):
+        SimpleTable(system, both)

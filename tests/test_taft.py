@@ -265,3 +265,23 @@ def test_corrupted_coefficients_raise_oracle_error(monkeypatch, n):
             with pytest.raises(OracleError):
                 VermaMatrices(params, r, s)
             monkeypatch.setattr(taft, "lowering_coeffs", original)
+
+
+def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
+    # an extra zero rung puts one more vector in the kernel than the
+    # head-length formula allows
+    params = TaftParams(3)
+
+    def corrupted(p, r, s):
+        coeffs = lowering_coeffs(p, r, s)
+        if (r, s) == (0, 0):
+            coeffs[1] = CYC_ZERO
+        return coeffs
+
+    monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
+    with pytest.raises(OracleError) as info:
+        VermaMatrices(params, 0, 0)
+    assert str(info.value) == (
+        "Verma of (0,0): supports of the kernel of E = [0], [head length] fails: "
+        "[[0], [1], [2]] against [[0], [1]]"
+    )
