@@ -1,14 +1,15 @@
 """Reciprocity engine: simple-basis decompositions, projective covers,
 induced modules and tensor products of projectives.
 
-Everything here is character bookkeeping over the Laurent ring: the
-standard-filtration multiplicities of a projective cover are the
-bar-involuted composition multiplicities of the matching Verma, the
-costandard multiplicities are a twisted shift of the same data, and
-induced modules decompose against the weight series of the simples.
-The engine consumes profiles, simple tables and composition matrices
-that their constructors have already validated and completed, so it
-only computes; it never tries to prove that the filtrations exist.
+Everything here is character bookkeeping over the Laurent ring.  A
+report is fixed by its decomposition matrix D = [M(lam) : L(mu)]: by BGG
+reciprocity the standard multiplicities of the projective cover of mu
+are the bar of column mu of D, the costandard ones a twisted shift of
+it, and the Cartan matrix is bar(D)^T D.  Induced modules decompose
+against the weight series of the simples.  The engine consumes
+profiles, simple tables and composition matrices that their
+constructors have already validated and completed, so it only
+computes; it never tries to prove that the filtrations exist.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistencyError, InputError, SpanError, field, is_int
-from .graded import KElement, combine
+from .graded import GradedChar, KElement, combine
 from .laurent import LaurentInt
 from .nichols import ind_char
 
@@ -52,50 +53,63 @@ def decompose_into_simples(char, table):
 
 
 class BGGReport:
-    """All reciprocity data for one profile and simple table.
+    """All reciprocity data for one profile and simple table, fixed by its
+    decomposition matrix.
 
     Matrix rows and columns are indexed by weights in canonical order.
-    verma_simple[lam][mu] is the graded multiplicity of the simple mu
-    in the Verma of lam; projective_verma[mu][lam] the multiplicity of
-    the Verma of lam in the projective cover of mu; projective_coverma
-    the costandard analogue.  The ungraded route (from a plain
-    composition-multiplicity matrix) leaves the fields that need the
-    grading set to None.
+    verma_simple = D, with D[lam][mu] the graded multiplicity of the
+    simple mu in the Verma of lam, is the one input; the constructor
+    derives the rest.  BGG reciprocity gives projective_verma[mu][lam] =
+    bar(D[lam][mu]), the multiplicity of the Verma of lam in the
+    projective cover of mu; the Cartan matrix is C = bar(D)^T D; and a
+    Verma is simple projective exactly when its only composition factor
+    is its own simple, once, in degree 0.  The costandard matrix
+    projective_coverma and the assembled characters projective_chars
+    need a graded profile: bgg_matrices sets them, and a report built
+    from ungraded composition multiplicities leaves them None.
     """
 
-    __slots__ = (
-        "system",
-        "weights",
-        "n_top",
-        "verma_simple",
-        "projective_verma",
-        "projective_coverma",
-        "projective_chars",
-        "cartan",
-        "flags",
-    )
+    __slots__ = ("system", "weights", "n_top", "verma_simple", "projective_verma",
+                 "projective_coverma", "projective_chars", "cartan", "flags")
 
-    def __init__(
-        self,
-        system,
-        weights,
-        n_top,
-        verma_simple,
-        projective_verma,
-        projective_coverma,
-        projective_chars,
-        cartan,
-        flags,
-    ):
+    def __init__(self, system, n_top, verma_simple):
+        weights = list(system.weights)
         self.system = system
         self.weights = weights
         self.n_top = n_top
         self.verma_simple = verma_simple
-        self.projective_verma = projective_verma
-        self.projective_coverma = projective_coverma
-        self.projective_chars = projective_chars
-        self.cartan = cartan
-        self.flags = flags
+        self.projective_verma = {
+            mu: {lam: row[mu].bar() for lam, row in verma_simple.items() if mu in row}
+            for mu in weights
+        }
+        # cartan[mu][nu] = sum over lam of projective_verma[mu][lam] *
+        # verma_simple[lam][nu]
+        self.cartan = {}
+        for mu in weights:
+            row = {}
+            for lam, coeff in self.projective_verma[mu].items():
+                for nu, m in verma_simple[lam].items():
+                    row[nu] = row.get(nu, LaurentInt.zero()) + coeff * m
+            self.cartan[mu] = {nu: c for nu, c in sorted(row.items()) if not c.is_zero()}
+        simple = {lam for lam in weights if verma_simple[lam] == {lam: LaurentInt.one()}}
+        self.flags = {lam: SIMPLE_PROJECTIVE if lam in simple else NON_SIMPLE for lam in weights}
+        self.projective_coverma = None
+        self.projective_chars = None
+
+    def at_one(self):
+        """The report with every grading collapsed at t = 1.
+
+        A fresh report is built from D(1), so the reciprocity fields are
+        derived again rather than mapped; only the costandard matrix and
+        the projective characters are collapsed here.  Every coefficient
+        of D is positive, so D(1) has the keys of D and the flags agree."""
+        flat = BGGReport(self.system, self.n_top, _at_one(self.verma_simple))
+        if self.projective_chars is not None:
+            flat.projective_coverma = _at_one(self.projective_coverma)
+            flat.projective_chars = {
+                w: GradedChar({0: ch.eval_one()}) for w, ch in self.projective_chars.items()
+            }
+        return flat
 
     def dim_projective(self, mu, dim_b):
         return sum(
@@ -131,75 +145,31 @@ class BGGReport:
         return obj
 
 
-def _reciprocity(weights, verma_simple):
-    """BGG reciprocity, the Cartan matrix and the simple-projective rule,
-    shared by the graded and the ungraded report.
-
-    The projective of mu has the Verma of lam in its standard filtration
-    with the bar of the multiplicity of the simple of mu in the Verma of
-    lam, so with D = verma_simple the Cartan matrix is C = D-bar^T D:
-    cartan[mu][nu] = sum over lam of projective_verma[mu][lam] *
-    verma_simple[lam][nu].  A Verma is simple projective exactly when its
-    only composition factor is its own simple, once, in degree 0."""
-    projective_verma = {
-        mu: {
-            lam: verma_simple[lam][mu].bar()
-            for lam in weights
-            if mu in verma_simple[lam]
-        }
-        for mu in weights
+def _at_one(matrix):
+    return {
+        row: {col: LaurentInt.monomial(c.eval_one()) for col, c in entries.items()}
+        for row, entries in matrix.items()
     }
-    cartan = {}
-    for mu in weights:
-        row = {}
-        for lam, coeff in projective_verma[mu].items():
-            for nu, m in verma_simple[lam].items():
-                row[nu] = row.get(nu, LaurentInt.zero()) + coeff * m
-        cartan[mu] = {nu: c for nu, c in sorted(row.items()) if not c.is_zero()}
-    flags = {}
-    for lam in weights:
-        dec = verma_simple[lam]
-        is_simple = list(dec) == [lam] and dec[lam] == LaurentInt.one()
-        flags[lam] = SIMPLE_PROJECTIVE if is_simple else NON_SIMPLE
-    return projective_verma, cartan, flags
 
 
 def bgg_matrices(profile, table):
     """The full reciprocity report for a graded profile and simple table."""
-    system = profile.system
-    weights = list(system.weights)
-
-    verma_simple = {
-        lam: decompose_into_simples(profile.vermas[lam], table) for lam in weights
-    }
-    projective_verma, cartan, flags = _reciprocity(weights, verma_simple)
-
+    weights = profile.system.weights
+    report = BGGReport(
+        profile.system,
+        profile.n_top,
+        {lam: decompose_into_simples(profile.vermas[lam], table) for lam in weights},
+    )
     # the Verma whose composition series governs W(lam) is twisted by
     # the top weight: lam_ov * lam
-    projective_coverma = {}
-    for mu in weights:
-        row = {}
-        for lam in weights:
-            coeff = verma_simple[profile.twist_ov[lam]].get(mu)
-            if coeff is not None:
-                row[lam] = coeff.bar().shift(-profile.n_top)
-        projective_coverma[mu] = row
-
-    projective_chars = {
-        mu: combine(projective_verma[mu], profile.vermas) for mu in weights
+    twisted = {lam: report.verma_simple[profile.twist_ov[lam]] for lam in weights}
+    report.projective_coverma = {
+        mu: {lam: row[mu].bar().shift(-profile.n_top) for lam, row in twisted.items() if mu in row}
+        for mu in weights
     }
-
-    report = BGGReport(
-        system,
-        weights,
-        profile.n_top,
-        verma_simple,
-        projective_verma,
-        projective_coverma,
-        projective_chars,
-        cartan,
-        flags,
-    )
+    report.projective_chars = {
+        mu: combine(report.projective_verma[mu], profile.vermas) for mu in weights
+    }
     _check_report(report, profile, table)
     return report
 
@@ -290,13 +260,9 @@ class MLMatrixData:
     def __init__(self, system, rows, dim_b, n_top):
         for lam, k in rows.items():
             if not k.is_nonnegative():
-                raise InputError(
-                    f"multiplicity row of {lam} has a negative entry"
-                )
+                raise InputError(f"multiplicity row of {lam} has a negative entry")
             if k.multiplicity(lam) < 1:
-                raise InputError(
-                    f"multiplicity row of {lam} must contain its own weight"
-                )
+                raise InputError(f"multiplicity row of {lam} must contain its own weight")
         _check_dims(rows, dim_b, system)
         missing = [w.label for w in system.weights if w not in rows]
         if missing:
@@ -319,12 +285,9 @@ class MLMatrixData:
             lam = system.parse_label(field(item, "w", str, "ml_matrix row"))
             if lam in rows:
                 raise InputError(f"duplicate multiplicity row for {lam.label}")
-            terms = {}
-            for f in field(item, "factors", list, "ml_matrix row"):
-                w = system.parse_label(field(f, "w", str, "ml_matrix factor"))
-                m = field(f, "m", int, "ml_matrix factor")
-                terms[w] = terms.get(w, 0) + m
-            rows[lam] = KElement(terms)
+            rows[lam] = KElement.from_json(
+                field(item, "factors", list, "ml_matrix row"), system, "ml_matrix factor"
+            )
         dim_b = obj.get("dim_b")
         n_top = obj.get("n_top")
         if not is_int(dim_b) or dim_b < 1:
@@ -335,8 +298,11 @@ class MLMatrixData:
 
 
 def _check_dims(rows, dim_b, system):
-    """If the matrix determines the simple dimensions uniquely, insist
-    they come out as positive integers."""
+    """Certify the simple dimensions that the matrix pins down.
+
+    Row lam says sum over w of [M(lam):L(w)] dim L(w) = dim M(lam).  The
+    equations must be consistent, and every dim L(w) that they determine
+    must come out a positive integer; the free ones certify nothing."""
     weights = sorted(rows)
     k = len(weights)
     idx = {w: i for i, w in enumerate(weights)}
@@ -351,52 +317,48 @@ def _check_dims(rows, dim_b, system):
             row[idx[w]] = Fraction(m)
         row.append(Fraction(dim_b * system.dim(lam)))
         aug.append(row)
-    # Gaussian elimination over the rationals
-    r = 0
+    # Gauss-Jordan elimination over the rationals; a column without a
+    # pivot is a free dimension
+    pivots = []
     for c in range(k):
+        r = len(pivots)
         piv = next((i for i in range(r, k) if aug[i][c]), None)
         if piv is None:
-            return  # underdetermined; nothing to certify
+            continue
         aug[r], aug[piv] = aug[piv], aug[r]
         aug[r] = [x / aug[r][c] for x in aug[r]]
         for i in range(k):
             if i != r and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(k):
-        v = aug[i][k]
-        if v.denominator != 1 or v <= 0:
+        pivots.append(c)
+    if any(aug[i][k] for i in range(len(pivots), k)):
+        raise InconsistencyError(
+            "composition matrix admits no simple dimensions: its rows are "
+            "inconsistent"
+        )
+    free = [c for c in range(k) if c not in pivots]
+    for r, c in enumerate(pivots):
+        v = aug[r][k]
+        pinned = not any(aug[r][f] for f in free)
+        if pinned and (v.denominator != 1 or v <= 0):
             raise InconsistencyError(
                 "composition matrix does not admit positive integral "
-                "simple dimensions"
+                f"simple dimensions: dim L({weights[c]}) = {v}"
             )
 
 
 def ungraded_bgg(ml, system):
-    """Reciprocity report from ungraded composition multiplicities.
-
-    Every Laurent entry is a constant; the fields that need the grading
-    (costandard matrix, assembled characters) stay None.
-    """
-    weights = sorted(ml.rows)
-    verma_simple = {
-        lam: {
-            w: LaurentInt.monomial(m) for w, m in ml.rows[lam].items()
-        }
-        for lam in weights
-    }
-    projective_verma, cartan, flags = _reciprocity(weights, verma_simple)
+    """Reciprocity report from ungraded composition multiplicities: every
+    Laurent entry is a constant, and the fields that need the grading
+    stay None."""
     return BGGReport(
         system,
-        weights,
         ml.n_top,
-        verma_simple,
-        projective_verma,
-        None,
-        None,
-        cartan,
-        flags,
+        {
+            lam: {w: LaurentInt.monomial(m) for w, m in row.items()}
+            for lam, row in sorted(ml.rows.items())
+        },
     )
 
 

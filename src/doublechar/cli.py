@@ -15,7 +15,6 @@ import os
 import sys
 
 from .bgg import (
-    BGGReport,
     SIMPLE_PROJECTIVE,
     bgg_matrices,
     ind_into_projectives,
@@ -30,7 +29,7 @@ from .errors import (
     OracleError,
     SpanError,
 )
-from .graded import GradedChar, combine
+from .graded import combine
 from .groups import DEFAULT_MAX_ORDER
 from .jsonio import (
     ML_KIND,
@@ -276,38 +275,6 @@ def cmd_fusion(args):
 # ---- bgg ----
 
 
-def _collapse_laurent(c):
-    return LaurentInt.monomial(c.eval_one())
-
-
-def _collapse_report(report):
-    def cmap(m):
-        return {
-            row: {col: _collapse_laurent(c) for col, c in m[row].items()}
-            for row in m
-        }
-
-    chars = None
-    if report.projective_chars is not None:
-        chars = {
-            w: GradedChar({0: ch.eval_one()}) for w, ch in report.projective_chars.items()
-        }
-    coverma = None
-    if report.projective_coverma is not None:
-        coverma = cmap(report.projective_coverma)
-    return BGGReport(
-        report.system,
-        report.weights,
-        report.n_top,
-        cmap(report.verma_simple),
-        cmap(report.projective_verma),
-        coverma,
-        chars,
-        cmap(report.cartan),
-        report.flags,
-    )
-
-
 def _render_report(report, names):
     system = report.system
     lines = []
@@ -341,7 +308,7 @@ def cmd_bgg(args):
     names = _names(args, system)
     report, profile, table = _load_report(args, system)
     if args.ungraded:
-        report = _collapse_report(report)
+        report = report.at_one()
     text = _render_report(report, names)
     print(text, end="")
     if args.out:

@@ -56,6 +56,20 @@ class KElement(_SparseSum):
     def dual(self, system):
         return KElement._new({system.dual(w): m for w, m in self.terms.items()})
 
+    def to_json(self):
+        return [{"w": w.label, "m": m} for w, m in self.items()]
+
+    @classmethod
+    def from_json(cls, items, system, where):
+        """Parse a list of {"w": label, "m": multiplicity}; a weight listed
+        twice adds up.  where names an item in error messages."""
+        terms = {}
+        for item in items:
+            w = system.parse_label(field(item, "w", str, where))
+            m = field(item, "m", int, where)
+            terms[w] = terms.get(w, 0) + m
+        return cls(terms)
+
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -140,12 +154,7 @@ class GradedChar(_SparseSum):
     def to_json(self):
         return {
             "char": [
-                {
-                    "deg": d,
-                    "weights": [
-                        {"w": w.label, "m": m} for w, m in self.terms[d].items()
-                    ],
-                }
+                {"deg": d, "weights": self.terms[d].to_json()}
                 for d in self.degrees()
             ]
         }
@@ -155,14 +164,14 @@ class GradedChar(_SparseSum):
         layers = {}
         for entry in field(obj, "char", list, "graded character payload"):
             d = field(entry, "deg", int, "graded character layer")
-            terms = {}
-            for item in field(entry, "weights", list, "graded character layer"):
-                w = system.parse_label(field(item, "w", str, "graded character weight"))
-                m = field(item, "m", int, "graded character weight")
-                terms[w] = terms.get(w, 0) + m
+            layer = KElement.from_json(
+                field(entry, "weights", list, "graded character layer"),
+                system,
+                "graded character weight",
+            )
             if d in layers:
                 raise InputError(f"duplicate layer degree {d}")
-            layers[d] = KElement(terms)
+            layers[d] = layer
         return cls(layers)
 
 

@@ -12,7 +12,7 @@ import json
 import os
 
 from .bgg import MLMatrixData
-from .errors import InputError
+from .errors import InputError, is_int
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 
@@ -66,7 +66,7 @@ def profile_kind(payload):
 
 def load_profile_file(path, system):
     """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData)."""
-    payload = load_json(path)
+    payload = _load_payload(path)
     kind = profile_kind(payload)
     try:
         if kind == ML_KIND:
@@ -77,7 +77,7 @@ def load_profile_file(path, system):
 
 
 def load_simples_file(path, system):
-    payload = load_json(path)
+    payload = _load_payload(path)
     try:
         return SimpleTable.from_json(payload, system)
     except InputError as exc:
@@ -87,7 +87,7 @@ def load_simples_file(path, system):
 def load_aliases_file(path, system):
     """label -> display name; names must be nonempty, unique, and never
     the label of another weight, which would then resolve to two."""
-    payload = load_json(path)
+    payload = _load_payload(path)
     if not isinstance(payload, dict) or "aliases" not in payload:
         raise InputError(f"{path}: alias payload must have an 'aliases' object")
     aliases = payload["aliases"]
@@ -113,6 +113,17 @@ def load_aliases_file(path, system):
         seen.add(name)
         out[label] = name
     return out
+
+
+def _load_payload(path):
+    """load_json for a file that carries the format envelope the writers
+    below add: "format" must be the integer 1, and a file without one
+    counts as format 1, as a group file does."""
+    payload = load_json(path)
+    fmt = payload.get("format", 1) if isinstance(payload, dict) else 1
+    if not is_int(fmt) or fmt != 1:
+        raise InputError(f"{path}: unsupported file format: {fmt!r}")
+    return payload
 
 
 def aliases_to_json(aliases):

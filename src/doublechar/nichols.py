@@ -98,10 +98,7 @@ class NicholsProfile:
         return {
             "group": group_ref,
             "components": [
-                {
-                    "deg": j,
-                    "weights": [{"w": w.label, "m": m} for w, m in k.items()],
-                }
+                {"deg": j, "weights": k.to_json()}
                 for j, k in enumerate(self.components)
             ],
         }
@@ -115,12 +112,9 @@ class NicholsProfile:
                 raise InputError("profile component degrees must be nonnegative")
             if j in by_deg:
                 raise InputError(f"duplicate profile component degree {j}")
-            terms = {}
-            for item in field(entry, "weights", list, "profile component"):
-                w = system.parse_label(field(item, "w", str, "profile weight"))
-                m = field(item, "m", int, "profile weight")
-                terms[w] = terms.get(w, 0) + m
-            by_deg[j] = KElement(terms)
+            by_deg[j] = KElement.from_json(
+                field(entry, "weights", list, "profile component"), system, "profile weight"
+            )
         if sorted(by_deg) != list(range(len(by_deg))):
             raise InputError(
                 "profile invariant 'no-gaps' violated: "

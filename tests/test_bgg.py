@@ -317,20 +317,44 @@ def test_ml_dimension_certificate():
         MLMatrixData(system, rows, 12, 4)
 
 
-def test_ungraded_route_matches_graded_at_t1(taft3, taft3_report):
-    params, profile, _ = taft3
-    system = profile.system
-    rows = {
-        lam: KElement(
-            {mu: c.eval_one() for mu, c in taft3_report.verma_simple[lam].items()}
-        )
-        for lam in system.weights
-    }
-    ml = MLMatrixData(system, rows, profile.dim_b, profile.n_top)
-    flat = ungraded_bgg(ml, system)
-    for mu in system.weights:
-        for lam in system.weights:
-            graded = taft3_report.projective_verma[mu].get(lam, LaurentInt.zero())
-            constant = flat.projective_verma[mu].get(lam, LaurentInt.zero())
-            assert constant.eval_one() == graded.eval_one()
-    assert flat.flags == taft3_report.flags
+def test_ml_dimension_certificate_on_singular_rows():
+    system, ml = fk3_data()
+    by = system.by_label
+    # the shipped matrix is singular (the rows of g0r2 and g2r0 are equal),
+    # yet it still pins dim L(g0r1) = 12 / 5 once that row is scaled by 5
+    rows = dict(ml.rows)
+    rows[by["g0r1"]] = KElement({by["g0r1"]: 5})
+    with pytest.raises(InconsistencyError, match=r"dim L\(g0r1\) = 12/5"):
+        MLMatrixData(system, rows, 12, 4)
+    # dim L(g0r1) + dim L(g0r2) cannot be both 12 and 24
+    rows = dict(ml.rows)
+    rows[by["g0r1"]] = rows[by["g0r2"]] = KElement({by["g0r1"]: 1, by["g0r2"]: 1})
+    with pytest.raises(InconsistencyError, match="rows are inconsistent"):
+        MLMatrixData(system, rows, 12, 4)
+
+
+def test_ungraded_route_matches_graded_at_t1():
+    # at_one re-derives the report from D(1); the ungraded route derives it
+    # from the same rows given as constants, so the two must agree exactly
+    for n in range(2, 7):
+        profile, table = build_profile_and_table(TaftParams(n))
+        system = profile.system
+        report = bgg_matrices(profile, table)
+        flat = report.at_one()
+        rows = {
+            lam: KElement({mu: c.eval_one() for mu, c in flat.verma_simple[lam].items()})
+            for lam in system.weights
+        }
+        ml = MLMatrixData(system, rows, profile.dim_b, profile.n_top)
+        ungraded = ungraded_bgg(ml, system)
+        assert flat.projective_verma == ungraded.projective_verma, n
+        assert flat.cartan == ungraded.cartan, n
+        assert flat.flags == ungraded.flags == report.flags, n
+        # re-deriving from D(1) agrees with evaluating the graded entries
+        for mu, row in report.projective_verma.items():
+            assert {lam: c.eval_one() for lam, c in row.items()} == {
+                lam: c.eval_one() for lam, c in ungraded.projective_verma[mu].items()
+            }, n
+        assert all(
+            c.terms.keys() <= {0} for row in flat.cartan.values() for c in row.values()
+        ), n

@@ -275,6 +275,40 @@ def test_inconsistent_matrix_exits_3(capsys, tmp_path):
     assert "inconsistency" in err
 
 
+
+def test_ml_matrix_with_a_fractional_pinned_dimension_exits_3(capsys, tmp_path):
+    # the shipped matrix is singular, but it pins dim L(g0r1); a row
+    # {g0r1: 5} makes that 12/5
+    def scale(obj):
+        (row,) = [r for r in obj["rows"] if r["w"] == "g0r1"]
+        row["factors"] = [{"w": "g0r1", "m": 5}]
+
+    path = _write_mutated(DATA / "fk3_ml.json", tmp_path / "ml.json", scale)
+    for command in ("verify", "bgg"):
+        code, out, err = run(capsys, command, "--group", DATA / "s3_group.json", "--profile", path)
+        assert code == 3 and out == ""
+        assert (
+            "composition matrix does not admit positive integral simple "
+            "dimensions: dim L(g0r1) = 12/5"
+        ) in err
+
+
+@pytest.mark.parametrize("name", ["profile", "simples", "aliases", "ml_matrix"])
+def test_file_format_other_than_1_exits_2(capsys, tmp_path, taft_files, name):
+    def bump(obj):
+        obj["format"] = 2
+
+    if name == "ml_matrix":
+        path = _write_mutated(DATA / "fk3_ml.json", tmp_path / "ml.json", bump)
+        argv = ["bgg", "--group", DATA / "s3_group.json", "--profile", path]
+    else:
+        path = _write_mutated(taft_files / f"{name}.json", tmp_path / f"{name}.json", bump)
+        argv = ["bgg", *_taft_args(taft_files), "--aliases", taft_files / "aliases.json"]
+        argv += [f"--{name}", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{path}: unsupported file format: 2" in err
+
 def test_span_failure_dumps_residual(capsys, tmp_path, taft_files):
     obj = json.loads((taft_files / "simples.json").read_text())
     for entry in obj["simples"]:

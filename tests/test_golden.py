@@ -64,7 +64,8 @@ def outputs(tmp):
     fk3 = ["--group", S3, "--profile", FK3_ML, "--aliases", FK3_ALIASES]
     out["bgg.fk3.stdout"] = _stdout(["bgg", *fk3, "--out", tmp / "fk3"])
     out["bgg.fk3.report.json"] = (tmp / "fk3" / "report.json").read_bytes()
-    out["bgg.fk3.ungraded.stdout"] = _stdout(["bgg", *fk3, "--ungraded"])
+    out["bgg.fk3.ungraded.stdout"] = _stdout(["bgg", *fk3, "--ungraded", "--out", tmp / "fk3u"])
+    out["bgg.fk3.ungraded.report.json"] = (tmp / "fk3u" / "report.json").read_bytes()
     out["verify.fk3.stdout"] = _stdout(["verify", "--group", S3, "--profile", FK3_ML])
 
     t3 = tmp / "taft3"
@@ -75,6 +76,8 @@ def outputs(tmp):
         "--aliases", t3 / "aliases.json",
     ]
     out["bgg.taft3.stdout"] = _stdout(["bgg", *files])
+    _stdout(["bgg", *files, "--ungraded", "--out", tmp / "taft3u"])
+    out["bgg.taft3.ungraded.report.json"] = (tmp / "taft3u" / "report.json").read_bytes()
     out["verify.taft3.stdout"] = _stdout(["verify", *files])
     labels = [f"g{i}r{j}" for i in range(3) for j in range(3)]
     out["ind.taft3.stdout"] = b"".join(_stdout(["ind", *files, w]) for w in labels)
