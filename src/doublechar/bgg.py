@@ -179,11 +179,13 @@ def _check_report(report, profile, table):
     carry the same character, and the maximal-shift summand obeys the
     twisted lowest-weight law."""
     for mu in report.weights:
-        rebuilt = combine(report.projective_coverma[mu], profile.covermas)
-        if rebuilt != report.projective_chars[mu]:
+        standard = report.projective_chars[mu]
+        costandard = combine(report.projective_coverma[mu], profile.covermas)
+        if costandard != standard:
             raise InconsistencyError(
                 f"standard and costandard filtrations of the projective of "
-                f"{mu} carry different characters"
+                f"{mu} carry different characters: standard {standard!r}, "
+                f"costandard {costandard!r}"
             )
         top_shift = None
         top_lam = None
@@ -214,10 +216,12 @@ def ind_into_projectives(profile, table, mu, report):
         series = table[lam].series(mu)
         if series is not None:
             out[lam] = series.bar()
-    if combine(out, report.projective_chars) != ind_char(profile, mu):
+    expanded = combine(out, report.projective_chars)
+    expected = ind_char(profile, mu)
+    if expanded != expected:
         raise InconsistencyError(
             f"projective expansion of the induced module of {mu} does not "
-            f"match its character; the simple table is inconsistent"
+            f"match its character: expanded {expanded!r}, expected {expected!r}"
         )
     return out
 

@@ -158,6 +158,8 @@ def test_criterion_06_graded_reciprocity(acceptance_line):
                     m = report.verma_simple[lam].get(mu, zero)
                     assert p == m.bar()
                     assert p.eval_one() == m.eval_one()
+                    assert not p or p.min_degree() >= 0
+                assert report.projective_verma[mu][mu].terms.get(0) == 1
 
 
 def test_criterion_07_fk3_reproduction(acceptance_line):

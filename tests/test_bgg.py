@@ -138,6 +138,10 @@ def test_graded_reciprocity_transpose(taft3_report):
             m = r.verma_simple[lam].get(mu, LaurentInt.zero())
             assert p == m.bar()
             assert p.eval_one() == m.eval_one()
+            # no projective coefficient has a negative degree
+            assert not p or p.min_degree() >= 0
+        # each projective starts with its own Verma, once, in degree 0
+        assert r.projective_verma[mu][mu].terms.get(0) == 1
 
 
 def test_simple_reassembly(taft3, taft3_report):
@@ -284,6 +288,18 @@ def test_fk3_cartan_symmetry():
             assert report.cartan[mu].get(nu, LaurentInt.zero()) == report.cartan[
                 nu
             ].get(mu, LaurentInt.zero())
+    # ungraded reciprocity: projective rows are the transposed Verma rows,
+    # and C = D^T D
+    zero = LaurentInt.zero()
+    for mu in report.weights:
+        for lam in report.weights:
+            p = report.projective_verma[mu].get(lam, zero)
+            assert p == report.verma_simple[lam].get(mu, zero)
+        for nu in report.weights:
+            dtd = zero
+            for row in report.verma_simple.values():
+                dtd = dtd + row.get(mu, zero) * row.get(nu, zero)
+            assert report.cartan[mu].get(nu, zero) == dtd
 
 
 def test_ml_validation():
