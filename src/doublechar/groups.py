@@ -95,7 +95,7 @@ class FiniteGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity_perm(degree)
         self.identity_index = self.index[self.identity]
-        self._inverse = None
+        self._inverse = {}
 
     @classmethod
     def from_generators(cls, degree, gens, max_order=DEFAULT_MAX_ORDER):
@@ -115,9 +115,14 @@ class FiniteGroup:
         return lcm(*(perm_order(self.elements[r]) for r in self.conj.reps))
 
     def inverse_index(self, i):
-        if self._inverse is None:
-            self._inverse = [self.index[perm_inv(g)] for g in self.elements]
-        return self._inverse[i]
+        """The index of the inverse of element i, inverted on first request;
+        the pair is stored both ways."""
+        inv = self._inverse.get(i)
+        if inv is None:
+            inv = self.index[perm_inv(self.elements[i])]
+            self._inverse[i] = inv
+            self._inverse[inv] = i
+        return inv
 
     def mul_index(self, i, j):
         return self.index[perm_mul(self.elements[i], self.elements[j])]

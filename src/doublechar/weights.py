@@ -15,6 +15,12 @@ Each is the row of the centralizer table of its class i that equals its
 pair character at (r_i, c_k).  The dual is the charge conjugation
 C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
 Fusion takes the second formula whenever either factor is invertible.
+Neither does any permutation work or row scan: the class of z r_a and
+the Z-classes that each pair character is read from are built once, and
+a row is found by one dict probe on its coefficients at the group
+exponent e_G.  Every table value and every product of them lies in
+Q(zeta_d) for some d | e_G, and embedding into Q(zeta_(e_G)) is injective
+and lands in a basis, so two rows are equal exactly when their keys are.
 
 Every other pair is fused by projecting the pair character T of
 lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
@@ -88,6 +94,23 @@ class WeightSystem:
         self._fusion_cache = {}
         self._dual_cache = {}
         self._rows_cache = {}
+        # (g, i) -> for each class representative h of Z_i, the class
+        # that pair characters at (g, h) are read from
+        self._reads_cache = {}
+        # table -> row key -> the indices of the rows with that key
+        self._row_index = {}
+        self._exponent = group.exponent()
+        # the center permutes the classes: for z = r_c central and each
+        # class a, the class i of z r_a and z^(-1) r_i, a member of class a
+        self._translates = {}
+        for c, members in enumerate(self.conj.classes):
+            if len(members) == 1:
+                z = members[0]
+                z_inv = group.inverse_index(z)
+                self._translates[c] = translates = []
+                for rep in self.conj.reps:
+                    i = self.conj.class_of[group.mul_index(z, rep)]
+                    translates.append((i, group.mul_index(z_inv, self.conj.reps[i])))
 
     # ---- basic data ----
 
@@ -107,24 +130,44 @@ class WeightSystem:
     # ---- pair characters ----
 
     def pair_char(self, w, g_index, h_index):
-        """Trace of (g, h) on the weight w; zero off the commuting variety.
-
-        With g = x r x^(-1) for the class representative r, h commutes
-        with g exactly when x^(-1) h x lies in the centralizer Z_r, so
-        one lookup there decides both the support and the Z_r-class."""
-        conj = self.conj
+        """Trace of (g, h) on the weight w; zero off the commuting variety."""
         i = w.class_index
-        if conj.class_of[g_index] != i:
+        if self.conj.class_of[g_index] != i:
             return CYC_ZERO
-        moved = perm_mul(
-            conj.conjugator_inv[g_index],
-            perm_mul(self.group.elements[h_index], conj.conjugator[g_index]),
-        )
-        table = self.tables[i]
+        k = self._read_class(g_index, h_index)
+        return CYC_ZERO if k is None else self.tables[i].values[w.irrep_index][k]
+
+    def _read_class(self, g_index, h_index):
+        """The class of Z_r holding x^(-1) h x, where g = x r x^(-1) for the
+        class representative r, or None when h does not commute with g:
+        h commutes with g exactly when x^(-1) h x lies in Z_r.  A
+        representative's conjugator is the identity, so h is read as it is."""
+        conj = self.conj
+        a = conj.class_of[g_index]
+        moved = self.group.elements[h_index]
+        if g_index != conj.reps[a]:
+            moved = perm_mul(
+                conj.conjugator_inv[g_index], perm_mul(moved, conj.conjugator[g_index])
+            )
+        table = self.tables[a]
         k = table.group.index.get(moved)
-        if k is None:
-            return CYC_ZERO
-        return table.values[w.irrep_index][table.conj.class_of[k]]
+        return None if k is None else table.conj.class_of[k]
+
+    def _pair_row(self, w, g_index, i):
+        """pair_char(w, g, h) for each class representative h of Z_i, for g
+        in the class of w; the classes read are found once per (g, i)."""
+        reads = self._reads_cache.get((g_index, i))
+        if reads is None:
+            reads = self._reads_cache[g_index, i] = [
+                self._read_class(g_index, h) for h in self._centralizer_reps(i)
+            ]
+        values = self.tables[w.class_index].values[w.irrep_index]
+        return [CYC_ZERO if k is None else values[k] for k in reads]
+
+    def _centralizer_reps(self, i):
+        """Class representatives of the centralizer Z_i as group indices."""
+        table = self.tables[i]
+        return [self.group.index[table.group.elements[r]] for r in table.conj.reps]
 
     # ---- fusion ----
 
@@ -172,20 +215,38 @@ class WeightSystem:
             return hit
         b = self.conj.inverse_class[lam.class_index]
         g = self.group.inverse_index(self.conj.reps[b])
-        row = [self.pair_char(lam, g, h).conjugate() for h in self._class_rows(b)[0]]
+        row = [v.conjugate() for v in self._pair_row(lam, g, b)]
         found = self._weight_with_row(b, row, f"dual of {lam}")
         self._dual_cache[lam] = found
         return found
 
     def _weight_with_row(self, i, row, what):
-        """The weight over class i whose centralizer character is row."""
-        found = [j for j, values in enumerate(self.tables[i].values) if list(values) == row]
+        """The weight over class i whose centralizer character is row.
+
+        Rows are keyed by their coefficients at the group exponent e_G,
+        not the table's: a product chi rho can have order e_G (in S4, say)
+        where the table of Z_i has a smaller one.  Each value's order
+        divides e_G, and embedding is injective into a basis, so equal
+        keys are equal rows.  The index is built once per table, which
+        classes share, and holds every row with a key, so the count of
+        matches is the count a scan with == would find."""
+        table = self.tables[i]
+        index = self._row_index.get(table)
+        if index is None:
+            index = self._row_index[table] = {}
+            for j, values in enumerate(table.values):
+                index.setdefault(self._row_key(values), []).append(j)
+        found = index.get(self._row_key(row), ())
         if len(found) != 1:
             raise InconsistencyError(
                 f"{what}: {len(found)} characters of the centralizer of class "
                 f"{i} equal the computed row {row}, expected exactly one"
             )
         return Weight(i, found[0])
+
+    def _row_key(self, row):
+        e = self._exponent
+        return tuple(v.embed(e).coeffs for v in row)
 
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of
@@ -209,7 +270,7 @@ class WeightSystem:
         hit = self._rows_cache.get(i)
         if hit is None:
             table = self.tables[i]
-            reps = [self.group.index[table.group.elements[r]] for r in table.conj.reps]
+            reps = self._centralizer_reps(i)
             sizes = table.conj.sizes()
             rows = [
                 [v.conjugate() * size for v, size in zip(row, sizes)]
@@ -246,15 +307,16 @@ class WeightSystem:
         """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
         one-dimensional weight onedim = (z, chi): the pair character of
         the product at the representative r_i of the target class, z times
-        the class of g, looked up among the rows of Z_i.  Only fusion calls
-        it, so every product is evaluated once and cached there."""
-        group, conj = self.group, self.conj
-        z = conj.reps[onedim.class_index]
-        i = conj.class_of[group.mul_index(z, conj.reps[lam.class_index])]
-        g = group.mul_index(group.inverse_index(z), conj.reps[i])
+        the class of g, looked up among the rows of Z_i.  At (r_i, h) it is
+        chi(z, h) rho(z^(-1) r_i, h).  Only fusion calls it, so every
+        product is evaluated once and cached there."""
+        c = onedim.class_index
+        i, g = self._translates[c][lam.class_index]
         row = [
-            self.pair_char(onedim, z, h) * self.pair_char(lam, g, h)
-            for h in self._class_rows(i)[0]
+            x * y
+            for x, y in zip(
+                self._pair_row(onedim, self.conj.reps[c], i), self._pair_row(lam, g, i)
+            )
         ]
         return self._weight_with_row(i, row, f"product of {onedim} and {lam}")
 

@@ -6,6 +6,12 @@ duplicated, or a scalar swapped for a value of another type or size.
 Every command that reads the file then runs in-process and must exit
 0, 2, 3 or 4; an exception escaping `cli.main` fails the test with its
 traceback.
+
+Those changes mostly break a file's shape, which the loaders refuse
+(exit 2).  A second set of cases keeps the shape and changes a value the
+engine checks: a nonnegative integer set to another, or a weight label
+swapped for another label of the same file.  Some of them must reach an
+inconsistency (exit 3).
 """
 
 import contextlib
@@ -14,6 +20,7 @@ import io
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -24,6 +31,9 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SCALARS = [None, True, 1.5, "x", [], {}, -1, 2**70]
 MUTATIONS = 60
 SEED = 20261018
+VALUE_CHANGES = 40
+VALUE_SEED = 20261019
+LABEL = re.compile(r"^g\d+r\d+$")
 
 
 def _nodes(obj, path=()):
@@ -67,6 +77,33 @@ def _mutate(obj, rng):
     return obj, f"swap {list(path)} for {new!r}"
 
 
+def _change_value(obj, rng):
+    """A copy of obj with one value changed and its shape kept, and a
+    description of the change."""
+    obj = copy.deepcopy(obj)
+    nodes = list(_nodes(obj))
+    labels = sorted({v for _, v in nodes if isinstance(v, str) and LABEL.match(v)})
+    choices = [
+        (path, value)
+        for path, value in nodes
+        if path
+        and (
+            (type(value) is int and value >= 0)
+            or (isinstance(value, str) and value in labels and len(labels) > 1)
+        )
+    ]
+    path, value = rng.choice(choices)
+    if isinstance(value, str):
+        new = rng.choice([label for label in labels if label != value])
+    else:
+        new = rng.choice([n for n in range(4) if n != value])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return obj, f"set {list(path)} to {new!r}"
+
+
 @pytest.fixture(scope="module")
 def scenarios(tmp_path_factory):
     """Name -> (files by role, the commands over those roles)."""
@@ -106,16 +143,16 @@ def _run(argv):
         return cli.main(argv)
 
 
-def test_mutated_inputs_exit_cleanly(scenarios, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    rng = random.Random(SEED)
+def _run_cases(scenarios, tmp_path, rng, cases, mutate):
+    """Run every command over each mutated file; the exit codes seen."""
     names = sorted(scenarios)
-    for case in range(MUTATIONS):
+    codes = []
+    for case in range(cases):
         name = rng.choice(names)
         files, commands = scenarios[name]
         role = rng.choice(sorted(files))
         original = json.loads(files[role].read_text(encoding="utf-8"))
-        mutated, change = _mutate(original, rng)
+        mutated, change = mutate(original, rng)
         path = tmp_path / f"case{case}.json"
         path.write_text(json.dumps(mutated), encoding="utf-8")
         paths = {**{r: str(p) for r, p in files.items()}, role: str(path)}
@@ -125,3 +162,18 @@ def test_mutated_inputs_exit_cleanly(scenarios, tmp_path, monkeypatch):
             argv = [a.format(**paths) for a in command]
             code = _run(argv)
             assert code in (0, 2, 3, 4), f"{name} {role}: {change}: {argv[0]} exited {code}"
+            codes.append(code)
+    return codes
+
+
+def test_mutated_inputs_exit_cleanly(scenarios, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    _run_cases(scenarios, tmp_path, random.Random(SEED), MUTATIONS, _mutate)
+
+
+def test_changed_values_reach_inconsistencies(scenarios, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    codes = _run_cases(
+        scenarios, tmp_path, random.Random(VALUE_SEED), VALUE_CHANGES, _change_value
+    )
+    assert 3 in codes, f"exit codes {sorted(set(codes))}"

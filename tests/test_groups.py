@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
+from doublechar import groups
 from doublechar.errors import InputError
 from doublechar.groups import (
     ConjugacyData,
@@ -14,6 +15,7 @@ from doublechar.groups import (
     perm_mul,
     perm_order,
 )
+from doublechar.weights import WeightSystem
 
 S3 = [(1, 0, 2), (1, 2, 0)]
 S4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
@@ -168,6 +170,29 @@ def test_index_tables():
             1,
             2,
         )
+
+
+def test_inverses_are_computed_only_when_asked(monkeypatch):
+    # a cold S7 weight system inverts the generators, the class
+    # representatives and the class members its class matrices read, not
+    # all 5,040 elements; each inverse is stored both ways
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return perm_inv(a)
+
+    monkeypatch.setattr(groups, "perm_inv", counting)
+    group = FiniteGroup.from_generators(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
+    WeightSystem(group)
+    assert len(calls) == 224
+    inverses = [group.inverse_index(i) for i in range(group.order)]
+    assert all(
+        perm_mul(g, group.elements[j]) == group.identity for g, j in zip(group.elements, inverses)
+    )
+    done = len(calls)
+    assert [group.inverse_index(i) for i in range(group.order)] == inverses
+    assert len(calls) == done
 
 
 def test_content_key_ignores_generating_set():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from doublechar import groups, weights
 from doublechar.chartable import CharacterTable
 from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InconsistencyError, InputError
@@ -538,3 +539,65 @@ def test_fusion_rigidity(group):
             for c in weights:
                 acd = system.fusion(a, system.dual(c))
                 assert ab.get(c, 0) == acd.get(system.dual(b), 0)
+
+
+# ---- the row lookup and the cost of invertible products ----
+
+
+def _scan_lookup(system, i, row):
+    """The weights over class i whose centralizer character equals row,
+    by comparing with every row of the table through ==."""
+    return [Weight(i, j) for j, values in enumerate(system.tables[i].values) if list(values) == row]
+
+
+def _check_row_lookup(system):
+    # every row, its conjugate, and its product with each linear character
+    # of G restricted to the centralizer: the products have values of
+    # order e_G, above the exponent of most centralizer tables
+    g_table = system.tables[0]
+    linear = [row for row, degree in zip(g_table.values, g_table.degrees) if degree == 1]
+    for i, table in enumerate(system.tables):
+        reps = system._centralizer_reps(i)
+        restricted = [[chi[system.conj.class_of[h]] for h in reps] for chi in linear]
+        for values in table.values:
+            rows = [list(values), [v.conjugate() for v in values]]
+            rows += [[x * y for x, y in zip(chi, values)] for chi in restricted]
+            for row in rows:
+                found = _scan_lookup(system, i, row)
+                assert len(found) == 1
+                assert system._weight_with_row(i, row, "lookup") == found[0]
+
+
+def test_row_lookup_matches_a_scan_on_s4():
+    # S4's centralizers have exponents 2, 3 and 4 under the group's 12
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S4"]))
+    assert sorted({t.exponent for t in system.tables}) == [2, 3, 4, 12]
+    _check_row_lookup(system)
+
+
+@PROPERTY
+@given(small_groups())
+def test_row_lookup_matches_a_scan(group):
+    _check_row_lookup(WeightSystem(group))
+
+
+def test_cyclic_fusion_table_does_no_group_work_or_row_scan(monkeypatch):
+    # once the system is built, each invertible product reads table
+    # entries and probes one dict: no permutation product, no ==
+    calls = {"perm_mul": 0, "eq": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    system = cyclic_system(6)
+    for module in (groups, weights):
+        monkeypatch.setattr(module, "perm_mul", counted("perm_mul", perm_mul))
+    monkeypatch.setattr(Cyclotomic, "__eq__", counted("eq", Cyclotomic.__eq__))
+    ws = system.weights
+    products = [system.fusion(a, b) for k, a in enumerate(ws) for b in ws[k:]]
+    assert len(products) == 36 * 37 // 2
+    assert calls == {"perm_mul": 0, "eq": 0}
