@@ -2,7 +2,7 @@
 
 All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
-which the test suite relies on.  Loaders wrap every failure in
+which the test suite relies on.  Loaders and writers wrap every failure in
 InputError so the CLI can map them to its input-validation exit code.
 """
 
@@ -29,10 +29,12 @@ def write_json(path, obj):
 
 
 def write_text(path, text):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def load_json(path):
@@ -43,6 +45,12 @@ def load_json(path):
         raise InputError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read") from None
 
 
 def load_group_file(path, max_order=DEFAULT_MAX_ORDER):

@@ -85,8 +85,9 @@ def test_decompose_needs_matching_entries(taft3):
 
 
 @functools.lru_cache(maxsize=None)
-def _taft_table(n):
-    return build_profile_and_table(TaftParams(n))[1]
+def _taft(n):
+    """The taft n profile and simple table."""
+    return build_profile_and_table(TaftParams(n))
 
 
 @st.composite
@@ -94,7 +95,7 @@ def taft_simple_combinations(draw):
     """A taft n = 2..6 simple table and a random nonnegative Laurent
     combination of its simples."""
     n = draw(st.integers(2, 6))
-    table = _taft_table(n)
+    _, table = _taft(n)
     weights = table.weights()
     picked = draw(st.lists(st.sampled_from(weights), max_size=6, unique=True))
     coeff = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), min_size=1, max_size=3)
@@ -222,6 +223,31 @@ def test_ind_decomposition(taft3, taft3_report):
         for lam, c in out.items()
     )
     assert total == 9 == ind_char(profile, mu).dim(profile.system)
+
+
+def _any_simple_table(n, kind):
+    profile, table = _taft(n)
+    system = profile.system
+    if kind == "verma":
+        table = SimpleTable(system, profile.vermas)
+    elif kind == "simple":
+        table = SimpleTable(system, {w: GradedChar.of(w) for w in system.weights})
+    return profile, table
+
+
+@pytest.mark.parametrize("kind", ["taft", "verma", "simple"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ind_identity_holds_for_any_simple_table(n, kind):
+    # the expansion of Ind(mu) over projectives equals W(unit) M(mu) for
+    # every valid simple table, not only the true one: with L := M the
+    # decomposition matrix is the identity, and with every simple cut to
+    # its degree-0 weight it is the weight series of the Vermas
+    profile, table = _any_simple_table(n, kind)
+    report = bgg_matrices(profile, table)
+    if kind == "verma":
+        assert all(f == SIMPLE_PROJECTIVE for f in report.flags.values())
+    for mu in profile.system.weights:
+        ind_into_projectives(profile, table, mu, report=report)
 
 
 def test_tensor_of_projectives(taft3, taft3_report):

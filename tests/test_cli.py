@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from doublechar import WeightSystem, cli, nichols
+from doublechar import WeightSystem, bgg, cli, nichols
 from doublechar.cyclotomic import Cyclotomic
 from doublechar.errors import OracleError
 from doublechar.graded import GradedChar
@@ -185,22 +185,24 @@ def test_verify_taft_files(capsys, taft_files):
 def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     """The profile builds every weight's standard and costandard
     character once and reads both top-weight twists off them; the
-    duality identities, the report checks, the induced modules and the
-    reassembly only read them.  Each product with an invertible weight
-    is evaluated once, through the fusion cache: the taft 3 files fuse
-    24 distinct such pairs."""
-    calls = {"verma_char": 0, "coverma_char": 0, "_times_invertible": 0}
+    duality identities and the report checks only read them.  No induced
+    module is expanded: that line holds by construction.  Each product
+    with an invertible weight is evaluated once, through the fusion
+    cache: the taft 3 files fuse 24 distinct such pairs."""
+    calls = {"verma_char": 0, "coverma_char": 0, "ind_into_projectives": 0,
+             "_times_invertible": 0}
 
     def counted(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
     # replace each function in every doublechar namespace that holds it
-    for name in ("verma_char", "coverma_char"):
-        real = getattr(nichols, name)
+    for owner, name in ((nichols, "verma_char"), (nichols, "coverma_char"),
+                        (bgg, "ind_into_projectives")):
+        real = getattr(owner, name)
         wrapper = counted(name, real)
         for module in list(sys.modules.values()):
             if module.__name__.startswith("doublechar") and getattr(module, name, None) is real:
@@ -211,7 +213,8 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     assert code == 0
     assert out.count("ok:") == 6
     W = 9
-    assert calls == {"verma_char": W, "coverma_char": W, "_times_invertible": 24}
+    assert calls == {"verma_char": W, "coverma_char": W, "ind_into_projectives": 0,
+                     "_times_invertible": 24}
 
 
 def test_verify_ml_fixture(capsys):
@@ -308,6 +311,32 @@ def test_file_format_other_than_1_exits_2(capsys, tmp_path, taft_files, name):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"{path}: unsupported file format: 2" in err
+
+
+@pytest.mark.parametrize("name", ["group", "profile", "simples", "aliases"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deep_array"])
+def test_unreadable_input_exits_2(capsys, tmp_path, taft_files, kind, name):
+    path = tmp_path / f"{name}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe")
+    else:
+        path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "bgg", *_taft_args(taft_files), f"--{name}", path)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    path = blocker / "x.json"
+    code, _, err = run(capsys, "weights", "--group", DATA / "c3_group.json", "--out", path)
+    assert code == 2
+    assert err.startswith(f"input error: cannot write {path}: ")
+
 
 def test_span_failure_dumps_residual(capsys, tmp_path, taft_files):
     obj = json.loads((taft_files / "simples.json").read_text())
