@@ -1,9 +1,16 @@
 """Exact cyclotomic arithmetic.
 
 Values live in Q(zeta_e), stored as coefficient vectors in the power basis
-1, z, ..., z^(phi(e)-1) of Q[x]/(Phi_e(x)) with z = zeta_e.  Arithmetic
-between different orders embeds both operands into the lcm order, so
-equality is canonical.  Everything is exact; no floats.
+1, z, ..., z^(phi(e)-1) of Q[x]/(Phi_e(x)) with z = zeta_e.  Everything is
+exact.  Every stored coefficient is canonical: an int wherever its value is
+integral and a Fraction otherwise, never a float or a bool, so equal values
+of one order have equal coefficient tuples and print alike.
+
+Operands of one order meet on their coefficient tuples: +, - and == work
+entry by entry, and a product, or a `dot` whose operands share one order,
+is one convolution reduced mod Phi_e (`_convolve`).  A rational operand
+(order 1) scales the other one.  Operands of different orders are first
+embedded into the lcm order, so equality is canonical across orders too.
 
 One substitution kernel, `_substitute`, rewrites sum c_i z^i as
 sum c_i zeta_order^(i*step): with step = order/e it embeds into a larger
@@ -20,19 +27,40 @@ from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
+from .errors import is_int
+
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
 _order = attrgetter("order")
+_coeffs = attrgetter("coeffs")
 
 
-def _norm_num(x):
-    # collapse integral Fractions to plain ints; keeps hot loops on int ops
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
+def _exact(c):
+    """c in canonical form: an int, or a Fraction unless it is integral."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if is_int(c):
+        return int(c)
+    raise TypeError(f"cyclotomic coefficient {c!r} is not an int or a Fraction")
+
+
+def _canonical(coeffs):
+    """coeffs as a tuple of canonical coefficients; TypeError if inexact."""
+    coeffs = tuple(coeffs)
+    # an all-int vector, by far the common case, is checked in C
+    if {int}.issuperset(map(type, coeffs)):
+        return coeffs
+    return tuple(map(_exact, coeffs))
+
+
+def _is_scalar(x):
+    """True for an exact rational scalar: an int (not a bool) or a Fraction."""
+    return is_int(x) or isinstance(x, Fraction)
 
 
 def _poly_div_exact(num, den):
@@ -90,21 +118,36 @@ def _power_table(e):
     return tuple(rows)
 
 
-def _reduce(vec, e):
-    """Reduce an (ascending) coefficient vector mod Phi_e."""
+@lru_cache(maxsize=None)
+def _phi_terms(e):
+    """The nonzero (j, c_j) of Phi_e below its leading term."""
     phi = cyclotomic_polynomial(e)
-    d = len(phi) - 1
-    v = list(vec)
-    for i in range(len(v) - 1, d - 1, -1):
-        c = v[i]
+    return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _convolve(pairs, e):
+    """Sum of the products a * b over pairs of order-e coefficient vectors,
+    accumulated as one integer polynomial and reduced mod Phi_e once.
+
+    The reduction replaces each z^i with i >= phi(e), top down, by
+    -sum c_j z^(i - phi(e) + j), reading only the nonzero c_j."""
+    d = _degree(e)
+    conv = [0] * (2 * d - 1)
+    for xc, yc in pairs:
+        for i, a in enumerate(xc):
+            if a:
+                for j, b in enumerate(yc):
+                    if b:
+                        conv[i + j] += a * b
+    terms = _phi_terms(e)
+    for i in range(2 * d - 2, d - 1, -1):
+        c = conv[i]
         if c:
-            v[i] = 0
             base = i - d
-            for j in range(d):
-                v[base + j] -= c * phi[j]
-    v = v[:d]
-    v += [0] * (d - len(v))
-    return v
+            for j, p in terms:
+                conv[base + j] -= c * p
+    del conv[d:]
+    return conv
 
 
 def _substitute(coeffs, order, step):
@@ -126,8 +169,7 @@ class Cyclotomic:
 
     def __init__(self, order, coeffs):
         d = _degree(order)
-        # exact int check first: the ABC isinstance in _norm_num is slow
-        coeffs = tuple(c if type(c) is int else _norm_num(c) for c in coeffs)
+        coeffs = _canonical(coeffs)
         if len(coeffs) != d:
             raise ValueError(f"need {d} coefficients for order {order}, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
@@ -139,7 +181,7 @@ class Cyclotomic:
     @classmethod
     def from_rational(cls, x, order=1):
         c = [0] * _degree(order)
-        c[0] = _norm_num(Fraction(x)) if not isinstance(x, int) else x
+        c[0] = _exact(x)
         return cls(order, c)
 
     def embed(self, order):
@@ -148,19 +190,19 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError("embedding target must be a multiple of the order")
-        return Cyclotomic(order, _substitute(self.coeffs, order, order // self.order))
+        return _make(order, _substitute(self.coeffs, order, order // self.order))
 
     def galois(self, k):
         """The Galois automorphism zeta_e -> zeta_e^k; k must be prime to e."""
         e = self.order
         if gcd(k, e) != 1:
             raise ValueError(f"{k} is not prime to the order {e}")
-        return Cyclotomic(e, _substitute(self.coeffs, e, k))
+        return _make(e, _substitute(self.coeffs, e, k))
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Cyclotomic.from_rational(other, 1)
         return None
 
@@ -168,22 +210,30 @@ class Cyclotomic:
         L = _lcm(self.order, other.order)
         return self.embed(L), other.embed(L), L
 
+    def _scaled(self, c):
+        return _make(self.order, [x * c for x in self.coeffs])
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, L = self._aligned(other)
-        return Cyclotomic(L, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if other.order == self.order:
+            a, b, L = self, other, self.order
+        else:
+            a, b, L = self._aligned(other)
+        return _make(L, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-x for x in self.coeffs])
+        return _make(self.order, [-x for x in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.order == self.order:
+            return _make(self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -193,18 +243,24 @@ class Cyclotomic:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return dot((self,), (other,))
+        if isinstance(other, Cyclotomic):
+            e = self.order
+            if other.order == e:
+                return _make(e, _convolve(((self.coeffs, other.coeffs),), e))
+            if other.order == 1:
+                return self._scaled(other.coeffs[0])
+            if e == 1:
+                return other._scaled(self.coeffs[0])
+            return dot((self,), (other,))
+        if _is_scalar(other):
+            return self._scaled(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(1, 1) / other
-            return Cyclotomic(self.order, [c * q for c in self.coeffs])
+        if _is_scalar(other):
+            return self._scaled(Fraction(1, 1) / other)
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
@@ -255,6 +311,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.order == self.order:
+            return self.coeffs == other.coeffs
         a, b, _ = self._aligned(other)
         return a.coeffs == b.coeffs
 
@@ -283,6 +341,20 @@ class Cyclotomic:
         return out
 
 
+_new = object.__new__
+_set_order = Cyclotomic.order.__set__
+_set_coeffs = Cyclotomic.coeffs.__set__
+
+
+def _make(order, coeffs):
+    """The Cyclotomic of an arithmetic result: coeffs has the length phi(order),
+    so only the canonical form is checked."""
+    x = _new(Cyclotomic)
+    _set_order(x, order)
+    _set_coeffs(x, _canonical(coeffs))
+    return x
+
+
 def zeta(order, power=1):
     """The root of unity zeta_order^power, reduced mod Phi_order."""
     if order < 1:
@@ -293,24 +365,23 @@ def zeta(order, power=1):
 def dot(xs, ys):
     """Exact sum of x * y over two equally long sequences of Cyclotomic.
 
-    Every product is accumulated as an integer polynomial in the lcm of
-    the distinct operand orders and reduced mod Phi once at the end, so
-    no intermediate Cyclotomic is built; an operand already at that
-    order is read as it is."""
+    Every product is accumulated as one integer polynomial and reduced mod
+    Phi once at the end (`_convolve`), so no intermediate Cyclotomic is
+    built.  Operands of a single order are read as they are; otherwise
+    the order is the lcm of the distinct operand orders, and an operand
+    below it is embedded first."""
+    orders = set(map(_order, xs))
+    orders.update(map(_order, ys))
+    if len(orders) == 1:
+        (order,) = orders
+        return _make(order, _convolve(zip(map(_coeffs, xs), map(_coeffs, ys)), order))
     order = 1
-    for o in set(map(_order, xs)).union(map(_order, ys)):
+    for o in orders:
         order = _lcm(order, o)
-    d = _degree(order)
-    conv = [0] * (2 * d - 1)
-    for x, y in zip(xs, ys):
-        xc = x.coeffs if x.order == order else x.embed(order).coeffs
-        yc = y.coeffs if y.order == order else y.embed(order).coeffs
-        for i, a in enumerate(xc):
-            if a:
-                for j, b in enumerate(yc):
-                    if b:
-                        conv[i + j] += a * b
-    return Cyclotomic(order, _reduce(conv, order))
+    pairs = (
+        (x.embed(order).coeffs, y.embed(order).coeffs) for x, y in zip(xs, ys)
+    )
+    return _make(order, _convolve(pairs, order))
 
 
 CYC_ZERO = Cyclotomic(1, (0,))

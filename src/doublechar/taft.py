@@ -305,7 +305,8 @@ def _scale(m, c):
 
 def _mat_mul(a, b):
     """Product of two sparse matrices: each output entry is one dot()
-    over the inner indices where both factors have a stored entry."""
+    over the inner indices where both factors have a stored entry, or a
+    single product when there is one such index."""
     out = []
     for row in a:
         terms = {}
@@ -314,7 +315,12 @@ def _mat_mul(a, b):
                 xs, ys = terms.setdefault(j, ([], []))
                 xs.append(x)
                 ys.append(y)
-        out.append(_row((j, dot(xs, ys)) for j, (xs, ys) in terms.items()))
+        out.append(
+            _row(
+                (j, xs[0] * ys[0] if len(xs) == 1 else dot(xs, ys))
+                for j, (xs, ys) in terms.items()
+            )
+        )
     return out
 
 

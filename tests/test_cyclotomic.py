@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, cyclotomic_polynomial, dot, zeta
+from doublechar import cyclotomic
+from doublechar.cyclotomic import (
+    CYC_ZERO,
+    Cyclotomic,
+    _power_table,
+    cyclotomic_polynomial,
+    dot,
+    zeta,
+)
 
 
 def approx(x, power=1):
@@ -180,7 +188,9 @@ def test_conjugate_is_galois_minus_one(e, data):
 @given(data=st.data())
 def test_dot_is_the_sum_of_products_over_mixed_orders(e, data):
     # operands live at the divisors of e, so some share the lcm order
-    # and some are embedded first
+    # and some are embedded first; the reference x * y itself runs through
+    # the same-order kernel (or scales, or takes the lcm route), so the
+    # kernel's independent check is test_same_order_arithmetic_matches_a_reference
     divisors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
     n = data.draw(st.integers(0, 5))
     xs = [data.draw(divisors.flatmap(coeff_vectors)) for _ in range(n)]
@@ -195,3 +205,104 @@ def test_dot_is_the_sum_of_products_over_mixed_orders(e, data):
 def test_galois_needs_a_unit():
     with pytest.raises(ValueError):
         zeta(6).galois(2)
+
+
+def test_coefficients_must_be_exact():
+    # a float or a bool would be stored, printed and compared as it is
+    for build in (
+        lambda: Cyclotomic(3, [1.5, 0]),
+        lambda: Cyclotomic.from_rational(0.1),
+        lambda: Cyclotomic.from_rational(True),
+        lambda: zeta(4) + True,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Cyclotomic(3, [Fraction(4, 2), Fraction(1, 2)]).coeffs == (2, Fraction(1, 2))
+    assert type(Cyclotomic.from_rational(Fraction(3, 1), 4).coeffs[0]) is int
+
+
+def exact_vectors(e):
+    """Cyclotomics of order e: int coefficients, up to three of them set
+    to Fractions (an integral one is stored as an int)."""
+    d = len(cyclotomic_polynomial(e)) - 1
+    fractions = st.tuples(
+        st.integers(0, d - 1),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)),
+    )
+
+    def build(ints, fracs):
+        for i, q in fracs:
+            ints[i] = q
+        return Cyclotomic(e, ints)
+
+    return st.builds(
+        build,
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+        st.lists(fractions, max_size=3),
+    )
+
+
+def reference_dot(pairs, e):
+    """sum a_i b_j * zeta_e^(i + j) over pairs (x, y), read off the table
+    of reduced powers; an order-1 operand is the rational at index 0."""
+    table = _power_table(e)
+    rows = [[(k, r) for k, r in enumerate(row) if r] for row in table]
+    acc = [0] * len(table[0])
+    for x, y in pairs:
+        for i, a in enumerate(x.coeffs):
+            for j, b in enumerate(y.coeffs):
+                ab = a * b
+                if ab:
+                    for k, r in rows[(i + j) % e]:
+                        acc[k] += ab * r
+    return tuple(acc)
+
+
+def assert_result(got, order, coeffs):
+    assert got.order == order
+    assert got.coeffs == tuple(coeffs)
+    for c in got.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@pytest.mark.parametrize("e", ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_same_order_arithmetic_matches_a_reference(e, data):
+    vectors = exact_vectors(e)
+    x = data.draw(vectors)
+    y = data.draw(st.one_of(vectors, st.just(x)))
+    assert_result(x * y, e, reference_dot([(x, y)], e))
+    assert_result(x + y, e, (a + b for a, b in zip(x.coeffs, y.coeffs)))
+    assert_result(x - y, e, (a - b for a, b in zip(x.coeffs, y.coeffs)))
+    assert_result(-x, e, (-a for a in x.coeffs))
+    assert (x == y) is all(a == b for a, b in zip(x.coeffs, y.coeffs))
+    assert x == Cyclotomic(e, [Fraction(c) for c in x.coeffs])
+    # an order-1 operand scales the other from either side
+    r = data.draw(exact_vectors(1))
+    for got in (x * r, r * x):
+        assert_result(got, e, reference_dot([(x, r)], e))
+    # dot of operands of a single order
+    n = data.draw(st.integers(1, 3))
+    xs = [data.draw(vectors) for _ in range(n)]
+    ys = [data.draw(vectors) for _ in range(n)]
+    assert_result(dot(xs, ys), e, reference_dot(zip(xs, ys), e))
+
+
+def test_one_order_arithmetic_takes_no_lcm_route(monkeypatch):
+    calls = {"lcm": 0, "embed": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    x, y = zeta(12) + 2, zeta(12, 5) - zeta(12, 2)
+    monkeypatch.setattr(cyclotomic, "_lcm", counted("lcm", cyclotomic._lcm))
+    monkeypatch.setattr(Cyclotomic, "embed", counted("embed", Cyclotomic.embed))
+    assert x * y == dot([x, y, x], [y, y, x]) - y * y - x * x
+    assert calls == {"lcm": 0, "embed": 0}
+    assert x * zeta(4) == dot([x], [zeta(4)])
+    assert calls["lcm"] > 0

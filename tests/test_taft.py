@@ -1,6 +1,6 @@
 import pytest
 
-from doublechar import taft
+from doublechar import cyclotomic, taft
 from doublechar.cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InputError, OracleError
 from doublechar.graded import KElement
@@ -285,3 +285,23 @@ def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
         "Verma of (0,0): supports of the kernel of E = [0], [head length] fails: "
         "[[0], [1], [2]] against [[0], [1]]"
     )
+
+
+def test_taft_arithmetic_stays_at_one_order(monkeypatch):
+    # every product of the profile and table build, and of the matrix
+    # oracle, has operands of one order or a rational one; the lcm route
+    # is left to sums with a rational (the [k]_q chain starts at CYC_ZERO)
+    params = TaftParams(12)
+    calls = []
+    lcm = cyclotomic._lcm
+
+    def counted(a, b):
+        calls.append((a, b))
+        return lcm(a, b)
+
+    monkeypatch.setattr(cyclotomic, "_lcm", counted)
+    build_profile_and_table(params)
+    assert len(calls) == 0  # 19,944 when every product took the lcm route
+    for r, s in params.all_rs():
+        VermaMatrices(params, r, s)
+    assert calls == [(1, 12)] * 144  # 45,888 when every product took the lcm route
