@@ -127,13 +127,6 @@ class FiniteGroup:
     def mul_index(self, i, j):
         return self.index[perm_mul(self.elements[i], self.elements[j])]
 
-    def is_abelian(self):
-        for a in self.generators:
-            for b in self.generators:
-                if perm_mul(a, b) != perm_mul(b, a):
-                    return False
-        return True
-
     def content_key(self):
         """Canonical string identifying the group by its full element list,
         so different generating sets of the same closure share cache entries."""

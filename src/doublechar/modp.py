@@ -52,10 +52,6 @@ def nullspace(rows, p):
     return basis
 
 
-def mat_vec(rows, v, p):
-    return [sum(x * y for x, y in zip(row, v)) % p for row in rows]
-
-
 def charpoly(mat, p):
     """Characteristic polynomial of a square matrix, ascending coeffs, monic."""
     n = len(mat)

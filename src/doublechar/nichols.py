@@ -5,13 +5,17 @@ whose components are weights of the double: component j sits in degree
 -j when inducing from below (standard modules) and degree +j through
 its dual when inducing from above (costandard modules).  The top
 component must be one-dimensional; its weight lambda_v and that
-weight's dual lambda_ov drive all the twisting in the duality
-identities.  A validated profile carries, built once for every weight
-lam, the standard character ch M(lam), the costandard character
-ch W(lam) and both twists lambda_v (x) lam and lambda_ov (x) lam, read
-off the bottom layer of ch M(lam) and the top layer of ch W(lam).  A
-simple table holds one character L(lam), the head of M(lam), for every
-weight lam.
+weight's dual lambda_ov drive all the twisting.  The algebra's
+one-dimensional top degree pairs degree j with degree n_top - j, so a
+profile must be self-dual: dual(comp_j) = comp_(n_top-j) (x) lambda_ov
+for every j.  Then ch W(lam) = t^n_top ch M(lambda_ov (x) lam), the
+costandard characters are shifted standard ones, and the duality
+identities of `verify_duality_identities` hold at every weight.  A
+validated profile carries, built once for every weight lam, the
+standard character ch M(lam), the costandard character ch W(lam) and
+both twists lambda_v (x) lam, read off the bottom layer of ch M(lam),
+and lambda_ov (x) lam, its inverse.  A simple table holds one character
+L(lam), the head of M(lam), for every weight lam.
 
 Profiles and simple tables are input data, complete and validated once
 built here, so the reciprocity engine only computes; nothing in this
@@ -68,28 +72,36 @@ class NicholsProfile:
                 "profile invariant 'one-dimensional-top' violated: "
                 "the top weight must be one-dimensional"
             )
+        lam_ov = system.dual(lam_v)
+        duals = tuple(k.dual(system) for k in components)
+        # j = 0 says lambda_v (x) lambda_ov is the unit
+        for j, dual in enumerate(duals):
+            mirror = components[n_top - j].mul(KElement.of(lam_ov), system)
+            if dual != mirror:
+                raise InconsistencyError(
+                    "profile invariant 'self-dual' violated: the dual of "
+                    f"component {j} is {dual!r}, but component {n_top - j} "
+                    f"times {lam_ov} is {mirror!r}"
+                )
         put = functools.partial(object.__setattr__, self)
         put("system", system)
         put("components", tuple(components))
-        put("dual_components", tuple(k.dual(system) for k in components))
+        put("dual_components", duals)
         put("n_top", n_top)
         put("lambda_v", lam_v)
-        put("lambda_ov", system.dual(lam_v))
+        put("lambda_ov", lam_ov)
         put("dim_b", sum(k.dim(system) for k in components))
         weights = system.weights
         vermas = {lam: verma_char(self, lam) for lam in weights}
-        covermas = {lam: coverma_char(self, lam) for lam in weights}
-        put("vermas", vermas)
-        put("covermas", covermas)
         # the bottom layer of M(lam) is the single weight lambda_v (x) lam,
-        # and the top layer of W(lam) the single weight lambda_ov (x) lam
-        put("twist_v", {lam: next(iter(vermas[lam].layer(-n_top).terms)) for lam in weights})
-        put("twist_ov", {lam: next(iter(covermas[lam].layer(n_top).terms)) for lam in weights})
-        if self.twist_ov[lam_v] != system.unit:
-            raise InconsistencyError(
-                "profile invariant 'invertible-top' violated: "
-                "the top weight times its dual is not the unit"
-            )
+        # whose inverse map is lambda_ov (x) - because j = 0 held above, and
+        # self-duality makes W(lam) = t^n_top M(lambda_ov (x) lam)
+        twist_v = {lam: next(iter(vermas[lam].layer(-n_top).terms)) for lam in weights}
+        twist_ov = {b: lam for lam, b in twist_v.items()}
+        put("vermas", vermas)
+        put("covermas", {lam: vermas[twist_ov[lam]].shift(n_top) for lam in weights})
+        put("twist_v", twist_v)
+        put("twist_ov", twist_ov)
 
     def __setattr__(self, *a):
         raise AttributeError("NicholsProfile is immutable")

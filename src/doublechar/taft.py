@@ -28,7 +28,7 @@ the table values, never through index arithmetic.
 
 from __future__ import annotations
 
-from .cyclotomic import CYC_ONE, CYC_ZERO, dot, zeta
+from .cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, dot, zeta
 from .errors import InputError, OracleError
 from .graded import GradedChar, KElement
 from .groups import FiniteGroup
@@ -50,8 +50,9 @@ class TaftParams:
         powers = [zeta(n, 0)]
         for _ in range(1, n):
             powers.append(powers[-1] * q)
-        ones = [k for k in range(1, n) if powers[k] == CYC_ONE]
-        if powers[-1] * q != CYC_ONE or ones:
+        # powers[0] is 1 at order n, so no comparison leaves that order
+        ones = [k for k in range(1, n) if powers[k] == powers[0]]
+        if powers[-1] * q != powers[0] or ones:
             raise OracleError(
                 f"chosen root of unity q = {q} is not primitive of order {n}: "
                 f"q^{n} = {powers[-1] * q}, expected 1; q^k = 1 for k in {ones}, expected none"
@@ -126,7 +127,7 @@ def lowering_coeffs(params, r, s):
     built one term at a time from the table of powers of q."""
     n, powers = params.n, params.powers
     out = []
-    q_int = CYC_ZERO
+    q_int = Cyclotomic.from_rational(0, n)
     for k in range(1, n):
         q_int = q_int + powers[k - 1]
         out.append(q_int * (powers[0] - powers[(r + s + k - 1) % n]))

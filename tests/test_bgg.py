@@ -30,6 +30,7 @@ from doublechar.nichols import (
 from doublechar.taft import TaftParams, build_profile_and_table
 from doublechar.weights import WeightSystem
 from doublechar.groups import FiniteGroup
+from doublechar.jsonio import load_group_file
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -154,9 +155,37 @@ def test_simple_reassembly(taft3, taft3_report):
         assert total == verma_char(profile, lam)
 
 
-def test_projective_chars_have_verma_and_coverma_filtrations(taft3, taft3_report):
-    params, profile, table = taft3
-    r = taft3_report
+# self-dual profiles over S3, read with the cut table L(lam) = lam: FK3's
+# Hilbert series 1, 3, 4, 3, 1, and two of top degree 2 over the sign
+S3_PROFILES = {
+    "fk3": [["g0r0"], ["g1r1"], ["g2r1", "g2r2"], ["g1r1"], ["g0r0"]],
+    "sign-g0r2": [["g0r0"], ["g0r2"], ["g0r1"]],
+    "sign-g1": [["g0r0"], ["g1r0", "g1r1"], ["g0r1"]],
+}
+REPORT_CASES = [f"taft{n}" for n in range(2, 9)] + [f"s3-{k}" for k in S3_PROFILES]
+
+
+@functools.lru_cache(maxsize=None)
+def _report_case(case):
+    """Profile, simple table and report of a taft n profile with its own
+    table, or of a self-dual S3 profile with the cut table."""
+    if case.startswith("taft"):
+        profile, table = _taft(int(case[4:]))
+    else:
+        system = WeightSystem(load_group_file(DATA / "s3_group.json"))
+        profile = NicholsProfile(system, [
+            KElement({system.by_label[w]: 1 for w in comp})
+            for comp in S3_PROFILES[case[3:]]
+        ])
+        table = SimpleTable(system, {w: GradedChar.of(w) for w in system.weights})
+    return profile, table, bgg_matrices(profile, table)
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_projective_chars_have_verma_and_coverma_filtrations(case):
+    # the report's costandard matrix against W(lam) built from the dual
+    # components (coverma_char), not from the profile's shifted Vermas
+    profile, table, r = _report_case(case)
     for mu in r.weights:
         via_verma = GradedChar.zero()
         for lam, c in r.projective_verma[mu].items():
@@ -196,12 +225,15 @@ def test_cartan_rule_matches_decomposed_projectives(n):
         )
 
 
-def test_maximal_shift_summand(taft3, taft3_report):
-    params, profile, table = taft3
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_maximal_shift_summand(case):
+    # the projective of mu has its largest Verma shift level + n_top at
+    # the single Verma of lambda_ov (x) bottom, read through the fusion
+    profile, table, report = _report_case(case)
     system = profile.system
     for mu in system.weights:
         bottom, level = table.lowest[mu]
-        row = taft3_report.projective_verma[mu]
+        row = report.projective_verma[mu]
         top_shift = max(c.max_degree() for c in row.values())
         assert top_shift == level + profile.n_top
         tops = [

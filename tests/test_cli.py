@@ -183,12 +183,13 @@ def test_verify_taft_files(capsys, taft_files):
 
 
 def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
-    """The profile builds every weight's standard and costandard
-    character once and reads both top-weight twists off them; the
-    duality identities and the report checks only read them.  No induced
-    module is expanded: that line holds by construction.  Each product
-    with an invertible weight is evaluated once, through the fusion
-    cache: the taft 3 files fuse 24 distinct such pairs."""
+    """The profile builds every weight's standard character once and
+    reads the costandard one off it, shifted: no costandard character is
+    built from the dual components, and no duality identity or report
+    law is re-checked.  No induced module is expanded: that line holds by
+    construction.  Each product with an invertible weight is evaluated
+    once, through the fusion cache: the taft 3 files fuse 24 distinct
+    such pairs."""
     calls = {"verma_char": 0, "coverma_char": 0, "ind_into_projectives": 0,
              "_times_invertible": 0}
 
@@ -213,7 +214,7 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     assert code == 0
     assert out.count("ok:") == 6
     W = 9
-    assert calls == {"verma_char": W, "coverma_char": W, "ind_into_projectives": 0,
+    assert calls == {"verma_char": W, "coverma_char": 0, "ind_into_projectives": 0,
                      "_times_invertible": 24}
 
 
@@ -439,16 +440,10 @@ def _taft_args(taft_files):
     ]
 
 
-# The engine's own report checks.  No shipped or generated file reaches the
-# last three: they follow from the invariants of a profile built through its
-# constructor and of a fusion that is commutative and dimension-preserving,
-# so those tests corrupt the fusion or the profile's characters.  The report
-# the engine returns is never changed.
-
-
 def test_bgg_filtration_mismatch_names_both_characters(capsys, tmp_path, taft_files):
-    # component 2 of the taft 3 profile repeated from component 1, and every
-    # simple reduced to its own weight, so that each Verma decomposes
+    # component 2 of the taft 3 profile repeated from component 1: its
+    # standard and costandard filtrations would carry different characters,
+    # and the profile is refused when it loads, before any report is built
     def square(obj):
         obj["components"][2]["weights"] = [{"w": "g1r1", "m": 1}]
 
@@ -463,13 +458,35 @@ def test_bgg_filtration_mismatch_names_both_characters(capsys, tmp_path, taft_fi
     )
     assert code == 3 and out == ""
     assert err == (
-        "inconsistency: standard and costandard filtrations of the projective of g0r0 "
-        "carry different characters: "
-        "standard (g1r1)*t^-2 + (g0r0 + g1r1)*t^-1 + (3*g0r0) + (g0r0 + g2r2)*t "
-        "+ (g2r2)*t^2, "
-        "costandard (g1r1)*t^-2 + (2*g0r0)*t^-1 + (2*g0r0 + g2r2) + (2*g2r2)*t "
-        "+ (g2r2)*t^2\n"
+        "inconsistency: profile invariant 'self-dual' violated: the dual of component 1 "
+        "is g2r2, but component 1 times g2r2 is g0r0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command", [["bgg"], ["ind", "g0r0"], ["tensor", "g0r0", "g1r1"], ["verify"]]
+)
+def test_non_self_dual_profile_exits_3_at_load(capsys, tmp_path, command, taft_files):
+    # component 1 of the taft 3 profile set to the unit: every command that
+    # reads the profile refuses it before printing anything
+    def unit_first(obj):
+        obj["components"][1]["weights"] = [{"w": "g0r0", "m": 1}]
+
+    profile = _write_mutated(taft_files / "profile.json", tmp_path / "profile.json", unit_first)
+    code, out, err = run(capsys, command[0], *_taft_args(taft_files), "--profile", profile,
+                         *command[1:])
+    assert code == 3 and out == ""
+    assert err == (
+        "inconsistency: profile invariant 'self-dual' violated: the dual of component 1 "
+        "is g0r0, but component 1 times g1r1 is g1r1\n"
+    )
+
+
+# The engine's own report checks.  No shipped or generated file reaches
+# them: they follow from the invariants of a profile built through its
+# constructor and of a fusion that is commutative and dimension-preserving,
+# so these tests corrupt the fusion or the profile's characters.  The
+# report the engine returns is never changed.
 
 
 def _corrupt_fusion(monkeypatch, corrupt):
@@ -481,23 +498,6 @@ def _corrupt_fusion(monkeypatch, corrupt):
         return corrupt(lam.label, mu.label, real(self, lam, mu), self.by_label)
 
     monkeypatch.setattr(WeightSystem, "fusion", fusion)
-
-
-def test_bgg_maximal_shift_failure_names_both_sides(capsys, monkeypatch, taft_files):
-    # a fusion that is not commutative: g2r2 (x) g1r1 = g1r2, but
-    # g1r1 (x) g2r2 = g0r0.  The top weight of the profile is g2r2, so the
-    # standard character of g1r1 ends in g1r2, not in g0r0, and the projective
-    # of g0r0 loses the Verma of g1r1 at t^2 that the lowest-weight law wants
-    def corrupt(lam, mu, result, by_label):
-        return {by_label["g1r2"]: 1} if (lam, mu) == ("g2r2", "g1r1") else result
-
-    _corrupt_fusion(monkeypatch, corrupt)
-    code, out, err = run(capsys, "bgg", *_taft_args(taft_files))
-    assert code == 3 and out == ""
-    assert err == (
-        "inconsistency: maximal Verma shift of the projective of g0r0 is g0r0 at t^0, "
-        "expected g1r1 at t^2\n"
-    )
 
 
 def test_ind_character_mismatch_exits_3(capsys, monkeypatch, taft_files):

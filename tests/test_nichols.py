@@ -1,7 +1,14 @@
+import functools
+import pathlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublechar.errors import InconsistencyError, InputError
-from doublechar.graded import GradedChar, KElement
+from doublechar.graded import GradedChar, KElement, gc_dual
+from doublechar.groups import FiniteGroup
+from doublechar.jsonio import load_group_file
 from doublechar.nichols import (
     NicholsProfile,
     SimpleTable,
@@ -11,6 +18,9 @@ from doublechar.nichols import (
     verma_char,
 )
 from doublechar.taft import TaftParams, build_profile_and_table
+from doublechar.weights import WeightSystem
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def unit_k(system):
@@ -33,6 +43,12 @@ def test_profile_validation_messages(c3_system, s3_system):
     with pytest.raises(InputError, match="one-dimensional-top"):
         big = s3_system.by_label["g0r2"]
         NicholsProfile(s3_system, [unit_k(s3_system), KElement.of(big)])
+    with pytest.raises(
+        InconsistencyError,
+        match=r"'self-dual' violated: the dual of component 1 is g0r0, "
+        r"but component 1 times g2r2 is g2r2$",
+    ):
+        NicholsProfile(c3_system, [unit, unit, KElement.of(c3_system.by_label["g1r1"])])
 
 
 def test_taft_profile_attributes(taft3):
@@ -107,6 +123,84 @@ def test_duality_identities(n):
             "ungraded_verma_dual",
         }
         assert all(flags.values()), (lam, flags)
+
+
+@functools.lru_cache(maxsize=None)
+def _system(name):
+    if name == "S3":
+        return WeightSystem(load_group_file(DATA / "s3_group.json"))
+    n = int(name[1:])
+    return WeightSystem(FiniteGroup.from_generators(n, [tuple((i + 1) % n for i in range(n))]))
+
+
+@st.composite
+def component_lists(draw):
+    """A system and a profile's component list over it: the unit, middle
+    components of one to three weights, and a one-dimensional top weight.
+    In about half the lists component n_top - j is mirrored from
+    component j, dual(comp_j) (x) top, for j below n_top / 2, and then a
+    middle component, if any, is either random or made symmetric."""
+    system = _system(draw(st.sampled_from(["C3", "C4", "C6", "S3"])))
+    weights = system.weights
+    one_dim = [w for w in weights if system.dim(w) == 1]
+    n_top = draw(st.integers(1, 5))
+    top = draw(st.sampled_from(one_dim))
+    middle = st.dictionaries(st.sampled_from(weights), st.integers(1, 2), min_size=1, max_size=3)
+    comps = [KElement.of(system.unit)]
+    comps += [KElement(draw(middle)) for _ in range(1, n_top)]
+    comps.append(KElement.of(top))
+    if draw(st.booleans()):
+        v = KElement.of(top)
+        for j in range(1, (n_top + 1) // 2):
+            comps[n_top - j] = comps[j].dual(system).mul(v, system)
+        if n_top % 2 == 0 and draw(st.booleans()):
+            x = comps[n_top // 2]
+            comps[n_top // 2] = x + x.dual(system).mul(v, system)
+    return system, comps
+
+
+def _identities_hold(system, comps):
+    """The four identities of verify_duality_identities at every weight,
+    computed from the definitions of the standard and costandard
+    characters, without a profile."""
+    n = len(comps) - 1
+    (top,) = comps[n].terms
+
+    def verma(lam):
+        return GradedChar({-j: c.mul(KElement.of(lam), system) for j, c in enumerate(comps)})
+
+    def coverma(lam):
+        return GradedChar(
+            {j: c.dual(system).mul(KElement.of(lam), system) for j, c in enumerate(comps)}
+        )
+
+    for lam in system.weights:
+        (twisted,) = system.fusion(top, lam)
+        e1 = gc_dual(coverma(twisted), system).shift(n)
+        e2 = coverma(system.dual(lam))
+        e3 = gc_dual(verma(lam), system)
+        e4 = verma(system.dual(twisted)).shift(n)
+        if not (e1 == e2 == e3 == e4 and e3.eval_one() == e4.eval_one()):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(component_lists())
+def test_self_dual_invariant_matches_duality_identities(case):
+    # the constructor's one 'self-dual' check accepts a component list
+    # exactly when the four duality identities hold at every weight, and
+    # then its shifted standard characters are the costandard ones
+    system, comps = case
+    try:
+        profile = NicholsProfile(system, comps)
+    except InconsistencyError as exc:
+        assert "'self-dual'" in str(exc)
+        assert not _identities_hold(system, comps)
+        return
+    assert _identities_hold(system, comps)
+    for lam in system.weights:
+        assert profile.covermas[lam] == coverma_char(profile, lam)
 
 
 def test_profile_json_round_trip(taft3):

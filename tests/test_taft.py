@@ -288,10 +288,9 @@ def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
 
 
 def test_taft_arithmetic_stays_at_one_order(monkeypatch):
-    # every product of the profile and table build, and of the matrix
-    # oracle, has operands of one order or a rational one; the lcm route
-    # is left to sums with a rational (the [k]_q chain starts at CYC_ZERO)
-    params = TaftParams(12)
+    # every sum, product and comparison of the parameters, the profile and
+    # table build and the matrix oracle has operands of one order or a
+    # rational one, so none takes the lcm route
     calls = []
     lcm = cyclotomic._lcm
 
@@ -300,8 +299,11 @@ def test_taft_arithmetic_stays_at_one_order(monkeypatch):
         return lcm(a, b)
 
     monkeypatch.setattr(cyclotomic, "_lcm", counted)
+    params = TaftParams(12)
+    assert calls == []  # 12 when the powers were compared with CYC_ONE
     build_profile_and_table(params)
-    assert len(calls) == 0  # 19,944 when every product took the lcm route
+    assert calls == []  # 19,944 when every product took the lcm route
     for r, s in params.all_rs():
         VermaMatrices(params, r, s)
-    assert calls == [(1, 12)] * 144  # 45,888 when every product took the lcm route
+    assert calls == []  # 45,888 when every product took the lcm route, and
+    # 144 when the [k]_q chain started at CYC_ZERO
