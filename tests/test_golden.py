@@ -5,7 +5,11 @@ compared with `tests/golden/digests.json`.  The digests were recorded
 before the fusion layer was rewritten, so any refactor that changes a
 byte of a report, a census or a decomposition fails here.  The
 `taft 8..12` digests were added later, recorded before the same-order
-Cyclotomic route, whose kernel does most work at those orders.
+Cyclotomic route, whose kernel does most work at those orders.  The S4
+digests were added before every weight system moved its values to one
+field Q(zeta_(e_G)): S4's centralizer exponents 2, 3 and 4 under e_G = 12
+are the mixed orders that change removed, where S3 and C3 only reach
+orders 2 and 3 under 6.
 
 To record the digests again (only when an output change is intended):
 
@@ -29,10 +33,13 @@ DIGESTS = HERE / "golden" / "digests.json"
 
 S3 = str(DATA / "s3_group.json")
 C3 = str(DATA / "c3_group.json")
+S4 = str(DATA / "s4_group.json")
 FK3_ML = str(DATA / "fk3_ml.json")
 FK3_ALIASES = str(DATA / "fk3_aliases.json")
 S3_LABELS = ["g0r0", "g0r1", "g0r2", "g1r0", "g1r1", "g2r0", "g2r1", "g2r2"]
 C3_LABELS = [f"g{i}r{j}" for i in range(3) for j in range(3)]
+# S4 weights: the centralizer tables of classes 0..4 have 5, 4, 3, 5, 4 rows
+S4_LABELS = [f"g{i}r{j}" for i, rows in enumerate((5, 4, 3, 5, 4)) for j in range(rows)]
 
 
 def _stdout(argv):
@@ -56,7 +63,12 @@ def outputs(tmp):
 
     out["weights.s3.stdout"] = _stdout(["weights", "--group", S3, "--aliases", FK3_ALIASES])
     out["weights.c3.stdout"] = _stdout(["weights", "--group", C3])
-    for group, labels, name in ((S3, S3_LABELS, "s3"), (C3, C3_LABELS, "c3")):
+    out["weights.s4.stdout"] = _stdout(["weights", "--group", S4])
+    for group, labels, name in (
+        (S3, S3_LABELS, "s3"),
+        (C3, C3_LABELS, "c3"),
+        (S4, S4_LABELS, "s4"),
+    ):
         lines = b"".join(
             _stdout(["fusion", "--group", group, a, b])
             for a, b in itertools.combinations_with_replacement(labels, 2)
