@@ -56,8 +56,7 @@ class CharacterTable:
     """Irreducible complex characters of a finite group, exact values.
 
     values[i][j] is the value of the i-th character on the j-th
-    conjugacy class, as a Cyclotomic of order dividing the group
-    exponent.  Characters are sorted by (degree, canonical value
+    conjugacy class, as a Cyclotomic of order `exponent`, the group's.  Characters are sorted by (degree, canonical value
     order); row 0 is the trivial character.
     """
 
@@ -77,7 +76,7 @@ class CharacterTable:
     @classmethod
     def compute(cls, group):
         e = group.exponent()
-        rows = _sorted_rows(_dixon(group, e), e)
+        rows = sorted(_dixon(group, e), key=_row_key)
         table = cls(
             group,
             e,
@@ -123,10 +122,7 @@ class CharacterTable:
             "format": _FORMAT,
             "group": self.group.to_json(),
             "exponent": self.exponent,
-            "values": [
-                [list(v.embed(self.exponent).coeffs) for v in row]
-                for row in self.values
-            ],
+            "values": [[list(v.coeffs) for v in row] for row in self.values],
         }
 
     @classmethod
@@ -155,7 +151,7 @@ class CharacterTable:
         values = tuple(tuple(Cyclotomic(e, coeffs) for coeffs in row) for row in rows)
         # orthogonality cannot see a permutation of the rows, which would
         # silently relabel every weight built on this table
-        keys = [_row_key(row, e) for row in values]
+        keys = [_row_key(row) for row in values]
         if keys != sorted(keys):
             raise InconsistencyError("character table rows are not in canonical order")
         degrees = tuple(int(row[0].to_rational()) for row in values)
@@ -348,12 +344,8 @@ def _sqrt_small(a, p):
     raise InconsistencyError("degree square has no usable square root")
 
 
-def _row_key(row, e):
+def _row_key(row):
     """Ascending degree, then descending value coordinates."""
     deg = row[0].to_rational()
-    coords = tuple(tuple(-c for c in v.embed(e).coeffs) for v in row)
+    coords = tuple(tuple(-c for c in v.coeffs) for v in row)
     return (deg, coords)
-
-
-def _sorted_rows(rows, e):
-    return sorted(rows, key=lambda row: _row_key(row, e))

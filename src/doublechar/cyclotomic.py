@@ -6,11 +6,11 @@ exact.  Every stored coefficient is canonical: an int wherever its value is
 integral and a Fraction otherwise, never a float or a bool, so equal values
 of one order have equal coefficient tuples and print alike.
 
-Operands of one order meet on their coefficient tuples: +, - and == work
-entry by entry, and a product, or a `dot` whose operands share one order,
-is one convolution reduced mod Phi_e (`_convolve`).  A rational operand
-(order 1) scales the other one.  Operands of different orders are first
-embedded into the lcm order, so equality is canonical across orders too.
+The operands of +, -, ==, * and `dot` share one order e and meet on their
+coefficient tuples: entry by entry, or as one convolution reduced mod Phi_e
+(`_convolve`).  A rational operand (an int, a Fraction or an order-1
+Cyclotomic) joins any order, its vector (c,) being a prefix of an order-e
+vector; any other pair of orders raises ValueError.
 
 One substitution kernel, `_substitute`, rewrites sum c_i z^i as
 sum c_i zeta_order^(i*step): with step = order/e it embeds into a larger
@@ -24,15 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 from operator import attrgetter
 
 from .errors import is_int
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
 
 _order = attrgetter("order")
 _coeffs = attrgetter("coeffs")
@@ -206,10 +202,6 @@ class Cyclotomic:
             return Cyclotomic.from_rational(other, 1)
         return None
 
-    def _aligned(self, other):
-        L = _lcm(self.order, other.order)
-        return self.embed(L), other.embed(L), L
-
     def _scaled(self, c):
         return _make(self.order, [x * c for x in self.coeffs])
 
@@ -217,11 +209,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.order == self.order:
-            a, b, L = self, other, self.order
-        else:
-            a, b, L = self._aligned(other)
-        return _make(L, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return _make(_joint_order(self, other), [x + y for x, y in pairs])
 
     __radd__ = __add__
 
@@ -232,9 +221,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.order == self.order:
-            return _make(self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
-        return self + (-other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return _make(_joint_order(self, other), [x - y for x, y in pairs])
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -251,7 +239,7 @@ class Cyclotomic:
                 return self._scaled(other.coeffs[0])
             if e == 1:
                 return other._scaled(self.coeffs[0])
-            return dot((self,), (other,))
+            raise _order_error(e, other.order)
         if _is_scalar(other):
             return self._scaled(other)
         return NotImplemented
@@ -313,8 +301,8 @@ class Cyclotomic:
             return NotImplemented
         if other.order == self.order:
             return self.coeffs == other.coeffs
-        a, b, _ = self._aligned(other)
-        return a.coeffs == b.coeffs
+        _joint_order(self, other)  # raises unless one of them is rational
+        return all(x == y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     __hash__ = None
 
@@ -346,6 +334,19 @@ _set_order = Cyclotomic.order.__set__
 _set_coeffs = Cyclotomic.coeffs.__set__
 
 
+def _order_error(a, b):
+    return ValueError(f"Cyclotomic operands of orders {a} and {b}: neither is rational")
+
+
+def _joint_order(x, y):
+    """The shared order of x and y, or the other's where one is rational."""
+    if x.order == y.order or y.order == 1:
+        return x.order
+    if x.order == 1:
+        return y.order
+    raise _order_error(x.order, y.order)
+
+
 def _make(order, coeffs):
     """The Cyclotomic of an arithmetic result: coeffs has the length phi(order),
     so only the canonical form is checked."""
@@ -367,21 +368,15 @@ def dot(xs, ys):
 
     Every product is accumulated as one integer polynomial and reduced mod
     Phi once at the end (`_convolve`), so no intermediate Cyclotomic is
-    built.  Operands of a single order are read as they are; otherwise
-    the order is the lcm of the distinct operand orders, and an operand
-    below it is embedded first."""
+    built.  The operands share one order, apart from rational ones (order
+    1); an empty sum is the rational zero."""
     orders = set(map(_order, xs))
     orders.update(map(_order, ys))
-    if len(orders) == 1:
-        (order,) = orders
-        return _make(order, _convolve(zip(map(_coeffs, xs), map(_coeffs, ys)), order))
-    order = 1
-    for o in orders:
-        order = _lcm(order, o)
-    pairs = (
-        (x.embed(order).coeffs, y.embed(order).coeffs) for x, y in zip(xs, ys)
-    )
-    return _make(order, _convolve(pairs, order))
+    orders.discard(1)
+    if len(orders) > 1:
+        raise _order_error(*sorted(orders)[:2])
+    order = orders.pop() if orders else 1
+    return _make(order, _convolve(zip(map(_coeffs, xs), map(_coeffs, ys)), order))
 
 
 CYC_ZERO = Cyclotomic(1, (0,))

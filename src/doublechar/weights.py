@@ -17,10 +17,7 @@ C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
 Fusion takes the second formula whenever either factor is invertible.
 Neither does any permutation work or row scan: the class of z r_a and
 the Z-classes that each pair character is read from are built once, and
-a row is found by one dict probe on its coefficients at the group
-exponent e_G.  Every table value and every product of them lies in
-Q(zeta_d) for some d | e_G, and embedding into Q(zeta_(e_G)) is injective
-and lands in a basis, so two rows are equal exactly when their keys are.
+a row is found by one dict probe on its coefficient tuple.
 
 Every other pair is fused by projecting the pair character T of
 lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
@@ -34,6 +31,11 @@ its centralizer Z_i:
 
 Every multiplicity is an exact cyclotomic number that must come out a
 nonnegative integer.
+
+All values live in one field, Q(zeta_(e_G)) for the group exponent e_G:
+the exponent of every centralizer divides e_G, so each distinct table's
+values are embedded there once, on first use, and every pair character,
+product, dual row and inner product is arithmetic of that one order.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table, in ASCII digits without leading zeros;
@@ -97,9 +99,10 @@ class WeightSystem:
         # (g, i) -> for each class representative h of Z_i, the class
         # that pair characters at (g, h) are read from
         self._reads_cache = {}
+        # table -> its value rows embedded into Q(zeta_(e_G))
+        self._embedded = {}
         # table -> row key -> the indices of the rows with that key
         self._row_index = {}
-        self._exponent = group.exponent()
         # the center permutes the classes: for z = r_c central and each
         # class a, the class i of z r_a and z^(-1) r_i, a member of class a
         self._translates = {}
@@ -135,7 +138,17 @@ class WeightSystem:
         if self.conj.class_of[g_index] != i:
             return CYC_ZERO
         k = self._read_class(g_index, h_index)
-        return CYC_ZERO if k is None else self.tables[i].values[w.irrep_index][k]
+        return CYC_ZERO if k is None else self._values(i)[w.irrep_index][k]
+
+    def _values(self, i):
+        """The value rows of the centralizer table of class i, embedded
+        into Q(zeta_(e_G)) on first use, once per distinct table."""
+        table = self.tables[i]
+        rows = self._embedded.get(table)
+        if rows is None:
+            e = self.group.exponent()
+            rows = self._embedded[table] = [[v.embed(e) for v in row] for row in table.values]
+        return rows
 
     def _read_class(self, g_index, h_index):
         """The class of Z_r holding x^(-1) h x, where g = x r x^(-1) for the
@@ -161,7 +174,7 @@ class WeightSystem:
             reads = self._reads_cache[g_index, i] = [
                 self._read_class(g_index, h) for h in self._centralizer_reps(i)
             ]
-        values = self.tables[w.class_index].values[w.irrep_index]
+        values = self._values(w.class_index)[w.irrep_index]
         return [CYC_ZERO if k is None else values[k] for k in reads]
 
     def _centralizer_reps(self, i):
@@ -223,30 +236,22 @@ class WeightSystem:
     def _weight_with_row(self, i, row, what):
         """The weight over class i whose centralizer character is row.
 
-        Rows are keyed by their coefficients at the group exponent e_G,
-        not the table's: a product chi rho can have order e_G (in S4, say)
-        where the table of Z_i has a smaller one.  Each value's order
-        divides e_G, and embedding is injective into a basis, so equal
-        keys are equal rows.  The index is built once per table, which
-        classes share, and holds every row with a key, so the count of
-        matches is the count a scan with == would find."""
+        The index is built once per table, which classes share, and holds
+        every row with its key, so the count of matches is the count a
+        scan with == would find."""
         table = self.tables[i]
         index = self._row_index.get(table)
         if index is None:
             index = self._row_index[table] = {}
-            for j, values in enumerate(table.values):
-                index.setdefault(self._row_key(values), []).append(j)
-        found = index.get(self._row_key(row), ())
+            for j, values in enumerate(self._values(i)):
+                index.setdefault(_row_key(values), []).append(j)
+        found = index.get(_row_key(row), ())
         if len(found) != 1:
             raise InconsistencyError(
                 f"{what}: {len(found)} characters of the centralizer of class "
                 f"{i} equal the computed row {row}, expected exactly one"
             )
         return Weight(i, found[0])
-
-    def _row_key(self, row):
-        e = self._exponent
-        return tuple(v.embed(e).coeffs for v in row)
 
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of
@@ -269,12 +274,11 @@ class WeightSystem:
         Built on first use."""
         hit = self._rows_cache.get(i)
         if hit is None:
-            table = self.tables[i]
             reps = self._centralizer_reps(i)
-            sizes = table.conj.sizes()
+            sizes = self.tables[i].conj.sizes()
             rows = [
                 [v.conjugate() * size for v, size in zip(row, sizes)]
-                for row in table.values
+                for row in self._values(i)
             ]
             hit = self._rows_cache[i] = (reps, rows)
         return hit
@@ -333,6 +337,11 @@ class WeightSystem:
                 }
             )
         return rows
+
+
+def _row_key(row):
+    """Rows of one order are equal exactly when their keys are."""
+    return tuple(v.coeffs for v in row)
 
 
 def _as_count(acc, n, lam, mu, i, j):

@@ -333,7 +333,7 @@ def brute_dixon_rows(group, conj, e):
 
 def assert_lift_matches_brute(group):
     e = group.exponent()
-    rows = chartable._sorted_rows(brute_dixon_rows(group, group.conj, e), e)
+    rows = sorted(brute_dixon_rows(group, group.conj, e), key=chartable._row_key)
     brute = CharacterTable(
         group,
         e,

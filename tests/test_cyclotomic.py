@@ -1,4 +1,5 @@
 import cmath
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublechar import cyclotomic
 from doublechar.cyclotomic import (
+    CYC_ONE,
     CYC_ZERO,
     Cyclotomic,
     _power_table,
@@ -127,9 +128,55 @@ def test_embedding_preserves_value():
 
 
 def test_cross_order_equality():
-    assert zeta(2) == zeta(6) ** 3
-    assert zeta(3) == zeta(12) ** 4
-    assert zeta(4) != zeta(8)
+    # values of two orders compare once one is embedded into the other's
+    # field; only a rational operand compares as it is
+    assert zeta(2).embed(6) == zeta(6) ** 3
+    assert zeta(3).embed(12) == zeta(12) ** 4
+    assert zeta(4).embed(8) != zeta(8)
+    assert zeta(6) ** 3 == Cyclotomic.from_rational(-1) == zeta(6) ** 3 == -1
+    with pytest.raises(ValueError):
+        zeta(2) == zeta(6) ** 3
+
+
+def _dot1(x, y):
+    return dot([x], [y])
+
+
+def _dot2(x, y):
+    # the second pair mixes the orders, the first one does not
+    return dot([x, x], [x, y])
+
+
+BINARY = [operator.add, operator.sub, operator.eq, operator.mul, _dot1, _dot2]
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_two_orders_raise_unless_one_is_rational(op):
+    x, y = zeta(4) + 1, zeta(6) - 2
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError) as info:
+            op(a, b)
+        # dot names the orders it found in ascending order
+        first, second = (4, 6) if op in (_dot1, _dot2) else (a.order, b.order)
+        assert str(info.value) == (
+            f"Cyclotomic operands of orders {first} and {second}: neither is rational"
+        )
+
+
+@pytest.mark.parametrize("op", BINARY)
+@pytest.mark.parametrize("r", [3, Fraction(-2, 3), Cyclotomic.from_rational(Fraction(5, 2)), CYC_ZERO])
+def test_a_rational_operand_joins_any_order_from_either_side(op, r):
+    # each result is the one of the same operation with r written at order 12
+    value = r.to_rational() if isinstance(r, Cyclotomic) else r
+    at12 = Cyclotomic.from_rational(value, 12)
+    if op in (_dot1, _dot2):
+        r = Cyclotomic.from_rational(value)  # dot takes Cyclotomic operands
+    for x in (zeta(12) - 2 * zeta(12, 3), Cyclotomic.from_rational(3, 12)):
+        for got, want in ((op(x, r), op(x, at12)), (op(r, x), op(at12, x))):
+            if isinstance(want, bool):
+                assert got is want
+            else:
+                assert (got.order, got.coeffs) == (want.order, want.coeffs) and got.order == 12
 
 
 def test_rationality():
@@ -187,14 +234,14 @@ def test_conjugate_is_galois_minus_one(e, data):
 @PROPERTY
 @given(data=st.data())
 def test_dot_is_the_sum_of_products_over_mixed_orders(e, data):
-    # operands live at the divisors of e, so some share the lcm order
-    # and some are embedded first; the reference x * y itself runs through
-    # the same-order kernel (or scales, or takes the lcm route), so the
-    # kernel's independent check is test_same_order_arithmetic_matches_a_reference
-    divisors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
+    # operands live at order 1 or e, and a rational one is read as the
+    # prefix of an order-e vector; the reference x * y itself runs through
+    # the same-order kernel (or scales), so the kernel's independent check
+    # is test_same_order_arithmetic_matches_a_reference
+    orders = st.sampled_from([1, e])
     n = data.draw(st.integers(0, 5))
-    xs = [data.draw(divisors.flatmap(coeff_vectors)) for _ in range(n)]
-    ys = [data.draw(divisors.flatmap(coeff_vectors)) for _ in range(n)]
+    xs = [data.draw(orders.flatmap(coeff_vectors)) for _ in range(n)]
+    ys = [data.draw(orders.flatmap(coeff_vectors)) for _ in range(n)]
     total = CYC_ZERO
     for x, y in zip(xs, ys):
         total = total + x * y
@@ -289,20 +336,21 @@ def test_same_order_arithmetic_matches_a_reference(e, data):
     assert_result(dot(xs, ys), e, reference_dot(zip(xs, ys), e))
 
 
-def test_one_order_arithmetic_takes_no_lcm_route(monkeypatch):
-    calls = {"lcm": 0, "embed": 0}
+def test_one_order_arithmetic_embeds_nothing(monkeypatch):
+    # operands of one order, or a rational one, are read as they are;
+    # any other pair raises before anything is embedded
+    calls = []
+    real = Cyclotomic.embed
 
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
+    def counted(x, order):
+        calls.append(order)
+        return real(x, order)
 
     x, y = zeta(12) + 2, zeta(12, 5) - zeta(12, 2)
-    monkeypatch.setattr(cyclotomic, "_lcm", counted("lcm", cyclotomic._lcm))
-    monkeypatch.setattr(Cyclotomic, "embed", counted("embed", Cyclotomic.embed))
+    monkeypatch.setattr(Cyclotomic, "embed", counted)
     assert x * y == dot([x, y, x], [y, y, x]) - y * y - x * x
-    assert calls == {"lcm": 0, "embed": 0}
-    assert x * zeta(4) == dot([x], [zeta(4)])
-    assert calls["lcm"] > 0
+    assert 3 * x - CYC_ONE == dot([x, CYC_ONE], [Cyclotomic.from_rational(3), -CYC_ONE])
+    for op in BINARY:
+        with pytest.raises(ValueError):
+            op(x, zeta(4))
+    assert calls == []

@@ -1,6 +1,6 @@
 import pytest
 
-from doublechar import cyclotomic, taft
+from doublechar import taft
 from doublechar.cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, zeta
 from doublechar.errors import InputError, OracleError
 from doublechar.graded import KElement
@@ -288,22 +288,24 @@ def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
 
 
 def test_taft_arithmetic_stays_at_one_order(monkeypatch):
-    # every sum, product and comparison of the parameters, the profile and
-    # table build and the matrix oracle has operands of one order or a
-    # rational one, so none takes the lcm route
+    # a sum, product or comparison of two orders, neither of them rational,
+    # raises, so the parameters, the profile and table build and the matrix
+    # oracle all run at order 12; embed is called only by the Dixon lift and
+    # once for each value of the one centralizer table, Z12 itself
     calls = []
-    lcm = cyclotomic._lcm
+    embed = Cyclotomic.embed
 
-    def counted(a, b):
-        calls.append((a, b))
-        return lcm(a, b)
+    def counted(x, order):
+        calls.append(order)
+        return embed(x, order)
 
-    monkeypatch.setattr(cyclotomic, "_lcm", counted)
+    monkeypatch.setattr(Cyclotomic, "embed", counted)
     params = TaftParams(12)
-    assert calls == []  # 12 when the powers were compared with CYC_ONE
+    assert calls == [12] * 144  # the Dixon lift of each value
+    calls.clear()
     build_profile_and_table(params)
-    assert calls == []  # 19,944 when every product took the lcm route
+    assert calls == [12] * 144  # the weight system's copy of the table
+    calls.clear()
     for r, s in params.all_rs():
         VermaMatrices(params, r, s)
-    assert calls == []  # 45,888 when every product took the lcm route, and
-    # 144 when the [k]_q chain started at CYC_ZERO
+    assert calls == []

@@ -236,6 +236,13 @@ def brute_count(acc, n):
     return int(q)
 
 
+def values_at_exponent(system, i):
+    """The value rows of the centralizer table of class i, embedded into
+    Q(zeta_(e_G)) here rather than read through the system."""
+    e = system.group.exponent()
+    return [[v.embed(e) for v in row] for row in system.tables[i].values]
+
+
 def brute_fusion(system, lam, mu):
     """Project the tensor pair character onto every weight, averaging
     over all g in each class and all c in its centralizer."""
@@ -257,7 +264,7 @@ def brute_fusion(system, lam, mu):
                 h_index = group.index[perm_mul(x, perm_mul(c, perm_inv(x)))]
                 cls = cd.class_of[z.index[c]]
                 sums[cls] = sums[cls] + brute_tensor_value(system, lam, mu, g_index, h_index)
-        for j, row in enumerate(system.tables[i].values):
+        for j, row in enumerate(values_at_exponent(system, i)):
             acc = CYC_ZERO
             for cls in range(cd.count):
                 acc = acc + sums[cls] * row[cls].conjugate()
@@ -320,7 +327,8 @@ def test_fusion_and_duals_match_brute_force(name):
 
 def textbook_pair_char(system, w, g_index, h_index):
     """Zero unless g lies in the class of w and commutes with h; else
-    the Z_i-character of w at h conjugated into the centralizer Z_i."""
+    the Z_i-character of w at h conjugated into the centralizer Z_i,
+    embedded into Q(zeta_(e_G))."""
     conj = system.conj
     group = system.group
     i = w.class_index
@@ -331,8 +339,9 @@ def textbook_pair_char(system, w, g_index, h_index):
         return CYC_ZERO
     x = conj.conjugator[g_index]
     moved = perm_mul(perm_inv(x), perm_mul(h, x))
-    z = system.tables[i].group
-    return system.tables[i].values[w.irrep_index][system.tables[i].conj.class_of[z.index[moved]]]
+    table = system.tables[i]
+    value = table.values[w.irrep_index][table.conj.class_of[table.group.index[moved]]]
+    return value.embed(group.exponent())
 
 
 @pytest.mark.parametrize("name", ["D4", "Q8", "S4"])
@@ -391,7 +400,8 @@ def test_product_lookup_failure_names_both_weights():
     "scale, verdict",
     [
         (Fraction(1, 2), "inner product 3/2 over centralizer order 3 is 1/2, not a nonnegative integer"),
-        (zeta(3), "inner product 3*z3 over centralizer order 3 is not rational"),
+        # 3 zeta_3 at e_G = 6, where zeta_3 = zeta_6 - 1
+        (zeta(3).embed(6), "inner product -3+3*z6 over centralizer order 3 is not rational"),
     ],
 )
 def test_bad_multiplicity_names_weight_inner_product_and_order(monkeypatch, scale, verdict):
@@ -545,26 +555,30 @@ def test_fusion_rigidity(group):
 # ---- the row lookup and the cost of invertible products ----
 
 
-def _scan_lookup(system, i, row):
+def _scan_lookup(table_rows, i, row):
     """The weights over class i whose centralizer character equals row,
-    by comparing with every row of the table through ==."""
-    return [Weight(i, j) for j, values in enumerate(system.tables[i].values) if list(values) == row]
+    by comparing with every row of its table at e_G through ==."""
+    return [Weight(i, j) for j, values in enumerate(table_rows) if values == row]
 
 
 def _check_row_lookup(system):
     # every row, its conjugate, and its product with each linear character
-    # of G restricted to the centralizer: the products have values of
-    # order e_G, above the exponent of most centralizer tables
-    g_table = system.tables[0]
-    linear = [row for row, degree in zip(g_table.values, g_table.degrees) if degree == 1]
-    for i, table in enumerate(system.tables):
+    # of G restricted to the centralizer, all at e_G: the products can
+    # leave the field of the centralizer's own exponent
+    linear = [
+        row
+        for row, degree in zip(values_at_exponent(system, 0), system.tables[0].degrees)
+        if degree == 1
+    ]
+    for i in range(len(system.tables)):
         reps = system._centralizer_reps(i)
         restricted = [[chi[system.conj.class_of[h]] for h in reps] for chi in linear]
-        for values in table.values:
-            rows = [list(values), [v.conjugate() for v in values]]
+        table_rows = values_at_exponent(system, i)
+        for values in table_rows:
+            rows = [values, [v.conjugate() for v in values]]
             rows += [[x * y for x, y in zip(chi, values)] for chi in restricted]
             for row in rows:
-                found = _scan_lookup(system, i, row)
+                found = _scan_lookup(table_rows, i, row)
                 assert len(found) == 1
                 assert system._weight_with_row(i, row, "lookup") == found[0]
 
@@ -580,6 +594,26 @@ def test_row_lookup_matches_a_scan_on_s4():
 @given(small_groups())
 def test_row_lookup_matches_a_scan(group):
     _check_row_lookup(WeightSystem(group))
+
+
+def test_each_table_value_is_embedded_once(monkeypatch):
+    # the full S4 fusion table and every dual read the centralizer tables
+    # at e_G = 12 through one embedded copy of each distinct table
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S4"]))
+    calls = []
+    real = Cyclotomic.embed
+
+    def counted(x, order):
+        calls.append(order)
+        return real(x, order)
+
+    monkeypatch.setattr(Cyclotomic, "embed", counted)
+    ws = system.weights
+    assert len([system.fusion(a, b) for k, a in enumerate(ws) for b in ws[k:]]) == 231
+    assert len([system.dual(w) for w in ws]) == 21
+    values = sum(len(row) for table in set(system.tables) for row in table.values)
+    assert len(calls) == values == 91
+    assert set(calls) == {12}
 
 
 def test_cyclic_fusion_table_does_no_group_work_or_row_scan(monkeypatch):
