@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 from .bgg import MLMatrixData
 from .errors import InputError, is_int
@@ -21,7 +22,55 @@ ML_KIND = "ml_matrix"
 
 
 def canonical_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n".
+
+    json falls back to its pure-Python encoder whenever indent is set;
+    this writer walks the containers itself and hands every string to
+    the C escaper.  Keys must be str, and a dict, list or tuple
+    subclass is refused rather than written in a way json would not
+    write it."""
+    parts = []
+    _write_canonical(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_canonical(obj, newline, out):
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out(int.__repr__(obj))
+    elif type(obj) is dict:
+        if not obj:
+            out("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out(sep)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            _write_canonical(obj[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif type(obj) in (list, tuple):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _write_canonical(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"cannot write a {type(obj).__name__} canonically")
+    else:
+        out(json.dumps(obj))
 
 
 def write_json(path, obj):

@@ -19,6 +19,15 @@ pivot row with no other entry normalises to a unit vector exactly).
 Nothing in them knows that the group-likes are diagonal or that the
 ladders are single bands.
 
+The n^2 modules share their operators: n raising ladders E_c, one per
+c = (r + s) mod n, one lowering ladder F and n diagonal group-likes
+G_x = diag(q^(x+k)), so 2n + 1 matrices in all, built once per
+TaftParams on first use.  Each identity is checked once per distinct
+operand tuple (E^n = 0 and the kernel of E_c once per c, F^n = 0 once,
+g F = q F g once per x, g E = q^-1 E g once per (x, c), g1 g2 = g2 g1
+once per unordered {r, s}); the checks that depend on the weight itself
+run for every weight.
+
 Weights here are named by exponent pairs (r, s): class of the r-th
 power of the cycle, character sending the cycle to q^s.  The canonical
 row order of the character table does not list exponents in order for
@@ -41,7 +50,17 @@ class TaftParams:
     its powers q^0..q^(n-1), and the exponent-to-row translation for
     its weights."""
 
-    __slots__ = ("n", "q", "powers", "group", "system", "exp_to_row", "row_to_exp")
+    __slots__ = (
+        "n",
+        "q",
+        "powers",
+        "group",
+        "system",
+        "exp_to_row",
+        "row_to_exp",
+        "_operators",
+        "_verified",
+    )
 
     def __init__(self, n, cache_dir=None):
         if not isinstance(n, int) or n < 2:
@@ -90,6 +109,12 @@ class TaftParams:
         object.__setattr__(
             self, "row_to_exp", {j: s for s, j in exp_to_row.items()}
         )
+        # shared by the n^2 VermaMatrices: the distinct operators, keyed
+        # ("E", c), ("F",) and ("G", x), and the operand tuples whose
+        # identities hold; a module adds to them only after every check
+        # of its weight has passed
+        object.__setattr__(self, "_operators", {})
+        object.__setattr__(self, "_verified", set())
 
     def __setattr__(self, *a):
         raise AttributeError("TaftParams is immutable")
@@ -111,14 +136,6 @@ class TaftParams:
 
     def all_rs(self):
         return [(r, s) for r in range(self.n) for s in range(self.n)]
-
-
-def q_integer(q, k):
-    """1 + q + ... + q^(k-1)."""
-    acc = CYC_ZERO
-    for i in range(k):
-        acc = acc + q ** i
-    return acc
 
 
 def lowering_coeffs(params, r, s):
@@ -170,7 +187,10 @@ class VermaMatrices:
 
     Each operator is a list of sparse rows: vm.raising[i][j] reads a
     stored entry or zero, and a vanishing ladder coefficient is simply
-    not stored."""
+    not stored.  The operators are shared by all n^2 modules of one
+    TaftParams (g1 = G_r, g2 = G_s, raising = E_c with c = (r + s) mod n,
+    one lowering F), so they must not be mutated, and each identity
+    between them is checked once per distinct operand tuple."""
 
     __slots__ = (
         "params",
@@ -190,28 +210,60 @@ class VermaMatrices:
         powers = params.powers
         r %= n
         s %= n
-        g1 = _diag([powers[(r + k) % n] for k in range(n)])
-        g2 = _diag([powers[(s + k) % n] for k in range(n)])
-        coeffs = lowering_coeffs(params, r, s)
-        raising = _sparse(n, ((k - 1, k, coeffs[k - 1]) for k in range(1, n)))
-        lowering = _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))
+        shared = params._operators
+        built = {}
+
+        def operator(key, build):
+            if key in shared:
+                return shared[key]
+            if key not in built:
+                built[key] = build()
+            return built[key]
+
+        def group_like(x):
+            return operator(("G", x), lambda: _diag([powers[(x + k) % n] for k in range(n)]))
+
+        def raising():
+            # lowering_coeffs reads r and s only through (r + s) mod n
+            coeffs = lowering_coeffs(params, r, s)
+            return _sparse(n, ((k - 1, k, coeffs[k - 1]) for k in range(1, n)))
+
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "raising", raising)
-        object.__setattr__(self, "lowering", lowering)
-        self._verify()
+        object.__setattr__(self, "g1", group_like(r))
+        object.__setattr__(self, "g2", group_like(s))
+        object.__setattr__(self, "raising", operator(("E", (r + s) % n), raising))
+        object.__setattr__(
+            self,
+            "lowering",
+            operator(("F",), lambda: _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))),
+        )
+        checked = self._verify()
+        shared.update(built)
+        params._verified.update(checked)
 
     def __setattr__(self, *a):
         raise AttributeError("VermaMatrices is immutable")
 
     def _verify(self):
+        """Runs this weight's checks in a fixed order and returns the
+        operand tuples it checked.  A check whose tuple already holds,
+        for an earlier weight or earlier for this one, is skipped: the
+        same operators give the same result."""
         params, n = self.params, self.params.n
+        verified = params._verified
         q, q_inv = params.powers[1], params.powers[n - 1]
         r, s = self.r, self.s
+        c = (r + s) % n
         g1, g2, e, f = self.g1, self.g2, self.raising, self.lowering
+        checked = set()
+
+        def first_time(*operands):
+            if operands in verified or operands in checked:
+                return False
+            checked.add(operands)
+            return True
 
         def expect(identity, left, right):
             if left != right:
@@ -225,33 +277,40 @@ class VermaMatrices:
         expect("distinct chain weights = n", len(pairs), n)
 
         # group-likes commute and scale the ladder operators by q^(-1)/q
-        expect("g1 g2 = g2 g1", _mat_mul(g1, g2), _mat_mul(g2, g1))
-        for name, g in (("g1", g1), ("g2", g2)):
-            expect(f"{name} E = q^-1 E {name}", _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
-            expect(f"{name} F = q F {name}", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
+        if first_time("g g", min(r, s), max(r, s)):
+            expect("g1 g2 = g2 g1", _mat_mul(g1, g2), _mat_mul(g2, g1))
+        for name, x, g in (("g1", r, g1), ("g2", s, g2)):
+            if first_time("g E", x, c):
+                expect(f"{name} E = q^-1 E {name}", _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
+            if first_time("g F", x):
+                expect(f"{name} F = q F {name}", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
 
         # nilpotency; no zero is ever stored, so the zero matrix has empty rows
-        expect("E^n = 0", _mat_pow(e, n), [{}] * n)
-        expect("F^n = 0", _mat_pow(f, n), [{}] * n)
+        if first_time("E^n", c):
+            expect("E^n = 0", _mat_pow(e, n), [{}] * n)
+        if first_time("F^n"):
+            expect("F^n = 0", _mat_pow(f, n), [{}] * n)
 
         # singular vectors: kernel of the raising matrix, computed by
         # exact elimination, must consist of basis vectors, sitting where
         # the head-length formula puts them
-        supports = sorted(
-            [k for k, x in enumerate(vec) if not x.is_zero()] for vec in _cyc_nullspace(e)
-        )
         head = head_length(params, r, s)
         singular = [head] if head < n else []
-        expect("supports of the kernel of E = [0], [head length]", supports,
-               [[k] for k in (0, *singular)])
+        if first_time("ker E", c):
+            supports = sorted(
+                [k for k, x in enumerate(vec) if not x.is_zero()] for vec in _cyc_nullspace(e)
+            )
+            expect("supports of the kernel of E = [0], [head length]", supports,
+                   [[k] for k in (0, *singular)])
 
         # the span of the tail from the first singular index is a
         # submodule; any cut above it fails to be one
         if head < n:
             for name, mat in (("g1", g1), ("g2", g2), ("E", e), ("F", f)):
                 expect(f"{name} keeps the span from e_{head}", _tail_invariant(mat, head), True)
-            first = next(c for c in range(1, n) if _tail_invariant(e, c))
-            expect("first tail that E keeps = head length", first, head)
+            if first_time("first tail of E", c):
+                first = next(cut for cut in range(1, n) if _tail_invariant(e, cut))
+                expect("first tail that E keeps = head length", first, head)
 
         # composition series: segments of the chain between singular indices
         cuts = [0] + singular + [n]
@@ -264,6 +323,7 @@ class VermaMatrices:
         object.__setattr__(self, "singular_indices", tuple(singular))
         object.__setattr__(self, "head_dim", head)
         object.__setattr__(self, "series", tuple(series))
+        return checked
 
 
 # ---- sparse matrix helpers over the cyclotomics ----

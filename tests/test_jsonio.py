@@ -1,7 +1,9 @@
 import json
+import pathlib
 
 import pytest
 
+from doublechar import cli
 from doublechar.errors import InputError
 from doublechar.jsonio import (
     ML_KIND,
@@ -19,6 +21,12 @@ from doublechar.jsonio import (
 from doublechar.taft import TaftParams, build_profile_and_table
 from doublechar.weights import WeightSystem
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
 
 def test_canonical_dumps_is_stable():
     a = canonical_dumps({"b": 1, "a": [2, 1]})
@@ -26,6 +34,79 @@ def test_canonical_dumps_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [2, 1], "b": 1}
+
+
+def test_canonical_dumps_matches_json_on_every_written_payload(monkeypatch, tmp_path):
+    payloads = []
+    write = cli.write_json
+
+    def recorded(path, obj):
+        payloads.append(obj)
+        write(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", recorded)
+    for n in range(2, 13):
+        assert cli.main(["taft", str(n), "--out", str(tmp_path / f"taft{n}")]) == 0
+    t3 = tmp_path / "taft3"
+    taft3 = [
+        "--group", t3 / "group.json",
+        "--profile", t3 / "profile.json",
+        "--simples", t3 / "simples.json",
+        "--aliases", t3 / "aliases.json",
+    ]
+    fk3 = ["--group", DATA / "s3_group.json", "--profile", DATA / "fk3_ml.json"]
+    for i, files in enumerate((taft3, fk3)):
+        for extra in ([], ["--ungraded"]):
+            out = tmp_path / f"bgg{i}{''.join(extra)}"
+            argv = ["bgg", *files, *extra, "--out", out]
+            assert cli.main([str(a) for a in argv]) == 0
+    assert len(payloads) == 11 * 5 + 4
+    for obj in payloads:
+        assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+        [[[]], [{}], {"": []}],
+        "",
+        0,
+        -7,
+        -(10**30),
+        [True, False, None, 1.5, -0.0, 1e300],
+        {"ключ": "значение", "ü": "\u00e9\u4e2d\U0001f600"},
+        {"tab\tnew\nline": "quote \" back \\ nul \x00 bell \x07 del \x7f"},
+        {"b": 1, "a": 2, "B": 3, "aa": 4, "": 5},
+    ],
+)
+def test_canonical_dumps_matches_json(obj):
+    assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def test_canonical_dumps_refuses_what_json_would_write_differently():
+    with pytest.raises(TypeError):
+        canonical_dumps({1: "a"})
+    with pytest.raises(TypeError):
+        canonical_dumps({"a": {None: 1}})
+    with pytest.raises(TypeError):
+        canonical_dumps(object())
+    for obj in (_Dict(a=1), _List([1]), [_Dict()], {"a": _List()}):
+        try:
+            text = canonical_dumps(obj)
+        except TypeError:
+            continue
+        assert text == _reference_dumps(obj)
 
 
 def test_group_file_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from doublechar import taft
@@ -15,7 +17,6 @@ from doublechar.taft import (
     build_profile_and_table,
     head_length,
     lowering_coeffs,
-    q_integer,
     simple_char,
 )
 
@@ -36,6 +37,15 @@ def test_weight_label_round_trip(taft3):
     aliases = params.aliases()
     assert aliases[params.weight_of(2, 1).label] == "2,1"
     assert len(set(aliases.values())) == 9
+
+
+def q_integer(q, k):
+    """1 + q + ... + q^(k-1): the closed form that lowering_coeffs
+    builds one term at a time."""
+    acc = CYC_ZERO
+    for i in range(k):
+        acc = acc + q ** i
+    return acc
 
 
 def test_q_integer():
@@ -309,3 +319,71 @@ def test_taft_arithmetic_stays_at_one_order(monkeypatch):
     for r, s in params.all_rs():
         VermaMatrices(params, r, s)
     assert calls == []
+
+
+def _module_values(vm):
+    return (
+        vm.series, vm.singular_indices, vm.head_dim,
+        vm.g1, vm.g2, vm.raising, vm.lowering,
+    )
+
+
+def test_shared_operators_are_built_and_checked_once(monkeypatch):
+    # 2n + 1 distinct operators serve the n^2 modules: one ladder E_c
+    # per c = (r + s) mod n, whose coefficients and kernel are computed
+    # once each, and E_c^n plus F^n as the only powers
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("lowering_coeffs", "_cyc_nullspace", "_mat_pow"):
+        monkeypatch.setattr(taft, name, counted(name, getattr(taft, name)))
+    params = TaftParams(12)
+    monkeypatch.setattr(Cyclotomic, "embed", counted("embed", Cyclotomic.embed))
+    for r, s in params.all_rs():
+        VermaMatrices(params, r, s)
+    assert calls == {"lowering_coeffs": 12, "_cyc_nullspace": 12, "_mat_pow": 13}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shared_operators_give_each_weight_its_own_module(n):
+    # second route: on fresh parameters a weight is built first, so it
+    # reuses no operator or check of another weight; the shared build,
+    # in the reverse order, must give the same module
+    params = TaftParams(n)
+    for r, s in reversed(params.all_rs()):
+        shared = VermaMatrices(params, r, s)
+        fresh = VermaMatrices(TaftParams(n), r, s)
+        assert _module_values(shared) == _module_values(fresh)
+
+
+def test_failed_weight_leaves_no_operator_behind(monkeypatch):
+    # the ladder E_0 is first built under a corrupted coefficient; the
+    # weight fails, and neither that ladder nor the identities checked on
+    # it before the failure may serve a later weight
+    n = 4
+    params = TaftParams(n)
+    for r, s in params.all_rs():
+        if (r + s) % n:
+            VermaMatrices(params, r, s)
+    before = (dict(params._operators), set(params._verified))
+    original = lowering_coeffs
+
+    def corrupted(p, r, s):
+        coeffs = original(p, r, s)
+        coeffs[1] = CYC_ZERO
+        return coeffs
+
+    monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
+    with pytest.raises(OracleError):
+        VermaMatrices(params, 0, 0)
+    monkeypatch.setattr(taft, "lowering_coeffs", original)
+    assert (dict(params._operators), set(params._verified)) == before
+    for r, s in params.all_rs():
+        got = VermaMatrices(params, r, s)
+        assert _module_values(got) == _module_values(VermaMatrices(TaftParams(n), r, s))
