@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InconsistencyError, InputError, SpanError, field, is_int
+from .cyclotomic import rref
+from .errors import Frozen, InconsistencyError, InputError, SpanError, field, is_int
 from .graded import GradedChar, KElement, combine
 from .laurent import LaurentInt
 from .nichols import ind_char
@@ -230,12 +231,13 @@ def tensor_projectives(report, profile, mu, nu):
     return out
 
 
-class MLMatrixData:
+class MLMatrixData(Frozen):
     """Ungraded composition multiplicities [Verma : simple], as shipped
     for examples whose graded refinement is not available; complete and
     validated once built, one row for every weight."""
 
     __slots__ = ("rows", "dim_b", "n_top")
+    KIND = "ml_matrix"
 
     def __init__(self, system, rows, dim_b, n_top):
         for lam, k in rows.items():
@@ -249,16 +251,11 @@ class MLMatrixData:
             raise InputError(
                 "composition matrix is incomplete; missing rows for " + ", ".join(missing)
             )
-        object.__setattr__(self, "rows", dict(rows))
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "n_top", n_top)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MLMatrixData is immutable")
+        self._set(rows=dict(rows), dim_b=dim_b, n_top=n_top)
 
     @classmethod
     def from_json(cls, obj, system):
-        if not isinstance(obj, dict) or obj.get("kind") != "ml_matrix":
+        if not isinstance(obj, dict) or obj.get("kind") != cls.KIND:
             raise InputError("expected an ml_matrix payload")
         rows = {}
         for item in field(obj, "rows", list, "ml_matrix payload"):
@@ -282,45 +279,35 @@ def _check_dims(rows, dim_b, system):
 
     Row lam says sum over w of [M(lam):L(w)] dim L(w) = dim M(lam).  The
     equations must be consistent, and every dim L(w) that they determine
-    must come out a positive integer; the free ones certify nothing."""
+    must come out a positive integer; the free ones certify nothing.
+    The augmented rows go through the shared exact elimination
+    `cyclotomic.rref` over the rationals, with dim M(lam) in column k."""
     weights = sorted(rows)
     k = len(weights)
     idx = {w: i for i, w in enumerate(weights)}
     aug = []
     for lam in weights:
-        row = [Fraction(0)] * k
+        row = {}
         for w, m in rows[lam].terms.items():
             if w not in idx:
                 raise InputError(
                     f"row of {lam} mentions {w}, which has no row of its own"
                 )
             row[idx[w]] = Fraction(m)
-        row.append(Fraction(dim_b * system.dim(lam)))
+        row[k] = Fraction(dim_b * system.dim(lam))
         aug.append(row)
-    # Gauss-Jordan elimination over the rationals; a column without a
+    # a pivot in column k is the equation 0 = 1; a column without a
     # pivot is a free dimension
-    pivots = []
-    for c in range(k):
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    if any(aug[i][k] for i in range(len(pivots), k)):
+    reduced, pivots = rref(aug, k + 1)
+    if pivots and pivots[-1] == k:
         raise InconsistencyError(
             "composition matrix admits no simple dimensions: its rows are "
             "inconsistent"
         )
-    free = [c for c in range(k) if c not in pivots]
-    for r, c in enumerate(pivots):
-        v = aug[r][k]
-        pinned = not any(aug[r][f] for f in free)
+    free = set(range(k)).difference(pivots)
+    for row, c in zip(reduced, pivots):
+        v = row.get(k, Fraction(0))
+        pinned = free.isdisjoint(row)
         if pinned and (v.denominator != 1 or v <= 0):
             raise InconsistencyError(
                 "composition matrix does not admit positive integral "

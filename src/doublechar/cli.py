@@ -16,6 +16,7 @@ import sys
 
 from .bgg import (
     SIMPLE_PROJECTIVE,
+    MLMatrixData,
     bgg_matrices,
     ind_into_projectives,
     summand_sort_key,
@@ -31,15 +32,12 @@ from .errors import (
 )
 from .groups import DEFAULT_MAX_ORDER
 from .jsonio import (
-    ML_KIND,
     aliases_to_json,
     canonical_dumps,
     load_aliases_file,
     load_group_file,
     load_profile_file,
     load_simples_file,
-    profile_to_json,
-    simples_to_json,
     write_json,
     write_text,
 )
@@ -283,7 +281,7 @@ def _render_report(report, names):
 
 def _load_report(args, system):
     kind, data = load_profile_file(args.profile, system)
-    if kind == ML_KIND:
+    if kind == MLMatrixData.KIND:
         return ungraded_bgg(data, system), None, None
     if not getattr(args, "simples", None):
         raise InputError("a graded profile needs --simples with the simple table")
@@ -412,13 +410,9 @@ def cmd_taft(args):
 
     print(f"all {n * n} weights verified; {len(flagged)} simple projective Vermas")
     if args.out:
-        group_ref = "group.json"
         write_json(os.path.join(args.out, "group.json"), system.group.to_json())
-        write_json(
-            os.path.join(args.out, "profile.json"),
-            profile_to_json(profile, group_ref),
-        )
-        write_json(os.path.join(args.out, "simples.json"), simples_to_json(table))
+        write_json(os.path.join(args.out, "profile.json"), profile.to_json("group.json"))
+        write_json(os.path.join(args.out, "simples.json"), table.to_json())
         write_json(os.path.join(args.out, "aliases.json"), aliases_to_json(aliases))
         write_json(os.path.join(args.out, "report.json"), report.to_json())
         write_text(
@@ -491,7 +485,7 @@ def cmd_taft(args):
 def cmd_verify(args):
     system = _load_system(args)
     kind, data = load_profile_file(args.profile, system)
-    if kind == ML_KIND:
+    if kind == MLMatrixData.KIND:
         # MLMatrixData certified the dimensions when the file loaded
         print("ok: composition matrix admits consistent dimensions")
         # by construction

@@ -18,6 +18,11 @@ field, with step = k prime to e it is the Galois automorphism z -> z^k
 (`galois`; `conjugate` is k = -1).  The inverse needs no polynomial
 Euclid: the product of the other Galois conjugates of x times x is the
 rational norm N(x), so 1/x is that product divided by N(x).
+
+`rref` and `nullspace` are the one exact elimination over Q and
+Q(zeta_e) alike: sparse Gauss-Jordan on rows that are dicts column ->
+nonzero entry, each entry a Fraction or a Cyclotomic.  (F_p keeps its
+own dense `modp.rref`, where every operation is reduced mod p.)
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from itertools import zip_longest
 from math import gcd
 from operator import attrgetter
 
-from .errors import is_int
+from .errors import Frozen, is_int
 
 _order = attrgetter("order")
 _coeffs = attrgetter("coeffs")
@@ -158,7 +163,7 @@ def _substitute(coeffs, order, step):
     return acc
 
 
-class Cyclotomic:
+class Cyclotomic(Frozen):
     """An element of Q(zeta_e) in the power basis of Phi_e."""
 
     __slots__ = ("order", "coeffs")
@@ -168,11 +173,7 @@ class Cyclotomic:
         coeffs = _canonical(coeffs)
         if len(coeffs) != d:
             raise ValueError(f"need {d} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyclotomic is immutable")
+        self._set(order=order, coeffs=coeffs)
 
     @classmethod
     def from_rational(cls, x, order=1):
@@ -377,6 +378,64 @@ def dot(xs, ys):
         raise _order_error(*sorted(orders)[:2])
     order = orders.pop() if orders else 1
     return _make(order, _convolve(zip(map(_coeffs, xs), map(_coeffs, ys)), order))
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form by sparse exact Gauss-Jordan elimination.
+
+    rows is a sequence of dicts column -> nonzero Fraction or Cyclotomic,
+    over the columns 0..ncols-1; it is not modified.  Returns (reduced,
+    pivots): the nonzero rows of the reduced form, as dicts of the same
+    kind, and their pivot columns in increasing order.  A pivot row whose
+    only entry is the pivot normalises to 1 with no reciprocal; any other
+    is scaled by the reciprocal x ** -1 of its pivot."""
+    m = [dict(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if c in m[i]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pivot = m[r][c]
+        if len(m[r]) == 1:
+            m[r] = {c: pivot ** 0}
+        else:
+            inv = pivot ** -1
+            m[r] = {j: x * inv for j, x in m[r].items()}
+        pivot_row = m[r]
+        for i, row in enumerate(m):
+            if i != r and c in row:
+                f = row[c]
+                new = dict(row)
+                for j, y in pivot_row.items():
+                    if j in new:
+                        x = new[j] - f * y
+                        if x:
+                            new[j] = x
+                        else:
+                            del new[j]
+                    else:
+                        new[j] = -(f * y)
+                m[i] = new
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of the right nullspace {v : A v = 0} of the matrix of `rref`.
+
+    One sparse vector per column f without a pivot: v[f] = 1, and
+    v[c] = -reduced[r][f] at each pivot c = pivots[r]; no zero is stored."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = {f: 1}
+        for c, row in zip(pivots, reduced):
+            if f in row:
+                v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 CYC_ZERO = Cyclotomic(1, (0,))

@@ -4,8 +4,25 @@ The CLI maps these onto exit codes: InputError -> 2,
 InconsistencyError -> 3, OracleError -> 4.  `field` reads one member of
 a JSON payload and turns a missing or mistyped member into InputError;
 `is_int` tells a JSON integer from a boolean, which Python counts as an
-int.
+int.  `Frozen` is the base of every immutable value class.
 """
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in __slots__ and sets them once, through
+    `_set`, while an instance is built; any later assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class DoubleCharError(Exception):

@@ -17,9 +17,6 @@ from .errors import InputError, is_int
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 
-PROFILE_KIND = "profile"
-ML_KIND = "ml_matrix"
-
 
 def canonical_dumps(obj):
     """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n".
@@ -115,8 +112,8 @@ def profile_kind(payload):
     matrix; the optional "kind" field tells them apart."""
     if not isinstance(payload, dict):
         raise InputError("profile payload must be a JSON object")
-    kind = payload.get("kind", PROFILE_KIND)
-    if kind not in (PROFILE_KIND, ML_KIND):
+    kind = payload.get("kind", NicholsProfile.KIND)
+    if kind not in (NicholsProfile.KIND, MLMatrixData.KIND):
         raise InputError(f"unrecognized payload kind {kind!r}")
     return kind
 
@@ -126,7 +123,7 @@ def load_profile_file(path, system):
     payload = _load_payload(path)
     kind = profile_kind(payload)
     try:
-        if kind == ML_KIND:
+        if kind == MLMatrixData.KIND:
             return kind, MLMatrixData.from_json(payload, system)
         return kind, NicholsProfile.from_json(payload, system)
     except InputError as exc:
@@ -173,9 +170,10 @@ def load_aliases_file(path, system):
 
 
 def _load_payload(path):
-    """load_json for a file that carries the format envelope the writers
-    below add: "format" must be the integer 1, and a file without one
-    counts as format 1, as a group file does."""
+    """load_json for a file that carries the format envelope its writer
+    adds (each class's to_json, or aliases_to_json below): "format" must
+    be the integer 1, and a file without one counts as format 1, as a
+    group file does."""
     payload = load_json(path)
     fmt = payload.get("format", 1) if isinstance(payload, dict) else 1
     if not is_int(fmt) or fmt != 1:
@@ -185,16 +183,3 @@ def _load_payload(path):
 
 def aliases_to_json(aliases):
     return {"format": 1, "aliases": dict(sorted(aliases.items()))}
-
-
-def profile_to_json(profile, group_ref):
-    obj = profile.to_json(group_ref)
-    obj["format"] = 1
-    obj["kind"] = PROFILE_KIND
-    return obj
-
-
-def simples_to_json(table):
-    obj = table.to_json()
-    obj["format"] = 1
-    return obj

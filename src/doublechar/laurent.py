@@ -10,8 +10,10 @@ t <-> 1/t involution used by the reciprocity matrices.
 
 from __future__ import annotations
 
+from .errors import Frozen
 
-class _SparseSum:
+
+class _SparseSum(Frozen):
     """Finite map key -> nonzero coefficient of type `_kind`.
 
     Subclasses set `_kind` and add their products and views.  Only
@@ -32,7 +34,7 @@ class _SparseSum:
                 )
             if c:
                 data[key] = c
-        object.__setattr__(self, "terms", data)
+        self._set(terms=data)
 
     @classmethod
     def _new(cls, terms):
@@ -40,9 +42,6 @@ class _SparseSum:
         obj = object.__new__(cls)
         object.__setattr__(obj, "terms", terms)
         return obj
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):

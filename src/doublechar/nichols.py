@@ -24,13 +24,11 @@ module tries to compute them from a braiding.
 
 from __future__ import annotations
 
-import functools
-
-from .errors import InconsistencyError, InputError, field
+from .errors import Frozen, InconsistencyError, InputError, field
 from .graded import GradedChar, KElement, gc_dual, gc_mul
 
 
-class NicholsProfile:
+class NicholsProfile(Frozen):
     """Graded character of the inducing algebra, one KElement per degree."""
 
     # dim_b is the total dimension of the inducing algebra; vermas and
@@ -38,6 +36,7 @@ class NicholsProfile:
     # twist_ov map lam to lambda_v (x) lam and lambda_ov (x) lam
     __slots__ = ("system", "components", "dual_components", "n_top", "lambda_v",
                  "lambda_ov", "dim_b", "vermas", "covermas", "twist_v", "twist_ov")
+    KIND = "profile"
 
     def __init__(self, system, components):
         if not components:
@@ -83,14 +82,15 @@ class NicholsProfile:
                     f"component {j} is {dual!r}, but component {n_top - j} "
                     f"times {lam_ov} is {mirror!r}"
                 )
-        put = functools.partial(object.__setattr__, self)
-        put("system", system)
-        put("components", tuple(components))
-        put("dual_components", duals)
-        put("n_top", n_top)
-        put("lambda_v", lam_v)
-        put("lambda_ov", lam_ov)
-        put("dim_b", sum(k.dim(system) for k in components))
+        self._set(
+            system=system,
+            components=tuple(components),
+            dual_components=duals,
+            n_top=n_top,
+            lambda_v=lam_v,
+            lambda_ov=lam_ov,
+            dim_b=sum(k.dim(system) for k in components),
+        )
         weights = system.weights
         vermas = {lam: verma_char(self, lam) for lam in weights}
         # the bottom layer of M(lam) is the single weight lambda_v (x) lam,
@@ -98,16 +98,17 @@ class NicholsProfile:
         # self-duality makes W(lam) = t^n_top M(lambda_ov (x) lam)
         twist_v = {lam: next(iter(vermas[lam].layer(-n_top).terms)) for lam in weights}
         twist_ov = {b: lam for lam, b in twist_v.items()}
-        put("vermas", vermas)
-        put("covermas", {lam: vermas[twist_ov[lam]].shift(n_top) for lam in weights})
-        put("twist_v", twist_v)
-        put("twist_ov", twist_ov)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NicholsProfile is immutable")
+        self._set(
+            vermas=vermas,
+            covermas={lam: vermas[twist_ov[lam]].shift(n_top) for lam in weights},
+            twist_v=twist_v,
+            twist_ov=twist_ov,
+        )
 
     def to_json(self, group_ref):
         return {
+            "format": 1,
+            "kind": self.KIND,
             "group": group_ref,
             "components": [
                 {"deg": j, "weights": k.to_json()}
@@ -179,7 +180,7 @@ def verify_duality_identities(profile, lam):
     }
 
 
-class SimpleTable:
+class SimpleTable(Frozen):
     """Graded characters of the simple modules, one for every weight of
     the system, keyed by highest weight.
 
@@ -235,11 +236,7 @@ class SimpleTable:
                     f"entries {owner[b]} and {lam} share the lowest weight {b}"
                 )
             owner[b] = lam
-        object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "lowest", lowest)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SimpleTable is immutable")
+        self._set(entries=data, lowest=lowest)
 
     def __getitem__(self, lam):
         return self.entries[lam]
@@ -249,6 +246,7 @@ class SimpleTable:
 
     def to_json(self):
         return {
+            "format": 1,
             "simples": [
                 {"w": lam.label, "char": self.entries[lam].to_json()}
                 for lam in self.weights()

@@ -12,12 +12,12 @@ OracleError rather than picking a side.
 
 Matrices are lists of sparse rows that store nonzero entries only.
 The helpers below are generic: products multiply whatever entries are
-stored, nilpotency is tested as M^n == 0 with M^n formed by repeated
-squaring, and the nullspace is plain Gauss-Jordan elimination, which
-needs an inverse only for a pivot row with more than one entry (a
-pivot row with no other entry normalises to a unit vector exactly).
-Nothing in them knows that the group-likes are diagonal or that the
-ladders are single bands.
+stored, and nilpotency is tested as M^n == 0 with M^n formed by repeated
+squaring.  The kernel comes from the package's one exact elimination,
+`cyclotomic.nullspace`, which needs an inverse only for a pivot row
+with more than one entry (a pivot row with no other entry normalises to
+1 exactly).  Nothing here knows that the group-likes are diagonal or
+that the ladders are single bands.
 
 The n^2 modules share their operators: n raising ladders E_c, one per
 c = (r + s) mod n, one lowering ladder F and n diagonal group-likes
@@ -37,15 +37,15 @@ the table values, never through index arithmetic.
 
 from __future__ import annotations
 
-from .cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, dot, zeta
-from .errors import InputError, OracleError
+from .cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, dot, nullspace, zeta
+from .errors import Frozen, InputError, OracleError
 from .graded import GradedChar, KElement
 from .groups import FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 from .weights import Weight, WeightSystem
 
 
-class TaftParams:
+class TaftParams(Frozen):
     """Cyclic group of order n with a fixed primitive root of unity q,
     its powers q^0..q^(n-1), and the exponent-to-row translation for
     its weights."""
@@ -100,24 +100,21 @@ class TaftParams:
                     f"expected exactly one"
                 )
             exp_to_row[s] = hits[0]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "powers", tuple(powers))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "exp_to_row", exp_to_row)
-        object.__setattr__(
-            self, "row_to_exp", {j: s for s, j in exp_to_row.items()}
+        # _operators and _verified are shared by the n^2 VermaMatrices:
+        # the distinct operators, keyed ("E", c), ("F",) and ("G", x), and
+        # the operand tuples whose identities hold; a module adds to them
+        # only after every check of its weight has passed
+        self._set(
+            n=n,
+            q=q,
+            powers=tuple(powers),
+            group=group,
+            system=system,
+            exp_to_row=exp_to_row,
+            row_to_exp={j: s for s, j in exp_to_row.items()},
+            _operators={},
+            _verified=set(),
         )
-        # shared by the n^2 VermaMatrices: the distinct operators, keyed
-        # ("E", c), ("F",) and ("G", x), and the operand tuples whose
-        # identities hold; a module adds to them only after every check
-        # of its weight has passed
-        object.__setattr__(self, "_operators", {})
-        object.__setattr__(self, "_verified", set())
-
-    def __setattr__(self, *a):
-        raise AttributeError("TaftParams is immutable")
 
     def weight_of(self, r, s):
         """The weight with class exponent r and character exponent s."""
@@ -180,7 +177,7 @@ def build_profile_and_table(params):
     return profile, SimpleTable(params.system, entries)
 
 
-class VermaMatrices:
+class VermaMatrices(Frozen):
     """Explicit n-dimensional module for one weight: two diagonal
     group-like actions, a raising and a lowering ladder operator, plus
     the verification results derived from them.
@@ -228,23 +225,20 @@ class VermaMatrices:
             coeffs = lowering_coeffs(params, r, s)
             return _sparse(n, ((k - 1, k, coeffs[k - 1]) for k in range(1, n)))
 
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "g1", group_like(r))
-        object.__setattr__(self, "g2", group_like(s))
-        object.__setattr__(self, "raising", operator(("E", (r + s) % n), raising))
-        object.__setattr__(
-            self,
-            "lowering",
-            operator(("F",), lambda: _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))),
+        self._set(
+            params=params,
+            r=r,
+            s=s,
+            g1=group_like(r),
+            g2=group_like(s),
+            raising=operator(("E", (r + s) % n), raising),
+            lowering=operator(
+                ("F",), lambda: _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))
+            ),
         )
         checked = self._verify()
         shared.update(built)
         params._verified.update(checked)
-
-    def __setattr__(self, *a):
-        raise AttributeError("VermaMatrices is immutable")
 
     def _verify(self):
         """Runs this weight's checks in a fixed order and returns the
@@ -297,9 +291,7 @@ class VermaMatrices:
         head = head_length(params, r, s)
         singular = [head] if head < n else []
         if first_time("ker E", c):
-            supports = sorted(
-                [k for k, x in enumerate(vec) if not x.is_zero()] for vec in _cyc_nullspace(e)
-            )
+            supports = sorted(sorted(vec) for vec in nullspace(e, n))
             expect("supports of the kernel of E = [0], [head length]", supports,
                    [[k] for k in (0, *singular)])
 
@@ -320,9 +312,7 @@ class VermaMatrices:
             expect(f"head length of ({fr},{fs}) = length of segment [{a},{b})",
                    head_length(params, fr, fs), b - a)
             series.append(((fr, fs), -a))
-        object.__setattr__(self, "singular_indices", tuple(singular))
-        object.__setattr__(self, "head_dim", head)
-        object.__setattr__(self, "series", tuple(series))
+        self._set(singular_indices=tuple(singular), head_dim=head, series=tuple(series))
         return checked
 
 
@@ -402,48 +392,3 @@ def _tail_invariant(mat, cut):
     return all(
         x.is_zero() for row in mat[:cut] for j, x in row.items() if j >= cut
     )
-
-
-def _cyc_nullspace(mat):
-    """Right nullspace basis by Gauss-Jordan over the cyclotomics.
-
-    A pivot row whose only entry is the pivot normalises to the unit
-    vector e_c without an inverse; every other pivot is inverted."""
-    n = len(mat)
-    m = [_row(row.items()) for row in mat]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if c in m[i]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        if len(m[r]) == 1:
-            m[r] = _Row({c: CYC_ONE})
-        else:
-            inv = m[r][c].inverse()
-            m[r] = _row((j, x * inv) for j, x in m[r].items())
-        pivot_row = m[r]
-        for i in range(n):
-            if i != r and c in m[i]:
-                f = m[i][c]
-                new = _Row(m[i])
-                for j, y in pivot_row.items():
-                    x = new[j] - f * y
-                    if x.is_zero():
-                        new.pop(j, None)
-                    else:
-                        new[j] = x
-                m[i] = new
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = [CYC_ZERO] * n
-        v[free] = CYC_ONE
-        for row, c in enumerate(pivots):
-            v[c] = -m[row][free]
-        basis.append(v)
-    return basis

@@ -407,6 +407,16 @@ def test_ml_dimension_certificate_on_singular_rows():
         MLMatrixData(system, rows, 12, 4)
 
 
+def test_ml_dimension_certificate_ignores_free_dimensions():
+    system, _ = fk3_data()
+    by = system.by_label
+    # equal rows 2 L(g0r0) + L(g0r1) leave dim L(g0r1) free, so the
+    # value 1/2 they give dim L(g0r0) + dim L(g0r1) / 2 certifies nothing
+    rows = {w: KElement.of(w) for w in system.weights}
+    rows[by["g0r0"]] = rows[by["g0r1"]] = KElement({by["g0r0"]: 2, by["g0r1"]: 1})
+    assert MLMatrixData(system, rows, 1, 4).rows == rows
+
+
 def test_ungraded_route_matches_graded_at_t1():
     # at_one re-derives the report from D(1); the ungraded route derives it
     # from the same rows given as constants, so the two must agree exactly

@@ -16,6 +16,8 @@ from doublechar.cyclotomic import (
     _power_table,
     cyclotomic_polynomial,
     dot,
+    nullspace,
+    rref,
     zeta,
 )
 
@@ -354,3 +356,115 @@ def test_one_order_arithmetic_embeds_nothing(monkeypatch):
         with pytest.raises(ValueError):
             op(x, zeta(4))
     assert calls == []
+
+
+# ---- the shared exact elimination ----
+#
+# "Q" draws Fraction entries; an int e draws Cyclotomic entries of order e.
+FIELDS = ["Q", 1, 3, 4, 12]
+KERNEL_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def field_entries(field):
+    """Entries of the field, zero about a third of the time."""
+    if field == "Q":
+        nonzero = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).filter(bool)
+        zero = Fraction(0)
+    else:
+        nonzero = coeff_vectors(field).filter(bool)
+        zero = Cyclotomic.from_rational(0, field)
+    return st.one_of(st.just(zero), nonzero, nonzero)
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """(rows, ncols): a few drawn rows plus combinations of them, so the
+    rank often falls short, with the zero entries dropped."""
+    entries = field_entries(field)
+    ncols = draw(st.integers(1, 5))
+    base = draw(
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=0, max_size=4)
+    )
+    dense = list(base)
+    if base:
+        for _ in range(draw(st.integers(0, 2))):
+            coeffs = [draw(entries) for _ in base]
+            dense.append(
+                [sum((c * row[j] for c, row in zip(coeffs, base)), 0 * base[0][0])
+                 for j in range(ncols)]
+            )
+    order = draw(st.permutations(range(len(dense))))
+    rows = [{j: x for j, x in enumerate(dense[i]) if x} for i in order]
+    return rows, ncols
+
+
+def _times(row, v):
+    return sum((x * v[j] for j, x in row.items() if j in v), 0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@KERNEL_PROPERTY
+@given(data=st.data())
+def test_nullspace_is_the_kernel_and_fills_the_columns(field, data):
+    rows, ncols = data.draw(sparse_matrices(field))
+    reduced, pivots = rref(rows, ncols)
+    basis = nullspace(rows, ncols)
+    assert len(basis) + len(pivots) == ncols
+    assert pivots == sorted(set(pivots))
+    for row, c in zip(reduced, pivots):
+        assert row[c] == 1 and min(row) == c
+        assert all(row.values())
+    for v in basis:
+        assert all(v.values())
+        for row in rows:
+            assert _times(row, v) == 0
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@KERNEL_PROPERTY
+@given(data=st.data())
+def test_rref_ignores_row_order_and_row_scaling(field, data):
+    rows, ncols = data.draw(sparse_matrices(field))
+    want = rref(rows, ncols)
+    order = data.draw(st.permutations(range(len(rows))))
+    assert rref([rows[i] for i in order], ncols) == want
+    nonzero = field_entries(field).filter(bool)
+    scaled = []
+    for row in rows:
+        c = data.draw(nonzero)
+        scaled.append({j: c * x for j, x in row.items()})
+    assert rref(scaled, ncols) == want
+    # the input rows are left as they were
+    assert rref(rows, ncols) == want
+
+
+def _dense_rref(aug):
+    """The dense Gauss-Jordan elimination over the rationals that the
+    composition-matrix certificate ran before the shared kernel, widened
+    from square to any shape: the reference for `rref`."""
+    aug = [list(row) for row in aug]
+    pivots = []
+    for c in range(len(aug[0]) if aug else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    return aug[: len(pivots)], pivots
+
+
+@KERNEL_PROPERTY
+@given(data=st.data())
+def test_rref_matches_the_dense_rational_elimination(data):
+    rows, ncols = data.draw(sparse_matrices("Q"))
+    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    want_rows, want_pivots = _dense_rref(dense)
+    reduced, pivots = rref(rows, ncols)
+    assert pivots == want_pivots
+    assert reduced == [{j: x for j, x in enumerate(row) if x} for row in want_rows]

@@ -9,7 +9,10 @@ Cyclotomic route, whose kernel does most work at those orders.  The S4
 digests were added before every weight system moved its values to one
 field Q(zeta_(e_G)): S4's centralizer exponents 2, 3 and 4 under e_G = 12
 are the mixed orders that change removed, where S3 and C3 only reach
-orders 2 and 3 under 6.
+orders 2 and 3 under 6.  The four input files that `taft 2..12 --out`
+writes beside its report (`group.json`, `profile.json`, `simples.json`
+and `aliases.json`) were added before the profile and simple-table
+classes took over writing their own format envelope.
 
 To record the digests again (only when an output change is intended):
 
@@ -60,6 +63,8 @@ def outputs(tmp):
         out[f"taft{n}.stdout"] = _stdout(["taft", n, "--out", d])
         out[f"taft{n}.report.json"] = (d / "report.json").read_bytes()
         out[f"taft{n}.report.txt"] = (d / "report.txt").read_bytes()
+        for name in ("group", "profile", "simples", "aliases"):
+            out[f"taft{n}.{name}.json"] = (d / f"{name}.json").read_bytes()
 
     out["weights.s3.stdout"] = _stdout(["weights", "--group", S3, "--aliases", FK3_ALIASES])
     out["weights.c3.stdout"] = _stdout(["weights", "--group", C3])

@@ -4,20 +4,18 @@ import pathlib
 import pytest
 
 from doublechar import cli
+from doublechar.bgg import MLMatrixData
 from doublechar.errors import InputError
 from doublechar.jsonio import (
-    ML_KIND,
-    PROFILE_KIND,
     aliases_to_json,
     canonical_dumps,
     load_aliases_file,
     load_group_file,
     load_profile_file,
     load_simples_file,
-    profile_to_json,
-    simples_to_json,
     write_json,
 )
+from doublechar.nichols import NicholsProfile
 from doublechar.taft import TaftParams, build_profile_and_table
 from doublechar.weights import WeightSystem
 
@@ -129,9 +127,9 @@ def test_profile_round_trip(tmp_path, taft3):
     _, profile, table = taft3
     system = profile.system
     path = tmp_path / "profile.json"
-    write_json(str(path), profile_to_json(profile, "group.json"))
+    write_json(str(path), profile.to_json("group.json"))
     kind, clone = load_profile_file(str(path), system)
-    assert kind == PROFILE_KIND
+    assert kind == NicholsProfile.KIND
     assert clone.components == profile.components
     assert clone.n_top == profile.n_top
 
@@ -139,7 +137,7 @@ def test_profile_round_trip(tmp_path, taft3):
 def test_simples_round_trip(tmp_path, taft3):
     _, profile, table = taft3
     path = tmp_path / "simples.json"
-    write_json(str(path), simples_to_json(table))
+    write_json(str(path), table.to_json())
     clone = load_simples_file(str(path), profile.system)
     for lam in table.weights():
         assert clone[lam] == table[lam]
@@ -174,6 +172,6 @@ def test_ml_kind_detection():
     fixture = pathlib.Path(__file__).resolve().parent.parent / "data" / "fk3_ml.json"
     system = WeightSystem(FiniteGroup.from_generators(3, [(1, 0, 2), (1, 2, 0)]))
     kind, ml = load_profile_file(str(fixture), system)
-    assert kind == ML_KIND
+    assert kind == MLMatrixData.KIND
     assert ml.dim_b == 12
     assert ml.n_top == 4
