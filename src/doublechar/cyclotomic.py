@@ -32,6 +32,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import Frozen, is_int
 
@@ -117,6 +118,13 @@ def _power_table(e):
                 nxt[j] -= lead * phi[j]
         cur = nxt
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def root_exponents(e):
+    """The roots of unity of order dividing e, each as its coefficient tuple
+    in Q(zeta_e) mapped to the k in 0..e-1 with zeta_e^k equal to it."""
+    return MappingProxyType({row: k for k, row in enumerate(_power_table(e))})
 
 
 @lru_cache(maxsize=None)
@@ -255,14 +263,24 @@ class Cyclotomic(Frozen):
         return NotImplemented
 
     def __pow__(self, k):
+        """x ** k by repeated squaring.  x ** 0 is 1 and x ** -k is
+        inverse() ** k; otherwise the result starts at the power of k's
+        lowest set bit and base is squared only while higher bits remain,
+        so x ** 4 takes 2 products and x ** -1 none beyond the inverse."""
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyclotomic.from_rational(1, self.order)
+        if k == 0:
+            return Cyclotomic.from_rational(1, self.order)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 

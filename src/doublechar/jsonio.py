@@ -3,7 +3,9 @@
 All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
 which the test suite relies on.  Loaders and writers wrap every failure in
-InputError so the CLI can map them to its input-validation exit code.
+InputError so the CLI can map them to its input-validation exit code; an
+inconsistency found while a profile loads keeps its type, and its message,
+like an input error's, names the file.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 from json.encoder import encode_basestring_ascii
 
 from .bgg import MLMatrixData
-from .errors import InputError, is_int
+from .errors import InconsistencyError, InputError, is_int
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 
@@ -119,15 +121,20 @@ def profile_kind(payload):
 
 
 def load_profile_file(path, system):
-    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData)."""
+    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData).
+
+    An input or inconsistency error raised while the payload loads gains
+    the path in its message and keeps its type and attributes (a SpanError
+    its residual)."""
     payload = _load_payload(path)
     kind = profile_kind(payload)
     try:
         if kind == MLMatrixData.KIND:
             return kind, MLMatrixData.from_json(payload, system)
         return kind, NicholsProfile.from_json(payload, system)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    except (InputError, InconsistencyError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise exc from None
 
 
 def load_simples_file(path, system):

@@ -14,13 +14,22 @@ z central, are single weights with closed forms:
 Each is the row of the centralizer table of its class i that equals its
 pair character at (r_i, c_k).  The dual is the charge conjugation
 C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
-Fusion takes the second formula whenever either factor is invertible.
 Neither does any permutation work or row scan: the class of z r_a and
 the Z-classes that each pair character is read from are built once, and
 a row is found by one dict probe on its coefficient tuple.
 
-Every other pair is fused by projecting the pair character T of
-lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
+Fusion takes one of three routes:
+
+- Two invertible weights compose as the group Z(G) x Hom(G, k^x):
+  (z1, chi1) (x) (z2, chi2) = (z1 z2, chi1 chi2).  Every value of a
+  linear character is a root of unity zeta_(e_G)^k, so each such row is
+  stored as its exponent vector (k per class of G); the product's row is
+  the sum of the two vectors mod e_G, found by one dict probe.  All
+  three classes are central, so all three rows are read on G's classes.
+- An invertible weight times a weight of dimension above one takes the
+  second formula above.
+- Every other pair is fused by projecting the pair character T of
+  lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
 conjugation, so the average over the commuting variety collapses to the
 class representative r_i and one representative c_k per class K_k of
 its centralizer Z_i:
@@ -48,7 +57,7 @@ import re
 from dataclasses import dataclass
 
 from .chartable import CharacterTable
-from .cyclotomic import CYC_ZERO, dot
+from .cyclotomic import CYC_ZERO, dot, root_exponents, zeta
 from .errors import InconsistencyError, InputError
 from .groups import centralizer, perm_mul
 
@@ -103,6 +112,9 @@ class WeightSystem:
         self._embedded = {}
         # table -> row key -> the indices of the rows with that key
         self._row_index = {}
+        # table -> (each row's exponent vector, or None, and vector -> the
+        # indices of the rows with that vector)
+        self._exponent_index = {}
         # the center permutes the classes: for z = r_c central and each
         # class a, the class i of z r_a and z^(-1) r_i, a member of class a
         self._translates = {}
@@ -146,7 +158,7 @@ class WeightSystem:
         table = self.tables[i]
         rows = self._embedded.get(table)
         if rows is None:
-            e = self.group.exponent()
+            e = self.tables[0].exponent
             rows = self._embedded[table] = [[v.embed(e) for v in row] for row in table.values]
         return rows
 
@@ -187,19 +199,24 @@ class WeightSystem:
     def fusion(self, lam, mu):
         """Decomposition of lam (x) mu as a multiset of weights.
 
-        Returns a dict weight -> positive multiplicity.  When either
-        factor is one-dimensional the product is the single weight of
-        the closed form; otherwise the pair character is projected onto
-        every weight.  Raises InconsistencyError if the row lookup finds
-        no unique weight, the projections fail to be nonnegative
-        integers or the dimension count does not close.
+        Returns a dict weight -> positive multiplicity.  When both factors
+        are one-dimensional their exponent vectors are added; when one is,
+        the product is the single weight of the closed form; otherwise the
+        pair character is projected onto every weight.  Raises
+        InconsistencyError if the row lookup finds no unique weight, an
+        invertible weight takes a value that is no root of unity, the
+        projections fail to be nonnegative integers or the dimension count
+        does not close.
         """
         key = (min(lam, mu), max(lam, mu))
         hit = self._fusion_cache.get(key)
         if hit is not None:
             return dict(hit)
         if self.dim(lam) == 1:
-            result = {self._times_invertible(lam, mu): 1}
+            if self.dim(mu) == 1:
+                result = {self._times_invertibles(lam, mu): 1}
+            else:
+                result = {self._times_invertible(lam, mu): 1}
         elif self.dim(mu) == 1:
             result = {self._times_invertible(mu, lam): 1}
         else:
@@ -247,10 +264,7 @@ class WeightSystem:
                 index.setdefault(_row_key(values), []).append(j)
         found = index.get(_row_key(row), ())
         if len(found) != 1:
-            raise InconsistencyError(
-                f"{what}: {len(found)} characters of the centralizer of class "
-                f"{i} equal the computed row {row}, expected exactly one"
-            )
+            raise _not_unique(what, len(found), i, row)
         return Weight(i, found[0])
 
     def _factor_lists(self, lam, mu):
@@ -312,8 +326,9 @@ class WeightSystem:
         one-dimensional weight onedim = (z, chi): the pair character of
         the product at the representative r_i of the target class, z times
         the class of g, looked up among the rows of Z_i.  At (r_i, h) it is
-        chi(z, h) rho(z^(-1) r_i, h).  Only fusion calls it, so every
-        product is evaluated once and cached there."""
+        chi(z, h) rho(z^(-1) r_i, h).  Fusion calls it when lam has
+        dimension above one, so every such product is evaluated once and
+        cached there; two invertible weights take `_times_invertibles`."""
         c = onedim.class_index
         i, g = self._translates[c][lam.class_index]
         row = [
@@ -323,6 +338,65 @@ class WeightSystem:
             )
         ]
         return self._weight_with_row(i, row, f"product of {onedim} and {lam}")
+
+    def _exponent_rows(self, i):
+        """For the centralizer table of class i, a pair: each row's
+        exponent vector, the k with value zeta_(e_G)^k at each class, or
+        None when a value is no root of unity of order dividing e_G; and a
+        dict from each vector to the rows that have it.  Built once per
+        table, on first use; every row of roots is indexed, so the count
+        of matches is the count a scan with == would find."""
+        table = self.tables[i]
+        hit = self._exponent_index.get(table)
+        if hit is None:
+            roots = root_exponents(self.tables[0].exponent)
+            vectors, index = [], {}
+            for j, values in enumerate(self._values(i)):
+                vector = tuple(roots.get(v.coeffs) for v in values)
+                if None in vector:
+                    vector = None
+                else:
+                    index.setdefault(vector, []).append(j)
+                vectors.append(vector)
+            hit = self._exponent_index[table] = (vectors, index)
+        return hit
+
+    def _exponent_vector(self, w):
+        """The exponent vector of the one-dimensional weight w."""
+        vectors, _ = self._exponent_rows(w.class_index)
+        vector = vectors[w.irrep_index]
+        if vector is None:
+            e = self.tables[0].exponent
+            roots = root_exponents(e)
+            k, v = next(
+                (k, v)
+                for k, v in enumerate(self._values(w.class_index)[w.irrep_index])
+                if v.coeffs not in roots
+            )
+            raise InconsistencyError(
+                f"invertible weight {w}: its value {v} at class {k} is not a root "
+                f"of unity of order dividing {e}"
+            )
+        return vector
+
+    def _times_invertibles(self, a, b):
+        """The single weight (z1 z2, chi1 chi2) of a (x) b for two
+        one-dimensional weights a = (z1, chi1) and b = (z2, chi2).  The
+        class of z1 z2 is read off the translates of the centre; every
+        class involved is central, its centralizer G itself, so the row
+        of chi1 chi2 is the sum of the two exponent vectors mod e_G, found
+        by one probe.  Only fusion calls it, so every product is evaluated
+        once and cached there."""
+        i = self._translates[a.class_index][b.class_index][0]
+        e = self.tables[0].exponent
+        pairs = zip(self._exponent_vector(a), self._exponent_vector(b))
+        key = tuple([(x + y) % e for x, y in pairs])
+        _, index = self._exponent_rows(i)
+        found = index.get(key, ())
+        if len(found) != 1:
+            row = [zeta(e, k) for k in key]
+            raise _not_unique(f"product of {a} and {b}", len(found), i, row)
+        return Weight(i, found[0])
 
     def census(self):
         """One row per weight: label, class size, irrep degree, dimension."""
@@ -342,6 +416,14 @@ class WeightSystem:
 def _row_key(row):
     """Rows of one order are equal exactly when their keys are."""
     return tuple(v.coeffs for v in row)
+
+
+def _not_unique(what, count, i, row):
+    """The error of a row lookup that found count weights over class i."""
+    return InconsistencyError(
+        f"{what}: {count} characters of the centralizer of class "
+        f"{i} equal the computed row {row}, expected exactly one"
+    )
 
 
 def _as_count(acc, n, lam, mu, i, j):

@@ -187,11 +187,12 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     reads the costandard one off it, shifted: no costandard character is
     built from the dual components, and no duality identity or report
     law is re-checked.  No induced module is expanded: that line holds by
-    construction.  Each product with an invertible weight is evaluated
-    once, through the fusion cache: the taft 3 files fuse 24 distinct
-    such pairs."""
+    construction.  Every taft weight is invertible, so each product is
+    one exponent-vector probe, and each is evaluated once, through the
+    fusion cache: the taft 3 files fuse 24 distinct such pairs."""
     calls = {"verma_char": 0, "coverma_char": 0, "ind_into_projectives": 0,
-             "_times_invertible": 0}
+             "_times_invertible": 0, "_times_invertibles": 0}
+    pairs = []
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -210,12 +211,21 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
                 monkeypatch.setattr(module, name, wrapper)
     real = WeightSystem._times_invertible
     monkeypatch.setattr(WeightSystem, "_times_invertible", counted("_times_invertible", real))
+    real_invertibles = WeightSystem._times_invertibles
+
+    def recording(self, a, b):
+        calls["_times_invertibles"] += 1
+        pairs.append(frozenset((a, b)))
+        return real_invertibles(self, a, b)
+
+    monkeypatch.setattr(WeightSystem, "_times_invertibles", recording)
     code, out, _ = run(capsys, "verify", *_taft_args(taft_files))
     assert code == 0
     assert out.count("ok:") == 6
     W = 9
     assert calls == {"verma_char": W, "coverma_char": 0, "ind_into_projectives": 0,
-                     "_times_invertible": 24}
+                     "_times_invertible": 0, "_times_invertibles": 24}
+    assert len(set(pairs)) == len(pairs) == 24
 
 
 def test_verify_ml_fixture(capsys):
@@ -291,10 +301,10 @@ def test_ml_matrix_with_a_fractional_pinned_dimension_exits_3(capsys, tmp_path):
     for command in ("verify", "bgg"):
         code, out, err = run(capsys, command, "--group", DATA / "s3_group.json", "--profile", path)
         assert code == 3 and out == ""
-        assert (
-            "composition matrix does not admit positive integral simple "
-            "dimensions: dim L(g0r1) = 12/5"
-        ) in err
+        assert err == (
+            f"inconsistency: {path}: composition matrix does not admit positive "
+            "integral simple dimensions: dim L(g0r1) = 12/5\n"
+        )
 
 
 @pytest.mark.parametrize("name", ["profile", "simples", "aliases", "ml_matrix"])
@@ -458,8 +468,8 @@ def test_bgg_filtration_mismatch_names_both_characters(capsys, tmp_path, taft_fi
     )
     assert code == 3 and out == ""
     assert err == (
-        "inconsistency: profile invariant 'self-dual' violated: the dual of component 1 "
-        "is g2r2, but component 1 times g2r2 is g0r0\n"
+        f"inconsistency: {profile}: profile invariant 'self-dual' violated: the dual of "
+        "component 1 is g2r2, but component 1 times g2r2 is g0r0\n"
     )
 
 
@@ -477,8 +487,8 @@ def test_non_self_dual_profile_exits_3_at_load(capsys, tmp_path, command, taft_f
                          *command[1:])
     assert code == 3 and out == ""
     assert err == (
-        "inconsistency: profile invariant 'self-dual' violated: the dual of component 1 "
-        "is g0r0, but component 1 times g1r1 is g1r1\n"
+        f"inconsistency: {profile}: profile invariant 'self-dual' violated: the dual of "
+        "component 1 is g0r0, but component 1 times g1r1 is g1r1\n"
     )
 
 

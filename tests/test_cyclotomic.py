@@ -115,6 +115,37 @@ def test_negative_powers():
     assert z**-3 == (z**3).inverse()
 
 
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    # x ** -1 is the inverse and nothing more; x ** 4 is two squarings
+    x = Cyclotomic(12, (1, 2, 0, -1))
+    products = []
+    mul = Cyclotomic.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    inverse = x.inverse()
+    for_inverse = len(products)
+    products.clear()
+    assert x**-1 == inverse
+    assert len(products) == for_inverse
+    products.clear()
+    x**4
+    assert len(products) == 2
+    # x ** k takes one squaring per bit past the lowest and one product
+    # per set bit past the first
+    for k in range(9):
+        products.clear()
+        power = x**k
+        assert len(products) == max(k.bit_length() + k.bit_count() - 2, 0)
+        expected = Cyclotomic.from_rational(1, 12)
+        for _ in range(k):
+            expected = expected * x
+        assert power == expected
+
+
 def test_embedding_preserves_value():
     rng = random.Random(5)
     for _ in range(40):

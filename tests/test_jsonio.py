@@ -5,7 +5,7 @@ import pytest
 
 from doublechar import cli
 from doublechar.bgg import MLMatrixData
-from doublechar.errors import InputError
+from doublechar.errors import InconsistencyError, InputError, SpanError
 from doublechar.jsonio import (
     aliases_to_json,
     canonical_dumps,
@@ -132,6 +132,31 @@ def test_profile_round_trip(tmp_path, taft3):
     assert kind == NicholsProfile.KIND
     assert clone.components == profile.components
     assert clone.n_top == profile.n_top
+
+
+@pytest.mark.parametrize("error", [InputError, InconsistencyError, SpanError])
+def test_inconsistent_profile_names_its_path(monkeypatch, tmp_path, taft3, error):
+    # the error keeps its type and a SpanError its residual; only the
+    # message gains the path
+    _, profile, _ = taft3
+    path = tmp_path / "profile.json"
+    write_json(str(path), profile.to_json("group.json"))
+    residual = object()
+    if error is SpanError:
+        raised = SpanError("identity broke", residual)
+    else:
+        raised = error("identity broke")
+
+    def refuse(payload, system):
+        raise raised
+
+    monkeypatch.setattr(NicholsProfile, "from_json", staticmethod(refuse))
+    with pytest.raises(error) as info:
+        load_profile_file(str(path), profile.system)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: identity broke"
+    if error is SpanError:
+        assert info.value.residual is residual
 
 
 def test_simples_round_trip(tmp_path, taft3):

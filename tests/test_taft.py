@@ -18,6 +18,7 @@ from doublechar.taft import (
     lowering_coeffs,
     simple_char,
 )
+from doublechar.weights import WeightSystem
 
 
 def test_params_validation():
@@ -294,6 +295,28 @@ def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
         "Verma of (0,0): supports of the kernel of E = [0], [head length] fails: "
         "[[0], [1], [2]] against [[0], [1]]"
     )
+
+
+def test_taft_products_compose_exponent_vectors(monkeypatch):
+    # every weight of a Taft system is invertible, so each of the 1,662
+    # distinct products that build the n = 12 profile and table adds two
+    # exponent vectors: no row of cyclotomic values is multiplied and no
+    # pair character is projected
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(WeightSystem, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return wrapper
+
+    for name in ("_times_invertible", "_times_invertibles", "_multiplicities"):
+        monkeypatch.setattr(WeightSystem, name, counted(name))
+    build_profile_and_table(TaftParams(12))
+    assert calls == {"_times_invertibles": 1662}
 
 
 def test_taft_arithmetic_stays_at_one_order(monkeypatch):

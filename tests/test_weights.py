@@ -306,6 +306,49 @@ ORACLE_GROUPS = {
 }
 
 
+def invertible_pairs(system):
+    """Every unordered pair of one-dimensional weights, each once."""
+    ones = [w for w in system.weights if system.dim(w) == 1]
+    return [(a, b) for k, a in enumerate(ones) for b in ones[k:]]
+
+
+def assert_invertible_routes_agree(system, brute_pairs):
+    """Two invertible weights compose through their exponent vectors to
+    the weight of the closed form, in both orders; brute_fusion, which
+    averages over every group element, finds it once on brute_pairs."""
+    found = {}
+    for a, b in invertible_pairs(system):
+        w = found[a, b] = system._times_invertibles(a, b)
+        assert w == system._times_invertibles(b, a)
+        assert w == system._times_invertible(a, b)
+    for a, b in brute_pairs:
+        assert brute_fusion(system, a, b) == {found[a, b]: 1}
+
+
+@pytest.mark.parametrize("name, count", [("Z6", 36), ("S3", 2), ("S4", 2), ("Q8", 8)])
+def test_invertible_products_compose_exponent_vectors(name, count):
+    # S3 and S4 have a trivial centre, so only their two linear characters
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS[name]))
+    pairs = invertible_pairs(system)
+    assert len(pairs) == count * (count + 1) // 2
+    assert_invertible_routes_agree(system, pairs)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cyclic_products_compose_exponent_vectors(n):
+    # every weight of Z_n is invertible; brute force is quartic in n, so
+    # past n = 6 it checks each product with a generator of Z_n x Z_n^,
+    # the class g1 and the faithful character at class 0
+    system = cyclic_system(n)
+    pairs = invertible_pairs(system)
+    assert len(pairs) == n * n * (n * n + 1) // 2
+    if n > 6:
+        row_exp = exponent_of_row(system, n)
+        gens = {Weight(1, 0), Weight(0, next(r for r, k in row_exp.items() if k == 1))}
+        pairs = [(a, b) for a, b in pairs if a in gens or b in gens]
+    assert_invertible_routes_agree(system, pairs)
+
+
 def test_q8_generators_give_the_quaternion_group():
     group = FiniteGroup.from_generators(8, Q8_GENS)
     a, b = Q8_GENS
@@ -381,6 +424,24 @@ def test_dual_lookup_failure_names_weight_class_and_row():
     # the row that now appears twice matches two characters
     with pytest.raises(InconsistencyError, match="dual of g1r2: 2 characters"):
         system.dual(Weight(1, 2))
+
+
+def test_invertible_value_off_the_roots_of_unity_names_the_weight():
+    # row 1 of class 1 of C3 doubled: g1r1 is still one-dimensional, but
+    # its character takes 2, which no exponent vector holds
+    system = cyclic_system(3)
+    table = system.tables[1]
+    values = list(table.values)
+    values[1] = tuple(v * 2 for v in values[1])
+    system.tables[1] = CharacterTable(table.group, table.exponent, tuple(values), table.degrees)
+    with pytest.raises(InconsistencyError) as info:
+        system.fusion(Weight(1, 1), Weight(2, 0))
+    assert str(info.value) == (
+        "invertible weight g1r1: its value 2 at class 0 is not a root of unity "
+        "of order dividing 3"
+    )
+    # the untouched rows still compose
+    assert system.fusion(Weight(1, 0), Weight(2, 2)) == {Weight(0, 2): 1}
 
 
 def test_product_lookup_failure_names_both_weights():
@@ -523,6 +584,13 @@ def test_one_dimensional_products_match_fusion(group):
             w = system.fusion(a, b)
             assert list(w.values()) == [1]
             assert brute_fusion(system, a, b) == w == brute_fusion(system, b, a)
+
+
+@PROPERTY
+@given(small_groups())
+def test_invertible_routes_agree_on_random_groups(group):
+    system = WeightSystem(group)
+    assert_invertible_routes_agree(system, invertible_pairs(system))
 
 
 @PROPERTY
