@@ -79,10 +79,11 @@ class BGGReport:
         self.weights = weights
         self.n_top = n_top
         self.verma_simple = verma_simple
-        self.projective_verma = {
-            mu: {lam: row[mu].bar() for lam, row in verma_simple.items() if mu in row}
-            for mu in weights
-        }
+        # one pass over the nonzero entries of D transposes it
+        self.projective_verma = {mu: {} for mu in weights}
+        for lam, row in verma_simple.items():
+            for mu, coeff in row.items():
+                self.projective_verma[mu][lam] = coeff.bar()
         # cartan[mu][nu] = sum over lam of projective_verma[mu][lam] *
         # verma_simple[lam][nu]
         self.cartan = {}
@@ -167,12 +168,11 @@ def bgg_matrices(profile, table):
         profile.n_top,
         {lam: decompose_into_simples(profile.vermas[lam], table) for lam in weights},
     )
-    # the Verma whose composition series governs W(lam) is twisted by
-    # the top weight: lam_ov * lam
-    twisted = {lam: report.verma_simple[profile.twist_ov[lam]] for lam in weights}
+    # the Verma whose composition series governs W(lam) is that of the
+    # top-twisted kap = lambda_ov (x) lam, and lam = twist_v[kap]
     report.projective_coverma = {
-        mu: {lam: row[mu].bar().shift(-profile.n_top) for lam, row in twisted.items() if mu in row}
-        for mu in weights
+        mu: {profile.twist_v[kap]: c.shift(-profile.n_top) for kap, c in column.items()}
+        for mu, column in report.projective_verma.items()
     }
     report.projective_chars = {
         mu: combine(report.projective_verma[mu], profile.vermas) for mu in weights

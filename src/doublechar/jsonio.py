@@ -4,8 +4,8 @@ All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
 which the test suite relies on.  Loaders and writers wrap every failure in
 InputError so the CLI can map them to its input-validation exit code; an
-inconsistency found while a profile loads keeps its type, and its message,
-like an input error's, names the file.
+inconsistency found while a group, profile or simple table loads keeps its
+type, and its message, like an input error's, names the file.
 """
 
 from __future__ import annotations
@@ -101,12 +101,20 @@ def load_json(path):
         raise InputError(f"{path} is nested too deeply to read") from None
 
 
-def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
-    obj = load_json(path)
+def _from_file(path, build, *args):
+    """build(*args) for a payload read from path.  An input or
+    inconsistency error it raises gains the path in its message and is
+    re-raised as the same object, so its type and attributes (a
+    SpanError's residual) are kept."""
     try:
-        return FiniteGroup.from_json(obj, max_order=max_order)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        return build(*args)
+    except (InputError, InconsistencyError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise exc from None
+
+
+def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
+    return _from_file(path, FiniteGroup.from_json, load_json(path), max_order)
 
 
 def profile_kind(payload):
@@ -121,28 +129,15 @@ def profile_kind(payload):
 
 
 def load_profile_file(path, system):
-    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData).
-
-    An input or inconsistency error raised while the payload loads gains
-    the path in its message and keeps its type and attributes (a SpanError
-    its residual)."""
+    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData)."""
     payload = _load_payload(path)
     kind = profile_kind(payload)
-    try:
-        if kind == MLMatrixData.KIND:
-            return kind, MLMatrixData.from_json(payload, system)
-        return kind, NicholsProfile.from_json(payload, system)
-    except (InputError, InconsistencyError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise exc from None
+    cls = MLMatrixData if kind == MLMatrixData.KIND else NicholsProfile
+    return kind, _from_file(path, cls.from_json, payload, system)
 
 
 def load_simples_file(path, system):
-    payload = _load_payload(path)
-    try:
-        return SimpleTable.from_json(payload, system)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _from_file(path, SimpleTable.from_json, _load_payload(path), system)
 
 
 def load_aliases_file(path, system):

@@ -16,16 +16,18 @@ pair character at (r_i, c_k).  The dual is the charge conjugation
 C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
 Neither does any permutation work or row scan: the class of z r_a and
 the Z-classes that each pair character is read from are built once, and
-a row is found by one dict probe on its coefficient tuple.
+a row is found by one probe of its table's row index, keyed by the
+row's coefficient tuples.
 
 Fusion takes one of three routes:
 
 - Two invertible weights compose as the group Z(G) x Hom(G, k^x):
   (z1, chi1) (x) (z2, chi2) = (z1 z2, chi1 chi2).  Every value of a
   linear character is a root of unity zeta_(e_G)^k, so each such row is
-  stored as its exponent vector (k per class of G); the product's row is
-  the sum of the two vectors mod e_G, found by one dict probe.  All
-  three classes are central, so all three rows are read on G's classes.
+  also stored as its exponent vector (k per class of G); the product's
+  row is zeta_(e_G) to the sum of the two vectors mod e_G, found by one
+  probe of the same row index.  All three classes are central, so all
+  three rows are read on G's classes.
 - An invertible weight times a weight of dimension above one takes the
   second formula above.
 - Every other pair is fused by projecting the pair character T of
@@ -42,9 +44,13 @@ Every multiplicity is an exact cyclotomic number that must come out a
 nonnegative integer.
 
 All values live in one field, Q(zeta_(e_G)) for the group exponent e_G:
-the exponent of every centralizer divides e_G, so each distinct table's
-values are embedded there once, on first use, and every pair character,
-product, dual row and inner product is arithmetic of that one order.
+the exponent of every centralizer divides e_G.  Classes whose
+centralizers are equal share one table, and each distinct table gets one
+record, built on first use: its value rows embedded at e_G, its class
+representatives in G, its rows conjugated and weighted by class size for
+the projection, its one row index and each row's exponent vector.  Every
+pair character that a dual, a product or a projection reads goes through
+the one cached read path, _pair_row.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table, in ASCII digits without leading zeros;
@@ -55,9 +61,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chartable import CharacterTable
-from .cyclotomic import CYC_ZERO, dot, root_exponents, zeta
+from .cyclotomic import CYC_ZERO, _power_table, dot, root_exponents, zeta
 from .errors import InconsistencyError, InputError
 from .groups import centralizer, perm_mul
 
@@ -104,17 +111,11 @@ class WeightSystem:
         self.unit = Weight(0, 0)
         self._fusion_cache = {}
         self._dual_cache = {}
-        self._rows_cache = {}
         # (g, i) -> for each class representative h of Z_i, the class
         # that pair characters at (g, h) are read from
         self._reads_cache = {}
-        # table -> its value rows embedded into Q(zeta_(e_G))
-        self._embedded = {}
-        # table -> row key -> the indices of the rows with that key
-        self._row_index = {}
-        # table -> (each row's exponent vector, or None, and vector -> the
-        # indices of the rows with that vector)
-        self._exponent_index = {}
+        # table -> its _Record, built on first use
+        self._records = {}
         # the center permutes the classes: for z = r_c central and each
         # class a, the class i of z r_a and z^(-1) r_i, a member of class a
         self._translates = {}
@@ -150,17 +151,33 @@ class WeightSystem:
         if self.conj.class_of[g_index] != i:
             return CYC_ZERO
         k = self._read_class(g_index, h_index)
-        return CYC_ZERO if k is None else self._values(i)[w.irrep_index][k]
+        return CYC_ZERO if k is None else self._record(i).values[w.irrep_index][k]
 
-    def _values(self, i):
-        """The value rows of the centralizer table of class i, embedded
-        into Q(zeta_(e_G)) on first use, once per distinct table."""
+    def _record(self, i):
+        """The _Record of the centralizer table of class i, built on first
+        use, once per distinct table.  The row index holds every row under
+        its key, so the count of matches is the count a scan with == would
+        find."""
         table = self.tables[i]
-        rows = self._embedded.get(table)
-        if rows is None:
+        record = self._records.get(table)
+        if record is None:
             e = self.tables[0].exponent
-            rows = self._embedded[table] = [[v.embed(e) for v in row] for row in table.values]
-        return rows
+            roots = root_exponents(e)
+            values = [[v.embed(e) for v in row] for row in table.values]
+            sizes = table.conj.sizes()
+            index, vectors = {}, []
+            for j, row in enumerate(values):
+                index.setdefault(_row_key(row), []).append(j)
+                vector = tuple(roots.get(v.coeffs) for v in row)
+                vectors.append(None if None in vector else vector)
+            record = self._records[table] = _Record(
+                values,
+                [self.group.index[table.group.elements[r]] for r in table.conj.reps],
+                [[v.conjugate() * size for v, size in zip(row, sizes)] for row in values],
+                index,
+                vectors,
+            )
+        return record
 
     def _read_class(self, g_index, h_index):
         """The class of Z_r holding x^(-1) h x, where g = x r x^(-1) for the
@@ -184,15 +201,10 @@ class WeightSystem:
         reads = self._reads_cache.get((g_index, i))
         if reads is None:
             reads = self._reads_cache[g_index, i] = [
-                self._read_class(g_index, h) for h in self._centralizer_reps(i)
+                self._read_class(g_index, h) for h in self._record(i).reps
             ]
-        values = self._values(w.class_index)[w.irrep_index]
+        values = self._record(w.class_index).values[w.irrep_index]
         return [CYC_ZERO if k is None else values[k] for k in reads]
-
-    def _centralizer_reps(self, i):
-        """Class representatives of the centralizer Z_i as group indices."""
-        table = self.tables[i]
-        return [self.group.index[table.group.elements[r]] for r in table.conj.reps]
 
     # ---- fusion ----
 
@@ -251,18 +263,8 @@ class WeightSystem:
         return found
 
     def _weight_with_row(self, i, row, what):
-        """The weight over class i whose centralizer character is row.
-
-        The index is built once per table, which classes share, and holds
-        every row with its key, so the count of matches is the count a
-        scan with == would find."""
-        table = self.tables[i]
-        index = self._row_index.get(table)
-        if index is None:
-            index = self._row_index[table] = {}
-            for j, values in enumerate(self._values(i)):
-                index.setdefault(_row_key(values), []).append(j)
-        found = index.get(_row_key(row), ())
+        """The weight over class i whose centralizer character is row."""
+        found = self._record(i).index.get(_row_key(row), ())
         if len(found) != 1:
             raise _not_unique(what, len(found), i, row)
         return Weight(i, found[0])
@@ -282,43 +284,25 @@ class WeightSystem:
                     out[i].append((g1, g2))
         return out
 
-    def _class_rows(self, i):
-        """Class representatives of the centralizer Z_i as group indices,
-        and its character rows conjugated and weighted by class size.
-        Built on first use."""
-        hit = self._rows_cache.get(i)
-        if hit is None:
-            reps = self._centralizer_reps(i)
-            sizes = self.tables[i].conj.sizes()
-            rows = [
-                [v.conjugate() * size for v, size in zip(row, sizes)]
-                for row in self._values(i)
-            ]
-            hit = self._rows_cache[i] = (reps, rows)
-        return hit
-
     def _multiplicities(self, lam, mu, i, factors):
         """Multiplicity of (i, j) in lam (x) mu for each row j:
         (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k), where T is the
         pair character of lam (x) mu and c_k runs over the class
         representatives of Z_i."""
-        reps, rows = self._class_rows(i)
-        values = []
-        for h in reps:
-            left, right = [], []
-            for g1, g2 in factors:
-                v1 = self.pair_char(lam, g1, h)
-                if v1.is_zero():
-                    continue
-                v2 = self.pair_char(mu, g2, h)
-                if not v2.is_zero():
-                    left.append(v1)
-                    right.append(v2)
-            values.append(dot(left, right))
+        record = self._record(i)
+        left = [[] for _ in record.reps]
+        right = [[] for _ in record.reps]
+        for g1, g2 in factors:
+            pairs = zip(self._pair_row(lam, g1, i), self._pair_row(mu, g2, i))
+            for k, (v1, v2) in enumerate(pairs):
+                if not (v1.is_zero() or v2.is_zero()):
+                    left[k].append(v1)
+                    right[k].append(v2)
+        values = [dot(x, y) for x, y in zip(left, right)]
         order = self.tables[i].group.order
         return [
             _as_count(dot(values, row), order, lam, mu, i, j)
-            for j, row in enumerate(rows)
+            for j, row in enumerate(record.weighted)
         ]
 
     def _times_invertible(self, onedim, lam):
@@ -339,39 +323,15 @@ class WeightSystem:
         ]
         return self._weight_with_row(i, row, f"product of {onedim} and {lam}")
 
-    def _exponent_rows(self, i):
-        """For the centralizer table of class i, a pair: each row's
-        exponent vector, the k with value zeta_(e_G)^k at each class, or
-        None when a value is no root of unity of order dividing e_G; and a
-        dict from each vector to the rows that have it.  Built once per
-        table, on first use; every row of roots is indexed, so the count
-        of matches is the count a scan with == would find."""
-        table = self.tables[i]
-        hit = self._exponent_index.get(table)
-        if hit is None:
-            roots = root_exponents(self.tables[0].exponent)
-            vectors, index = [], {}
-            for j, values in enumerate(self._values(i)):
-                vector = tuple(roots.get(v.coeffs) for v in values)
-                if None in vector:
-                    vector = None
-                else:
-                    index.setdefault(vector, []).append(j)
-                vectors.append(vector)
-            hit = self._exponent_index[table] = (vectors, index)
-        return hit
-
     def _exponent_vector(self, w):
         """The exponent vector of the one-dimensional weight w."""
-        vectors, _ = self._exponent_rows(w.class_index)
-        vector = vectors[w.irrep_index]
+        record = self._record(w.class_index)
+        vector = record.vectors[w.irrep_index]
         if vector is None:
             e = self.tables[0].exponent
             roots = root_exponents(e)
             k, v = next(
-                (k, v)
-                for k, v in enumerate(self._values(w.class_index)[w.irrep_index])
-                if v.coeffs not in roots
+                (k, v) for k, v in enumerate(record.values[w.irrep_index]) if v.coeffs not in roots
             )
             raise InconsistencyError(
                 f"invertible weight {w}: its value {v} at class {k} is not a root "
@@ -384,17 +344,16 @@ class WeightSystem:
         one-dimensional weights a = (z1, chi1) and b = (z2, chi2).  The
         class of z1 z2 is read off the translates of the centre; every
         class involved is central, its centralizer G itself, so the row
-        of chi1 chi2 is the sum of the two exponent vectors mod e_G, found
-        by one probe.  Only fusion calls it, so every product is evaluated
-        once and cached there."""
+        of chi1 chi2 is zeta_(e_G) to the sum of the two exponent vectors
+        mod e_G, found by one probe of the row index.  Only fusion calls
+        it, so every product is evaluated once and cached there."""
         i = self._translates[a.class_index][b.class_index][0]
         e = self.tables[0].exponent
-        pairs = zip(self._exponent_vector(a), self._exponent_vector(b))
-        key = tuple([(x + y) % e for x, y in pairs])
-        _, index = self._exponent_rows(i)
-        found = index.get(key, ())
+        pairs = list(zip(self._exponent_vector(a), self._exponent_vector(b)))
+        powers = _power_table(e)
+        found = self._record(i).index.get(tuple([powers[(x + y) % e] for x, y in pairs]), ())
         if len(found) != 1:
-            row = [zeta(e, k) for k in key]
+            row = [zeta(e, x + y) for x, y in pairs]
             raise _not_unique(f"product of {a} and {b}", len(found), i, row)
         return Weight(i, found[0])
 
@@ -411,6 +370,16 @@ class WeightSystem:
                 }
             )
         return rows
+
+
+class _Record(NamedTuple):
+    """One distinct centralizer table, read at e_G."""
+
+    values: list  # value rows, embedded into Q(zeta_(e_G))
+    reps: list  # class representatives, as indices into G
+    weighted: list  # rows conjugated and weighted by class size
+    index: dict  # row key -> every row with that key
+    vectors: list  # each row's exponent vector, or None off the roots of unity
 
 
 def _row_key(row):

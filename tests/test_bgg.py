@@ -182,6 +182,22 @@ def _report_case(case):
 
 
 @pytest.mark.parametrize("case", REPORT_CASES)
+def test_costandard_matrix_is_the_twisted_bar_of_d(case):
+    # projective_coverma[mu][lam] = bar(D[lambda_ov * lam][mu]) t^-n_top,
+    # read entry by entry off D rather than off projective_verma
+    profile, table, r = _report_case(case)
+    D = r.verma_simple
+    for mu in r.weights:
+        expected = {
+            lam: D[profile.twist_ov[lam]][mu].bar().shift(-profile.n_top)
+            for lam in r.weights
+            if mu in D[profile.twist_ov[lam]]
+        }
+        assert r.projective_coverma[mu] == expected
+        assert r.projective_verma[mu] == {lam: D[lam][mu].bar() for lam in r.weights if mu in D[lam]}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
 def test_projective_chars_have_verma_and_coverma_filtrations(case):
     # the report's costandard matrix against W(lam) built from the dual
     # components (coverma_char), not from the profile's shifted Vermas

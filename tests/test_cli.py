@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from test_jsonio import lowest_layer_message, write_lowest_layer_fault
 
 from doublechar import WeightSystem, bgg, cli, nichols
 from doublechar.cyclotomic import Cyclotomic
@@ -612,6 +613,17 @@ def test_simples_missing_an_entry_exits_2(capsys, tmp_path, taft_files):
     code, out, err = run(capsys, "bgg", *_taft_args(taft_files), "--simples", path)
     assert code == 2 and out == ""
     assert "simple table is incomplete; missing entries for g2r2" in err
+
+
+@pytest.mark.parametrize("fault", ["single-weight", "bijection"])
+def test_simples_breaking_a_lowest_layer_invariant_exits_3_naming_its_path(
+    capsys, tmp_path, taft_files, fault
+):
+    path = write_lowest_layer_fault(taft_files / "simples.json", tmp_path / "simples.json", fault)
+    for command, stdout in (("bgg", ""), ("verify", "ok: duality identities (9 weights)\n")):
+        code, out, err = run(capsys, command, *_taft_args(taft_files), "--simples", path)
+        assert code == 3 and out == stdout
+        assert err == f"inconsistency: {lowest_layer_message(path, fault)}\n"
 
 
 def test_noncanonical_alias_label_exits_2(capsys, tmp_path):

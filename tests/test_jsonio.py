@@ -168,6 +168,39 @@ def test_simples_round_trip(tmp_path, taft3):
         assert clone[lam] == table[lam]
 
 
+# a layer below every other of one entry: two weights under g0r1, or
+# g0r1's lowest weight g2r0 under g0r2
+LOWEST_LAYER_FAULTS = {
+    "single-weight": (1, -7, ["g1r1", "g2r2"], "entry g0r1 has 2 weights in degree -7"),
+    "bijection": (2, -3, ["g2r0"], "entries g0r1 and g0r2 share the lowest weight g2r0"),
+}
+
+
+def write_lowest_layer_fault(src, dst, fault):
+    entry, deg, labels, _ = LOWEST_LAYER_FAULTS[fault]
+    obj = json.loads(pathlib.Path(src).read_text(encoding="utf-8"))
+    layer = {"deg": deg, "weights": [{"m": 1, "w": w} for w in labels]}
+    obj["simples"][entry]["char"]["char"].insert(0, layer)
+    pathlib.Path(dst).write_text(json.dumps(obj), encoding="utf-8")
+    return dst
+
+
+def lowest_layer_message(path, fault):
+    return f"{path}: lowest-layer invariant '{fault}' violated: {LOWEST_LAYER_FAULTS[fault][3]}"
+
+
+@pytest.mark.parametrize("fault", sorted(LOWEST_LAYER_FAULTS))
+def test_simples_breaking_a_lowest_layer_invariant_names_its_path(tmp_path, taft3, fault):
+    _, profile, table = taft3
+    good = tmp_path / "good.json"
+    write_json(str(good), table.to_json())
+    path = write_lowest_layer_fault(good, tmp_path / "simples.json", fault)
+    with pytest.raises(InconsistencyError) as info:
+        load_simples_file(str(path), profile.system)
+    assert type(info.value) is InconsistencyError
+    assert str(info.value) == lowest_layer_message(path, fault)
+
+
 def test_aliases_round_trip(tmp_path, taft3):
     params, profile, _ = taft3
     system = profile.system

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from doublechar import groups, weights
 from doublechar.chartable import CharacterTable
-from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, zeta
+from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, dot, zeta
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import KElement
 from doublechar.groups import ConjugacyData, FiniteGroup, perm_inv, perm_mul
@@ -236,11 +237,25 @@ def brute_count(acc, n):
     return int(q)
 
 
-def values_at_exponent(system, i):
+# system -> class i -> the value rows of its centralizer table at e_G,
+# and their conjugates
+_ORACLE_ROWS = weakref.WeakKeyDictionary()
+
+
+def oracle_rows(system, i):
     """The value rows of the centralizer table of class i, embedded into
-    Q(zeta_(e_G)) here rather than read through the system."""
-    e = system.group.exponent()
-    return [[v.embed(e) for v in row] for row in system.tables[i].values]
+    Q(zeta_(e_G)) here rather than read through the system, and their
+    conjugates; built once per (system, class)."""
+    rows = _ORACLE_ROWS.setdefault(system, {})
+    if i not in rows:
+        e = system.group.exponent()
+        values = [[v.embed(e) for v in row] for row in system.tables[i].values]
+        rows[i] = values, [[v.conjugate() for v in row] for row in values]
+    return rows[i]
+
+
+def values_at_exponent(system, i):
+    return oracle_rows(system, i)[0]
 
 
 def brute_fusion(system, lam, mu):
@@ -264,11 +279,9 @@ def brute_fusion(system, lam, mu):
                 h_index = group.index[perm_mul(x, perm_mul(c, perm_inv(x)))]
                 cls = cd.class_of[z.index[c]]
                 sums[cls] = sums[cls] + brute_tensor_value(system, lam, mu, g_index, h_index)
-        for j, row in enumerate(values_at_exponent(system, i)):
-            acc = CYC_ZERO
-            for cls in range(cd.count):
-                acc = acc + sums[cls] * row[cls].conjugate()
-            mult = brute_count(acc, group.order)
+        for j, row in enumerate(oracle_rows(system, i)[1]):
+            acc = dot(sums, row)
+            mult = 0 if acc.is_zero() else brute_count(acc, group.order)
             if mult:
                 result[Weight(i, j)] = mult
     return result
@@ -465,7 +478,7 @@ def test_product_lookup_failure_names_both_weights():
         (zeta(3).embed(6), "inner product -3+3*z6 over centralizer order 3 is not rational"),
     ],
 )
-def test_bad_multiplicity_names_weight_inner_product_and_order(monkeypatch, scale, verdict):
+def test_bad_multiplicity_names_weight_inner_product_and_order(scale, verdict):
     # g2r1 (x) g2r1 holds g2r1 once, an inner product of 3 over the
     # centralizer Z3 of class 2; scaling the weighted rows of class 2
     # scales every inner product there
@@ -473,15 +486,9 @@ def test_bad_multiplicity_names_weight_inner_product_and_order(monkeypatch, scal
     a = system.by_label["g2r1"]
     assert system.fusion(a, a) == {Weight(0, 0): 1, Weight(0, 1): 1, a: 1}
     system = WeightSystem(system.group)
-    real = WeightSystem._class_rows
-
-    def scaled(self, i):
-        reps, rows = real(self, i)
-        if i == 2:
-            rows = [[v * scale for v in row] for row in rows]
-        return reps, rows
-
-    monkeypatch.setattr(WeightSystem, "_class_rows", scaled)
+    record = system._record(2)
+    scaled = [[v * scale for v in row] for row in record.weighted]
+    system._records[system.tables[2]] = record._replace(weighted=scaled)
     with pytest.raises(InconsistencyError) as info:
         system.fusion(a, a)
     assert str(info.value) == f"fusion multiplicity of g2r1 in g2r1 (x) g2r1: {verdict}"
@@ -639,7 +646,7 @@ def _check_row_lookup(system):
         if degree == 1
     ]
     for i in range(len(system.tables)):
-        reps = system._centralizer_reps(i)
+        reps = system._record(i).reps
         restricted = [[chi[system.conj.class_of[h]] for h in reps] for chi in linear]
         table_rows = values_at_exponent(system, i)
         for values in table_rows:
@@ -682,6 +689,47 @@ def test_each_table_value_is_embedded_once(monkeypatch):
     values = sum(len(row) for table in set(system.tables) for row in table.values)
     assert len(calls) == values == 91
     assert set(calls) == {12}
+
+
+def test_every_pair_character_is_read_through_the_cache(monkeypatch):
+    # the projection, the duals and the closed forms all read pair
+    # characters through _pair_row, so each (g, i) resolves its classes once
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S4"]))
+    calls = []
+    real = WeightSystem._read_class
+
+    def counted(self, g_index, h_index):
+        calls.append((g_index, h_index))
+        return real(self, g_index, h_index)
+
+    monkeypatch.setattr(WeightSystem, "_read_class", counted)
+    ws = system.weights
+    assert len([system.fusion(a, b) for k, a in enumerate(ws) for b in ws[k:]]) == 231
+    assert len([system.dual(w) for w in ws]) == 21
+    assert calls
+    assert len(calls) == sum(len(reads) for reads in system._reads_cache.values())
+
+
+@pytest.mark.parametrize("name", ["S4", "Z6"])
+def test_each_table_record_is_built_once(monkeypatch, name):
+    # classes with equal centralizers share a table, and the table its
+    # record: S4 has 5 distinct centralizers, and Z6's 6 classes share G
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS[name]))
+    built = []
+    real = weights._Record
+
+    def counted(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(weights, "_Record", counted)
+    ws = system.weights
+    for k, a in enumerate(ws):
+        system.dual(a)
+        for b in ws[k:]:
+            system.fusion(a, b)
+    assert len(built) == len(set(system.tables)) == {"S4": 5, "Z6": 1}[name]
+    assert len(system._records) == len(built)
 
 
 def test_cyclic_fusion_table_does_no_group_work_or_row_scan(monkeypatch):
