@@ -99,6 +99,9 @@ def load_json(path):
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} is nested too deeply to read") from None
+    except ValueError as exc:
+        # an integer literal longer than int() converts
+        raise InputError(f"{path} holds a number too long to read: {exc}") from None
 
 
 def _from_file(path, build, *args):

@@ -12,10 +12,10 @@ for every j.  Then ch W(lam) = t^n_top ch M(lambda_ov (x) lam), the
 costandard characters are shifted standard ones, and the duality
 identities of `verify_duality_identities` hold at every weight.  A
 validated profile carries, built once for every weight lam, the
-standard character ch M(lam), the costandard character ch W(lam) and
-both twists lambda_v (x) lam, read off the bottom layer of ch M(lam),
-and lambda_ov (x) lam, its inverse.  A simple table holds one character
-L(lam), the head of M(lam), for every weight lam.
+standard character ch M(lam) and the twist lambda_v (x) lam, read off
+the bottom layer of ch M(lam); its inverse is lambda_ov (x) -.  A simple
+table holds one character L(lam), the head of M(lam), for every weight
+lam.
 
 Profiles and simple tables are input data, complete and validated once
 built here, so the reciprocity engine only computes; nothing in this
@@ -31,11 +31,12 @@ from .graded import GradedChar, KElement, gc_dual, gc_mul
 class NicholsProfile(Frozen):
     """Graded character of the inducing algebra, one KElement per degree."""
 
-    # dim_b is the total dimension of the inducing algebra; vermas and
-    # covermas map each weight lam to ch M(lam) and ch W(lam); twist_v and
-    # twist_ov map lam to lambda_v (x) lam and lambda_ov (x) lam
-    __slots__ = ("system", "components", "dual_components", "n_top", "lambda_v",
-                 "lambda_ov", "dim_b", "vermas", "covermas", "twist_v", "twist_ov")
+    # dim_b is the total dimension of the inducing algebra; vermas maps
+    # each weight lam to ch M(lam), and twist_v maps lam to
+    # lambda_v (x) lam; ch W(lam) = t^n_top ch M(lambda_ov (x) lam) is
+    # read off vermas where it is needed
+    __slots__ = ("system", "components", "n_top", "lambda_v", "lambda_ov",
+                 "dim_b", "vermas", "twist_v")
     KIND = "profile"
 
     def __init__(self, system, components):
@@ -72,9 +73,8 @@ class NicholsProfile(Frozen):
                 "the top weight must be one-dimensional"
             )
         lam_ov = system.dual(lam_v)
-        duals = tuple(k.dual(system) for k in components)
         # j = 0 says lambda_v (x) lambda_ov is the unit
-        for j, dual in enumerate(duals):
+        for j, dual in enumerate(k.dual(system) for k in components):
             mirror = components[n_top - j].mul(KElement.of(lam_ov), system)
             if dual != mirror:
                 raise InconsistencyError(
@@ -85,24 +85,17 @@ class NicholsProfile(Frozen):
         self._set(
             system=system,
             components=tuple(components),
-            dual_components=duals,
             n_top=n_top,
             lambda_v=lam_v,
             lambda_ov=lam_ov,
             dim_b=sum(k.dim(system) for k in components),
         )
-        weights = system.weights
-        vermas = {lam: verma_char(self, lam) for lam in weights}
+        vermas = {lam: verma_char(self, lam) for lam in system.weights}
         # the bottom layer of M(lam) is the single weight lambda_v (x) lam,
-        # whose inverse map is lambda_ov (x) - because j = 0 held above, and
-        # self-duality makes W(lam) = t^n_top M(lambda_ov (x) lam)
-        twist_v = {lam: next(iter(vermas[lam].layer(-n_top).terms)) for lam in weights}
-        twist_ov = {b: lam for lam, b in twist_v.items()}
+        # whose inverse map is lambda_ov (x) - because j = 0 held above
         self._set(
             vermas=vermas,
-            covermas={lam: vermas[twist_ov[lam]].shift(n_top) for lam in weights},
-            twist_v=twist_v,
-            twist_ov=twist_ov,
+            twist_v={lam: next(iter(m.layer(-n_top).terms)) for lam, m in vermas.items()},
         )
 
     def to_json(self, group_ref):
@@ -146,16 +139,18 @@ def verma_char(profile, lam):
 
 def coverma_char(profile, lam):
     """Costandard module character: dual components act at degree +j."""
+    system = profile.system
     base = KElement.of(lam)
     return GradedChar(
-        {j: k.mul(base, profile.system) for j, k in enumerate(profile.dual_components)}
+        {j: k.dual(system).mul(base, system) for j, k in enumerate(profile.components)}
     )
 
 
 def ind_char(profile, lam):
-    """Character of the module induced from the group part alone."""
-    system = profile.system
-    return gc_mul(profile.covermas[system.unit], profile.vermas[lam], system)
+    """Character of the module induced from the group part alone:
+    W(unit) M(lam), where W(unit) = t^n_top M(lambda_ov)."""
+    unit_coverma = profile.vermas[profile.lambda_ov].shift(profile.n_top)
+    return gc_mul(unit_coverma, profile.vermas[lam], profile.system)
 
 
 def verify_duality_identities(profile, lam):
@@ -166,8 +161,8 @@ def verify_duality_identities(profile, lam):
     n = profile.n_top
     twisted = profile.twist_v[lam]
 
-    e1 = gc_dual(profile.covermas[twisted], system).shift(n)
-    e2 = profile.covermas[system.dual(lam)]
+    e1 = gc_dual(coverma_char(profile, twisted), system).shift(n)
+    e2 = coverma_char(profile, system.dual(lam))
     e3 = gc_dual(profile.vermas[lam], system)
     e4 = profile.vermas[system.dual(twisted)].shift(n)
 

@@ -5,31 +5,27 @@ centralizer of the class representative); it labels an irreducible
 Yetter-Drinfeld module over the group.  Its pair character assigns to
 commuting pairs (g, h) the trace of h on the g-graded component.
 
-Duals and products with a one-dimensional (invertible) weight (z, chi),
-z central, are single weights with closed forms:
+The dual has a closed form, the charge conjugation C = S^2 of
+Coste-Gannon-Ruelle, "Finite group modular data" (2000):
 
-    (g, rho)* = (g^(-1), conj rho),
-    (z, chi) (x) (g, rho) = (z g, chi|_{Z_g} rho).
+    (g, rho)* = (g^(-1), conj rho).
 
-Each is the row of the centralizer table of its class i that equals its
-pair character at (r_i, c_k).  The dual is the charge conjugation
-C = S^2 of Coste-Gannon-Ruelle, "Finite group modular data" (2000).
-Neither does any permutation work or row scan: the class of z r_a and
-the Z-classes that each pair character is read from are built once, and
-a row is found by one probe of its table's row index, keyed by the
-row's coefficient tuples.
+It is the row of the centralizer table of its class i that equals its
+pair character at (r_i, c_k), found by one probe of the table's row
+index, keyed by the row's coefficient tuples; the Z-classes that each
+pair character is read from are built once.
 
-Fusion takes one of three routes:
+Fusion takes one of two routes:
 
-- Two invertible weights compose as the group Z(G) x Hom(G, k^x):
+- Two invertible (one-dimensional) weights (z, chi), z central, compose
+  as the group Z(G) x Hom(G, k^x):
   (z1, chi1) (x) (z2, chi2) = (z1 z2, chi1 chi2).  Every value of a
   linear character is a root of unity zeta_(e_G)^k, so each such row is
   also stored as its exponent vector (k per class of G); the product's
   row is zeta_(e_G) to the sum of the two vectors mod e_G, found by one
-  probe of the same row index.  All three classes are central, so all
-  three rows are read on G's classes.
-- An invertible weight times a weight of dimension above one takes the
-  second formula above.
+  probe of the row index.  The class of z1 z2 is read off the
+  translates of the centre, built once.  All three classes are central,
+  so all three rows are read on G's classes.
 - Every other pair is fused by projecting the pair character T of
   lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
 conjugation, so the average over the commuting variety collapses to the
@@ -40,6 +36,10 @@ its centralizer Z_i:
     T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
                 chi_lam(g1, c) chi_mu(g2, c).
 
+When one factor is invertible, (z, chi) with z central, its class holds
+z alone, so the product has one factor pair and is projected once, onto
+the one class of z times the other factor's.
+
 Every multiplicity is an exact cyclotomic number that must come out a
 nonnegative integer.
 
@@ -47,10 +47,10 @@ All values live in one field, Q(zeta_(e_G)) for the group exponent e_G:
 the exponent of every centralizer divides e_G.  Classes whose
 centralizers are equal share one table, and each distinct table gets one
 record, built on first use: its value rows embedded at e_G, its class
-representatives in G, its rows conjugated and weighted by class size for
-the projection, its one row index and each row's exponent vector.  Every
-pair character that a dual, a product or a projection reads goes through
-the one cached read path, _pair_row.
+representatives in G, its rows conjugated (read at inverse classes) and
+weighted by class size for the projection, its one row index and each
+row's exponent vector.  Every pair character that a dual or a projection
+reads goes through the one cached read path, _pair_row.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table, in ASCII digits without leading zeros;
@@ -117,16 +117,14 @@ class WeightSystem:
         # table -> its _Record, built on first use
         self._records = {}
         # the center permutes the classes: for z = r_c central and each
-        # class a, the class i of z r_a and z^(-1) r_i, a member of class a
+        # class a, the class of z r_a
         self._translates = {}
         for c, members in enumerate(self.conj.classes):
             if len(members) == 1:
                 z = members[0]
-                z_inv = group.inverse_index(z)
-                self._translates[c] = translates = []
-                for rep in self.conj.reps:
-                    i = self.conj.class_of[group.mul_index(z, rep)]
-                    translates.append((i, group.mul_index(z_inv, self.conj.reps[i])))
+                self._translates[c] = [
+                    self.conj.class_of[group.mul_index(z, rep)] for rep in self.conj.reps
+                ]
 
     # ---- basic data ----
 
@@ -165,6 +163,7 @@ class WeightSystem:
             roots = root_exponents(e)
             values = [[v.embed(e) for v in row] for row in table.values]
             sizes = table.conj.sizes()
+            inv = table.conj.inverse_class
             index, vectors = {}, []
             for j, row in enumerate(values):
                 index.setdefault(_row_key(row), []).append(j)
@@ -173,7 +172,8 @@ class WeightSystem:
             record = self._records[table] = _Record(
                 values,
                 [self.group.index[table.group.elements[r]] for r in table.conj.reps],
-                [[v.conjugate() * size for v, size in zip(row, sizes)] for row in values],
+                # conj chi(c) = chi(c^(-1)) for a character chi
+                [[row[inv[k]] * size for k, size in enumerate(sizes)] for row in values],
                 index,
                 vectors,
             )
@@ -212,9 +212,8 @@ class WeightSystem:
         """Decomposition of lam (x) mu as a multiset of weights.
 
         Returns a dict weight -> positive multiplicity.  When both factors
-        are one-dimensional their exponent vectors are added; when one is,
-        the product is the single weight of the closed form; otherwise the
-        pair character is projected onto every weight.  Raises
+        are one-dimensional their exponent vectors are added; otherwise
+        the pair character is projected onto every weight.  Raises
         InconsistencyError if the row lookup finds no unique weight, an
         invertible weight takes a value that is no root of unity, the
         projections fail to be nonnegative integers or the dimension count
@@ -224,13 +223,8 @@ class WeightSystem:
         hit = self._fusion_cache.get(key)
         if hit is not None:
             return dict(hit)
-        if self.dim(lam) == 1:
-            if self.dim(mu) == 1:
-                result = {self._times_invertibles(lam, mu): 1}
-            else:
-                result = {self._times_invertible(lam, mu): 1}
-        elif self.dim(mu) == 1:
-            result = {self._times_invertible(mu, lam): 1}
+        if self.dim(lam) == 1 and self.dim(mu) == 1:
+            result = {self._times_invertibles(lam, mu): 1}
         else:
             result = {}
             for i, factors in enumerate(self._factor_lists(lam, mu)):
@@ -258,16 +252,11 @@ class WeightSystem:
         b = self.conj.inverse_class[lam.class_index]
         g = self.group.inverse_index(self.conj.reps[b])
         row = [v.conjugate() for v in self._pair_row(lam, g, b)]
-        found = self._weight_with_row(b, row, f"dual of {lam}")
-        self._dual_cache[lam] = found
-        return found
-
-    def _weight_with_row(self, i, row, what):
-        """The weight over class i whose centralizer character is row."""
-        found = self._record(i).index.get(_row_key(row), ())
+        found = self._record(b).index.get(_row_key(row), ())
         if len(found) != 1:
-            raise _not_unique(what, len(found), i, row)
-        return Weight(i, found[0])
+            raise _not_unique(f"dual of {lam}", len(found), b, row)
+        dual = self._dual_cache[lam] = Weight(b, found[0])
+        return dual
 
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of
@@ -305,24 +294,6 @@ class WeightSystem:
             for j, row in enumerate(record.weighted)
         ]
 
-    def _times_invertible(self, onedim, lam):
-        """The single weight (z g, chi rho) of (z, chi) (x) (g, rho), for a
-        one-dimensional weight onedim = (z, chi): the pair character of
-        the product at the representative r_i of the target class, z times
-        the class of g, looked up among the rows of Z_i.  At (r_i, h) it is
-        chi(z, h) rho(z^(-1) r_i, h).  Fusion calls it when lam has
-        dimension above one, so every such product is evaluated once and
-        cached there; two invertible weights take `_times_invertibles`."""
-        c = onedim.class_index
-        i, g = self._translates[c][lam.class_index]
-        row = [
-            x * y
-            for x, y in zip(
-                self._pair_row(onedim, self.conj.reps[c], i), self._pair_row(lam, g, i)
-            )
-        ]
-        return self._weight_with_row(i, row, f"product of {onedim} and {lam}")
-
     def _exponent_vector(self, w):
         """The exponent vector of the one-dimensional weight w."""
         record = self._record(w.class_index)
@@ -347,7 +318,7 @@ class WeightSystem:
         of chi1 chi2 is zeta_(e_G) to the sum of the two exponent vectors
         mod e_G, found by one probe of the row index.  Only fusion calls
         it, so every product is evaluated once and cached there."""
-        i = self._translates[a.class_index][b.class_index][0]
+        i = self._translates[a.class_index][b.class_index]
         e = self.tables[0].exponent
         pairs = list(zip(self._exponent_vector(a), self._exponent_vector(b)))
         powers = _power_table(e)
@@ -377,7 +348,7 @@ class _Record(NamedTuple):
 
     values: list  # value rows, embedded into Q(zeta_(e_G))
     reps: list  # class representatives, as indices into G
-    weighted: list  # rows conjugated and weighted by class size
+    weighted: list  # rows conjugated (read at inverse classes), times class sizes
     index: dict  # row key -> every row with that key
     vectors: list  # each row's exponent vector, or None off the roots of unity
 

@@ -187,11 +187,12 @@ def test_costandard_matrix_is_the_twisted_bar_of_d(case):
     # read entry by entry off D rather than off projective_verma
     profile, table, r = _report_case(case)
     D = r.verma_simple
+    twist_ov = {b: lam for lam, b in profile.twist_v.items()}
     for mu in r.weights:
         expected = {
-            lam: D[profile.twist_ov[lam]][mu].bar().shift(-profile.n_top)
+            lam: D[twist_ov[lam]][mu].bar().shift(-profile.n_top)
             for lam in r.weights
-            if mu in D[profile.twist_ov[lam]]
+            if mu in D[twist_ov[lam]]
         }
         assert r.projective_coverma[mu] == expected
         assert r.projective_verma[mu] == {lam: D[lam][mu].bar() for lam in r.weights if mu in D[lam]}

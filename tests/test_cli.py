@@ -189,10 +189,11 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     built from the dual components, and no duality identity or report
     law is re-checked.  No induced module is expanded: that line holds by
     construction.  Every taft weight is invertible, so each product is
-    one exponent-vector probe, and each is evaluated once, through the
-    fusion cache: the taft 3 files fuse 24 distinct such pairs."""
+    one exponent-vector probe and none is projected, and each is
+    evaluated once, through the fusion cache: the taft 3 files fuse 24
+    distinct such pairs."""
     calls = {"verma_char": 0, "coverma_char": 0, "ind_into_projectives": 0,
-             "_times_invertible": 0, "_times_invertibles": 0}
+             "_multiplicities": 0, "_times_invertibles": 0}
     pairs = []
 
     def counted(name, real):
@@ -210,8 +211,8 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("doublechar") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
-    real = WeightSystem._times_invertible
-    monkeypatch.setattr(WeightSystem, "_times_invertible", counted("_times_invertible", real))
+    real = WeightSystem._multiplicities
+    monkeypatch.setattr(WeightSystem, "_multiplicities", counted("_multiplicities", real))
     real_invertibles = WeightSystem._times_invertibles
 
     def recording(self, a, b):
@@ -225,7 +226,7 @@ def test_verify_builds_each_character_once(capsys, monkeypatch, taft_files):
     assert out.count("ok:") == 6
     W = 9
     assert calls == {"verma_char": W, "coverma_char": 0, "ind_into_projectives": 0,
-                     "_times_invertible": 0, "_times_invertibles": 24}
+                     "_multiplicities": 0, "_times_invertibles": 24}
     assert len(set(pairs)) == len(pairs) == 24
 
 
@@ -326,15 +327,18 @@ def test_file_format_other_than_1_exits_2(capsys, tmp_path, taft_files, name):
 
 
 @pytest.mark.parametrize("name", ["group", "profile", "simples", "aliases"])
-@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deep_array"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deep_array", "huge_int"])
 def test_unreadable_input_exits_2(capsys, tmp_path, taft_files, kind, name):
     path = tmp_path / f"{name}.json"
     if kind == "directory":
         path.mkdir()
     elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe")
-    else:
+    elif kind == "deep_array":
         path.write_text("[" * 100_000)
+    else:
+        # past the 4,300 digits that int() converts from a string
+        path.write_text('{"format": 1, "degree": ' + "7" * 5000 + ', "generators": []}')
     code, out, err = run(capsys, "bgg", *_taft_args(taft_files), f"--{name}", path)
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and str(path) in err

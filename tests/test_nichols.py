@@ -59,7 +59,7 @@ def test_taft_profile_attributes(taft3):
     assert profile.lambda_ov == params.weight_of(1, 1)
     system = profile.system
     assert system.fusion(profile.lambda_v, profile.lambda_ov) == {system.unit: 1}
-    assert profile.twist_ov[profile.lambda_v] == system.unit
+    assert profile.twist_v[system.unit] == profile.lambda_v
 
 
 def test_degenerate_profile(c3_system):
@@ -101,13 +101,16 @@ def test_verma_socle_is_twisted_top():
         params = TaftParams(n)
         profile, _ = build_profile_and_table(params)
         system = profile.system
+        # lambda_v (x) - permutes the weights, and lambda_ov (x) - inverts it
+        twist_ov = {b: lam for lam, b in profile.twist_v.items()}
+        assert len(twist_ov) == len(system.weights)
         for lam in system.weights:
             bottom = verma_char(profile, lam).layer(-profile.n_top)
             assert bottom == KElement(system.fusion(profile.lambda_v, lam))
             assert bottom == KElement.of(profile.twist_v[lam])
             top = coverma_char(profile, lam).layer(profile.n_top)
             assert top == KElement(system.fusion(profile.lambda_ov, lam))
-            assert top == KElement.of(profile.twist_ov[lam])
+            assert top == KElement.of(twist_ov[lam])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -200,7 +203,8 @@ def test_self_dual_invariant_matches_duality_identities(case):
         return
     assert _identities_hold(system, comps)
     for lam in system.weights:
-        assert profile.covermas[lam] == coverma_char(profile, lam)
+        (kap,) = system.fusion(profile.lambda_ov, lam)
+        assert profile.vermas[kap].shift(profile.n_top) == coverma_char(profile, lam)
 
 
 def test_profile_json_round_trip(taft3):

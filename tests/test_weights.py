@@ -12,7 +12,7 @@ from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, dot, zeta
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import KElement
 from doublechar.groups import ConjugacyData, FiniteGroup, perm_inv, perm_mul
-from doublechar.weights import Weight, WeightSystem
+from doublechar.weights import Weight, WeightSystem, _row_key
 
 
 def commuting_pairs(group):
@@ -137,8 +137,9 @@ def test_dual_is_an_involution(s3_system):
 
 
 def test_product_with_one_dimensional_matches_fusion(s3_system):
-    # fusion itself takes the closed form here, so the projection oracle
-    # is the independent side, in both factor orders
+    # fusion composes two invertible weights and projects the rest once;
+    # brute_fusion, which averages over every group element, is the
+    # independent side, in both factor orders
     for a in s3_system.weights:
         if s3_system.dim(a) != 1:
             continue
@@ -171,7 +172,10 @@ def test_cyclic_fusion_tables_never_project(n, monkeypatch):
 
 
 def test_two_dimensional_pairs_still_project(monkeypatch):
-    # in S3 a product of two 2-dimensional weights has no closed form
+    # a product with a factor of dimension above one is projected; when
+    # the other factor is invertible, (z, chi) with z central, the class
+    # of z holds z alone, so there is one factor pair, one target class
+    # and one projection, and the product is a single weight
     projected = []
     real = WeightSystem._multiplicities
 
@@ -180,6 +184,19 @@ def test_two_dimensional_pairs_still_project(monkeypatch):
         return real(self, lam, mu, i, factors)
 
     monkeypatch.setattr(WeightSystem, "_multiplicities", counting)
+    groups = {**ORACLE_GROUPS, **LARGER_GROUPS}
+    for name, count in (("S3", 12), ("S4", 38), ("Q8", 112), ("A5", 21)):
+        system = WeightSystem(FiniteGroup.from_generators(*groups[name]))
+        ones = [w for w in system.weights if system.dim(w) == 1]
+        mixed = [(a, b) for a in ones for b in system.weights if system.dim(b) > 1]
+        assert len(mixed) == count
+        for a, b in mixed:
+            projected.clear()
+            result = system.fusion(a, b)
+            assert projected == [(a, b)]
+            assert list(result.values()) == [1]
+            assert result == brute_fusion(system, a, b)
+    # in S3 a product of two 2-dimensional weights has no closed form
     system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
     two = [w for w in system.weights if system.dim(w) == 2]
     assert len(two) == 4
@@ -189,9 +206,6 @@ def test_two_dimensional_pairs_still_project(monkeypatch):
             result = system.fusion(a, b)
             assert projected and set(projected) == {(a, b)}
             assert result == brute_fusion(system, a, b)
-    projected.clear()
-    system.fusion(system.by_label["g0r1"], system.by_label["g2r1"])
-    assert projected == []
 
 
 def test_parse_label(s3_system):
@@ -325,15 +339,26 @@ def invertible_pairs(system):
     return [(a, b) for k, a in enumerate(ones) for b in ones[k:]]
 
 
+def projection(system, lam, mu):
+    """lam (x) mu through the projection, whatever the factors' dimensions."""
+    result = {}
+    for i, factors in enumerate(system._factor_lists(lam, mu)):
+        if factors:
+            for j, mult in enumerate(system._multiplicities(lam, mu, i, factors)):
+                if mult:
+                    result[Weight(i, j)] = mult
+    return result
+
+
 def assert_invertible_routes_agree(system, brute_pairs):
     """Two invertible weights compose through their exponent vectors to
-    the weight of the closed form, in both orders; brute_fusion, which
-    averages over every group element, finds it once on brute_pairs."""
+    the weight that the projection finds, in both orders; brute_fusion,
+    which averages over every group element, finds it once on brute_pairs."""
     found = {}
     for a, b in invertible_pairs(system):
         w = found[a, b] = system._times_invertibles(a, b)
         assert w == system._times_invertibles(b, a)
-        assert w == system._times_invertible(a, b)
+        assert projection(system, a, b) == {w: 1}
     for a, b in brute_pairs:
         assert brute_fusion(system, a, b) == {found[a, b]: 1}
 
@@ -501,8 +526,8 @@ def _doubled_counts(self, *args):
     return [2 * m for m in _real_multiplicities(self, *args)]
 
 
-def _always_unit(self, *args):
-    return self.unit
+def _two_dimensional(self, *args):
+    return next(w for w in self.weights if self.dim(w) == 2)
 
 
 @pytest.mark.parametrize(
@@ -510,8 +535,8 @@ def _always_unit(self, *args):
     [
         # projection: two 3-dimensional weights with every count doubled
         ("g1r0", "g1r1", "_multiplicities", _doubled_counts, 18, 9),
-        # closed form: the lookup answers with the unit, not a 2-dimensional weight
-        ("g0r1", "g2r1", "_times_invertible", _always_unit, 1, 2),
+        # composition: the lookup answers with a 2-dimensional weight, not the unit
+        ("g0r1", "g0r1", "_times_invertibles", _two_dimensional, 2, 1),
     ],
 )
 def test_dimension_law_failure_gives_both_sides(monkeypatch, lam, mu, patch, fake, total, expected):
@@ -603,8 +628,8 @@ def test_invertible_routes_agree_on_random_groups(group):
 @PROPERTY
 @given(small_groups())
 def test_fusion_is_associative(group):
-    # products of invertible weights take the closed form and the rest
-    # the projection, so these chains mix both routes
+    # products of two invertible weights compose and the rest project,
+    # so these chains mix both routes
     system = WeightSystem(group)
     of = [KElement.of(w) for w in system.weights]
     pairs = {(a, b): x.mul(y, system) for a, x in enumerate(of) for b, y in enumerate(of)}
@@ -655,7 +680,7 @@ def _check_row_lookup(system):
             for row in rows:
                 found = _scan_lookup(table_rows, i, row)
                 assert len(found) == 1
-                assert system._weight_with_row(i, row, "lookup") == found[0]
+                assert system._record(i).index.get(_row_key(row)) == [found[0].irrep_index]
 
 
 def test_row_lookup_matches_a_scan_on_s4():
@@ -692,8 +717,8 @@ def test_each_table_value_is_embedded_once(monkeypatch):
 
 
 def test_every_pair_character_is_read_through_the_cache(monkeypatch):
-    # the projection, the duals and the closed forms all read pair
-    # characters through _pair_row, so each (g, i) resolves its classes once
+    # the projection and the duals both read pair characters through
+    # _pair_row, so each (g, i) resolves its classes once
     system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S4"]))
     calls = []
     real = WeightSystem._read_class
