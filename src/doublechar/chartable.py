@@ -12,6 +12,11 @@ finished table is verified against the orthogonality relations before
 it is returned, so a successfully constructed CharacterTable is
 self-certifying.  Its columns are `group.conj`, the classes the group owns.
 
+`load_or_compute` caches a table as one compact, key-sorted JSON line,
+named by the sha256 of the group's content key.  The line is encoded by
+`json.dumps`, which runs json's C encoder; `json.dump` would take the
+pure-Python one for the same bytes.
+
 Row order is canonical: ascending degree, then descending
 lexicographic order of the tuple of value coordinates in the power
 basis of the cyclotomic field.  The trivial character always lands in
@@ -24,6 +29,7 @@ import hashlib
 import json
 import os
 import tempfile
+from operator import mul
 
 from .cyclotomic import Cyclotomic, _degree, _power_table, dot
 from .errors import InconsistencyError, is_int
@@ -177,7 +183,7 @@ class CharacterTable:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(table.to_json(), fh, sort_keys=True, separators=(",", ":"))
+                fh.write(json.dumps(table.to_json(), sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         except OSError:
             if os.path.exists(tmp):
@@ -204,7 +210,7 @@ def _restrict(A, basis, pivots, p):
     d = len(basis)
     cols = []
     for b in basis:
-        img = [sum(A[r][c] * b[c] for c in range(len(b))) % p for r in range(len(b))]
+        img = [sum(map(mul, row, b)) % p for row in A]
         cols.append([img[pc] for pc in pivots])
     return [[cols[s][t] for s in range(d)] for t in range(d)]
 

@@ -6,6 +6,10 @@ exact.  Every stored coefficient is canonical: an int wherever its value is
 integral and a Fraction otherwise, never a float or a bool, so equal values
 of one order have equal coefficient tuples and print alike.
 
+Phi_e comes from the Moebius product prod_(d | e) (1 - x^(e/d))^mu(d),
+one shifted subtraction or running sum per squarefree divisor d, never
+from dividing x^e - 1 by every Phi_d (`cyclotomic_polynomial`).
+
 The operands of +, -, ==, * and `dot` share one order e and meet on their
 coefficient tuples: entry by entry, or as one convolution reduced mod Phi_e
 (`_convolve`).  A rational operand (an int, a Fraction or an order-1
@@ -29,12 +33,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, compress, zip_longest
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, sub
 from types import MappingProxyType
 
 from .errors import Frozen, is_int
+from .modp import factorize
 
 _order = attrgetter("order")
 _coeffs = attrgetter("coeffs")
@@ -65,34 +70,34 @@ def _is_scalar(x):
     return is_int(x) or isinstance(x, Fraction)
 
 
-def _poly_div_exact(num, den):
-    """Quotient of integer polynomials (ascending coeffs), den monic, exact."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd]
-        if c:
-            q[i] = c
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
-    """Integer coefficients of Phi_e, ascending degree, monic."""
+    """Integer coefficients of Phi_e, ascending degree, monic.
+
+    By Moebius inversion of x^e - 1 = prod_(d | e) Phi_d(x),
+    Phi_e(x) = prod_(d | e) (1 - x^(e/d))^mu(d) for e > 1, expanded as a
+    power series cut at degree phi(e): a factor 1 - x^m is one shifted
+    subtraction, and 1/(1 - x^m) = 1 + x^m + x^2m + ... a running sum
+    along each residue class mod m."""
     if e < 1:
         raise ValueError("order must be positive")
     if e == 1:
         return (-1, 1)
-    poly = [0] * (e + 1)
-    poly[0], poly[e] = -1, 1
-    for d in range(1, e):
-        if e % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    # the squarefree divisors d of e, with mu(d), and phi(e)
+    divisors, phi = [(1, 1)], e
+    for p in factorize(e):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+        phi = phi // p * (p - 1)
+    poly = [1] + [0] * phi
+    for d, mu in divisors:
+        m = e // d
+        if m > phi:
+            continue
+        if mu > 0:
+            poly[m:] = list(map(sub, poly[m:], poly))
+        else:
+            for r in range(m):
+                poly[r::m] = accumulate(poly[r::m])
     return tuple(poly)
 
 
@@ -137,17 +142,17 @@ def _phi_terms(e):
 def _convolve(pairs, e):
     """Sum of the products a * b over pairs of order-e coefficient vectors,
     accumulated as one integer polynomial and reduced mod Phi_e once.
+    Only nonzero coefficients are multiplied, picked out by `compress`.
 
     The reduction replaces each z^i with i >= phi(e), top down, by
     -sum c_j z^(i - phi(e) + j), reading only the nonzero c_j."""
     d = _degree(e)
     conv = [0] * (2 * d - 1)
     for xc, yc in pairs:
-        for i, a in enumerate(xc):
-            if a:
-                for j, b in enumerate(yc):
-                    if b:
-                        conv[i + j] += a * b
+        ys = list(compress(enumerate(yc), yc))
+        for i, a in compress(enumerate(xc), xc):
+            for j, b in ys:
+                conv[i + j] += a * b
     terms = _phi_terms(e)
     for i in range(2 * d - 2, d - 1, -1):
         c = conv[i]

@@ -6,6 +6,10 @@ one plain BFS and no stabilizer chains are kept.  A group builds its classes
 once, on first use (`conj`), by one walk under conjugation by the generators
 that records a conjugator per element; a centralizer is read off that walk
 as a stabilizer (Schreier's lemma), and a central class's is the group.
+
+Every product of two permutations goes through one kernel, `perm_mul`,
+which gathers the images in C with `operator.itemgetter`: closure, the
+conjugacy walk, centralizers and `mul_index` all run on it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import InputError, is_int
 
@@ -20,8 +25,11 @@ DEFAULT_MAX_ORDER = 10_000
 
 
 def perm_mul(a, b):
-    """Composition a after b: (a*b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
+    """Composition a after b: (a*b)(x) = a(b(x)), gathered in C.  Below
+    degree 2 itemgetter would return a bare item (or fail), not a tuple."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
+    return tuple([a[x] for x in b])
 
 
 def perm_inv(a):

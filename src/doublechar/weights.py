@@ -47,10 +47,11 @@ All values live in one field, Q(zeta_(e_G)) for the group exponent e_G:
 the exponent of every centralizer divides e_G.  Classes whose
 centralizers are equal share one table, and each distinct table gets one
 record, built on first use: its value rows embedded at e_G, its class
-representatives in G, its rows conjugated (read at inverse classes) and
-weighted by class size for the projection, its one row index and each
-row's exponent vector.  Every pair character that a dual or a projection
-reads goes through the one cached read path, _pair_row.
+representatives in G, its one row index and each row's exponent vector.
+Its rows conjugated (read at inverse classes) and weighted by class size
+are added on the first projection onto its classes; duals and invertible
+products never read them.  Every pair character that a dual or a
+projection reads goes through the one cached read path, _pair_row.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table, in ASCII digits without leading zeros;
@@ -60,7 +61,6 @@ parse_label rejects every other spelling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chartable import CharacterTable
@@ -71,9 +71,9 @@ from .groups import centralizer, perm_mul
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    """A (class, centralizer irrep) pair, ordered and hashable."""
+class Weight(NamedTuple):
+    """A (class, centralizer irrep) pair, ordered and hashable as the
+    tuple (class_index, irrep_index)."""
 
     class_index: int
     irrep_index: int
@@ -95,13 +95,14 @@ class WeightSystem:
         # tables[i].group is the centralizer Z_i of the class
         # representative r_i, and tables[i].conj its classes
         self.tables = []
+        # equal centralizers, as element tuples of one group, share a table
         shared = {}
         for i in range(self.conj.count):
             z = centralizer(group, i)
-            key = z.content_key()
-            if key not in shared:
-                shared[key] = CharacterTable.load_or_compute(z, cache_dir)
-            self.tables.append(shared[key])
+            table = shared.get(z.elements)
+            if table is None:
+                table = shared[z.elements] = CharacterTable.load_or_compute(z, cache_dir)
+            self.tables.append(table)
         self.weights = [
             Weight(i, j)
             for i in range(self.conj.count)
@@ -149,21 +150,19 @@ class WeightSystem:
         if self.conj.class_of[g_index] != i:
             return CYC_ZERO
         k = self._read_class(g_index, h_index)
-        return CYC_ZERO if k is None else self._record(i).values[w.irrep_index][k]
+        return CYC_ZERO if k is None else self._base_record(i).values[w.irrep_index][k]
 
-    def _record(self, i):
+    def _base_record(self, i):
         """The _Record of the centralizer table of class i, built on first
-        use, once per distinct table.  The row index holds every row under
-        its key, so the count of matches is the count a scan with == would
-        find."""
+        use, once per distinct table; its weighted rows are None until
+        `_record` adds them.  The row index holds every row under its key,
+        so the count of matches is the count a scan with == would find."""
         table = self.tables[i]
         record = self._records.get(table)
         if record is None:
             e = self.tables[0].exponent
             roots = root_exponents(e)
             values = [[v.embed(e) for v in row] for row in table.values]
-            sizes = table.conj.sizes()
-            inv = table.conj.inverse_class
             index, vectors = {}, []
             for j, row in enumerate(values):
                 index.setdefault(_row_key(row), []).append(j)
@@ -172,11 +171,25 @@ class WeightSystem:
             record = self._records[table] = _Record(
                 values,
                 [self.group.index[table.group.elements[r]] for r in table.conj.reps],
-                # conj chi(c) = chi(c^(-1)) for a character chi
-                [[row[inv[k]] * size for k, size in enumerate(sizes)] for row in values],
+                None,
                 index,
                 vectors,
             )
+        return record
+
+    def _record(self, i):
+        """The record of class i with its weighted rows, which only a
+        projection reads: they are added on the first call per table."""
+        record = self._base_record(i)
+        if record.weighted is None:
+            table = self.tables[i]
+            sizes = table.conj.sizes()
+            inv = table.conj.inverse_class
+            # conj chi(c) = chi(c^(-1)) for a character chi
+            weighted = [
+                [row[inv[k]] * size for k, size in enumerate(sizes)] for row in record.values
+            ]
+            record = self._records[table] = record._replace(weighted=weighted)
         return record
 
     def _read_class(self, g_index, h_index):
@@ -201,9 +214,9 @@ class WeightSystem:
         reads = self._reads_cache.get((g_index, i))
         if reads is None:
             reads = self._reads_cache[g_index, i] = [
-                self._read_class(g_index, h) for h in self._record(i).reps
+                self._read_class(g_index, h) for h in self._base_record(i).reps
             ]
-        values = self._record(w.class_index).values[w.irrep_index]
+        values = self._base_record(w.class_index).values[w.irrep_index]
         return [CYC_ZERO if k is None else values[k] for k in reads]
 
     # ---- fusion ----
@@ -252,7 +265,7 @@ class WeightSystem:
         b = self.conj.inverse_class[lam.class_index]
         g = self.group.inverse_index(self.conj.reps[b])
         row = [v.conjugate() for v in self._pair_row(lam, g, b)]
-        found = self._record(b).index.get(_row_key(row), ())
+        found = self._base_record(b).index.get(_row_key(row), ())
         if len(found) != 1:
             raise _not_unique(f"dual of {lam}", len(found), b, row)
         dual = self._dual_cache[lam] = Weight(b, found[0])
@@ -296,7 +309,7 @@ class WeightSystem:
 
     def _exponent_vector(self, w):
         """The exponent vector of the one-dimensional weight w."""
-        record = self._record(w.class_index)
+        record = self._base_record(w.class_index)
         vector = record.vectors[w.irrep_index]
         if vector is None:
             e = self.tables[0].exponent
@@ -322,7 +335,7 @@ class WeightSystem:
         e = self.tables[0].exponent
         pairs = list(zip(self._exponent_vector(a), self._exponent_vector(b)))
         powers = _power_table(e)
-        found = self._record(i).index.get(tuple([powers[(x + y) % e] for x, y in pairs]), ())
+        found = self._base_record(i).index.get(tuple([powers[(x + y) % e] for x, y in pairs]), ())
         if len(found) != 1:
             row = [zeta(e, x + y) for x, y in pairs]
             raise _not_unique(f"product of {a} and {b}", len(found), i, row)
@@ -348,7 +361,7 @@ class _Record(NamedTuple):
 
     values: list  # value rows, embedded into Q(zeta_(e_G))
     reps: list  # class representatives, as indices into G
-    weighted: list  # rows conjugated (read at inverse classes), times class sizes
+    weighted: list  # rows conjugated, times class sizes; None before a projection
     index: dict  # row key -> every row with that key
     vectors: list  # each row's exponent vector, or None off the roots of unity
 

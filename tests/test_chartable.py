@@ -1,3 +1,6 @@
+import hashlib
+import io
+import json
 from math import gcd
 
 import numpy as np
@@ -411,3 +414,31 @@ def test_lift_failure_names_the_class_and_both_sides(monkeypatch):
     assert str(info.value) == (
         "root multiplicity 5 exceeds the degree 3 at class 1 (element order 2)"
     )
+
+
+def test_cache_file_matches_json_dump_byte_for_byte(tmp_path):
+    group = FiniteGroup.from_generators(4, S4)
+    table = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("chartable-*.json")
+    reference = io.StringIO()
+    json.dump(table.to_json(), reference, sort_keys=True, separators=(",", ":"))
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+def test_warm_read_accepts_an_entry_written_by_json_dump(tmp_path, monkeypatch):
+    # entries written before the cache moved to json.dumps stay valid
+    group = FiniteGroup.from_generators(4, S4)
+    table = CharacterTable.compute(group)
+    key = hashlib.sha256(group.content_key().encode()).hexdigest()
+    path = tmp_path / f"chartable-{key}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table.to_json(), fh, sort_keys=True, separators=(",", ":"))
+    before = path.read_bytes()
+
+    def refuse(cls, group):
+        raise AssertionError("a valid cache entry was recomputed")
+
+    monkeypatch.setattr(CharacterTable, "compute", classmethod(refuse))
+    warm = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
+    assert warm.to_json() == table.to_json()
+    assert path.read_bytes() == before

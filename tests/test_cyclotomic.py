@@ -2,7 +2,7 @@ import cmath
 import operator
 import random
 from fractions import Fraction
-
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -499,3 +499,36 @@ def test_rref_matches_the_dense_rational_elimination(data):
     reduced, pivots = rref(rows, ncols)
     assert pivots == want_pivots
     assert reduced == [{j: x for j, x in enumerate(row) if x} for row in want_rows]
+
+
+def _poly_div_exact(num, den):
+    """Quotient of integer polynomials (ascending coeffs), den monic, exact."""
+    num = list(num)
+    dd = len(den) - 1
+    q = [0] * (len(num) - dd)
+    for i in range(len(num) - dd - 1, -1, -1):
+        c = num[i + dd]
+        if c:
+            q[i] = c
+            for j in range(dd + 1):
+                num[i + j] -= c * den[j]
+    assert not any(num[:dd]), "non-exact polynomial division"
+    return q
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_polynomial(e):
+    """Phi_e as x^e - 1 divided by Phi_d for every proper divisor d of e:
+    the division routine that the Moebius product replaced."""
+    if e == 1:
+        return (-1, 1)
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            poly = _poly_div_exact(poly, reference_cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_the_division_routine():
+    for e in [*range(1, 301), 420, 840]:
+        assert cyclotomic_polynomial(e) == reference_cyclotomic_polynomial(e), e

@@ -231,3 +231,31 @@ def test_float_points_are_rejected():
     # 2.0 == 2 passes a sorted comparison, then cannot index a tuple
     with pytest.raises(InputError):
         FiniteGroup.from_generators(3, [(1, 2.0, 0)])
+
+
+def reference_perm_mul(a, b):
+    """The product perm_mul computed before its C gather, one image at a time."""
+    return tuple(a[x] for x in b)
+
+
+def test_perm_mul_matches_the_reference_product():
+    rng = random.Random(25)
+    for degree in range(1, 10):
+        for _ in range(40):
+            a, b = list(range(degree)), list(range(degree))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            got = perm_mul(tuple(a), tuple(b))
+            assert type(got) is tuple
+            assert got == reference_perm_mul(a, b)
+    # itemgetter with one index returns the bare item
+    assert perm_mul((0,), (0,)) == (0,)
+
+
+@pytest.mark.parametrize("gens", [[], [[0]]], ids=["no generators", "identity generator"])
+def test_degree_one_group_has_one_weight(gens):
+    group = FiniteGroup.from_generators(1, gens)
+    assert group.elements == ((0,),)
+    system = WeightSystem(group)
+    assert system.weights == [system.unit]
+    assert system.fusion(system.unit, system.unit) == {system.unit: 1}

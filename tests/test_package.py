@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,9 @@ from doublechar import (
     WeightSystem,
     zeta,
 )
+from doublechar.jsonio import canonical_dumps
 from doublechar.laurent import _SparseSum
+from doublechar.weights import Weight
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -52,3 +57,35 @@ def test_value_classes_are_immutable(cls, taft3):
     for name in (cls.__slots__[0], "extra"):
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(value, name, None)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # modules that site loads before the import do not count
+    code = (
+        "import sys; before = set(sys.modules); import doublechar.cli; "
+        "print('dataclasses' in set(sys.modules) - before)"
+    )
+    src = str(pathlib.Path(doublechar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "False\n"
+
+
+def test_weight_order_hash_repr_and_immutability():
+    ws = [Weight(i, j) for i in range(4) for j in range(4)]
+    assert sorted(reversed(ws)) == ws
+    assert Weight(1, 3) < Weight(2, 0) and Weight(2, 0) < Weight(2, 1)
+    # the hash a frozen dataclass of the two fields had
+    assert hash(Weight(3, 7)) == hash((3, 7))
+    assert repr(Weight(3, 7)) == Weight(3, 7).label == "g3r7"
+    with pytest.raises(AttributeError):
+        Weight(3, 7).class_index = 0
+
+
+def test_canonical_dumps_refuses_a_weight():
+    # a Weight is a tuple, but must never be written as a list
+    for obj in (Weight(0, 1), [Weight(0, 1)], {"w": Weight(0, 1)}):
+        with pytest.raises(TypeError):
+            canonical_dumps(obj)

@@ -777,3 +777,49 @@ def test_cyclic_fusion_table_does_no_group_work_or_row_scan(monkeypatch):
     products = [system.fusion(a, b) for k, a in enumerate(ws) for b in ws[k:]]
     assert len(products) == 36 * 37 // 2
     assert calls == {"perm_mul": 0, "eq": 0}
+
+
+def test_weighted_rows_wait_for_a_projection():
+    # duals and products of one-dimensional weights read no weighted row;
+    # the first projection onto a class adds them to its table's record
+    system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
+    for w in system.weights:
+        system.dual(w)
+    for a, b in invertible_pairs(system):
+        system.fusion(a, b)
+    assert system._records
+    assert all(record.weighted is None for record in system._records.values())
+    sign, g1r0 = system.by_label["g0r1"], system.by_label["g1r0"]
+    assert system.fusion(sign, g1r0) == {system.by_label["g1r1"]: 1}
+    assert system._records[system.tables[1]].weighted is not None
+    assert system._records[system.tables[0]].weighted is None
+
+
+S7 = (7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+
+
+@pytest.mark.parametrize(
+    "degree, gens, distinct",
+    [(*ORACLE_GROUPS["S4"], 5), (*LARGER_GROUPS["S5"], 6), (*S7, 14)],
+    ids=["S4", "S5", "S7"],
+)
+def test_equal_centralizers_share_one_table(monkeypatch, tmp_path, degree, gens, distinct):
+    # tables are shared by the centralizer's elements; the content key
+    # names a cache file, so it is built only with a cache, once per table
+    keys = []
+    real = FiniteGroup.content_key
+
+    def counted(group):
+        keys.append(group.order)
+        return real(group)
+
+    monkeypatch.setattr(FiniteGroup, "content_key", counted)
+    group = FiniteGroup.from_generators(degree, gens)
+    system = WeightSystem(group)
+    assert len(set(map(id, system.tables))) == distinct
+    assert keys == []
+    cached = WeightSystem(group, cache_dir=str(tmp_path))
+    assert len(set(map(id, cached.tables))) == distinct
+    assert len(keys) == distinct
+    assert len(list(tmp_path.glob("chartable-*.json"))) == distinct
+    assert [t.to_json() for t in cached.tables] == [t.to_json() for t in system.tables]
