@@ -147,9 +147,10 @@ class CharacterTable:
         ):
             raise InconsistencyError(f"character table values are not {k} rows of {k}")
         # a float or boolean coefficient passes the exact checks below
-        # because 1.0 == True == 1, and would then live on in every value
+        # because 1.0 == True == 1, and would then live on in every value;
+        # json gives every integer the exact type int, and a bool its own
         if not all(
-            isinstance(coeffs, list) and all(is_int(c) for c in coeffs)
+            isinstance(coeffs, list) and {int}.issuperset(map(type, coeffs))
             for row in rows
             for coeffs in row
         ):
@@ -238,10 +239,7 @@ def _split_spaces(group, p):
                 coords = nullspace(M, p)
                 if not coords:
                     continue
-                amb = [
-                    [sum(cv[t] * basis[t][c] for t in range(d)) % p for c in range(k)]
-                    for cv in coords
-                ]
+                amb = [[sum(map(mul, cv, col)) % p for col in zip(*basis)] for cv in coords]
                 rr, pv = rref(amb, p)
                 found += len(rr)
                 refined.append((rr, pv))

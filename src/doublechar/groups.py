@@ -25,11 +25,11 @@ DEFAULT_MAX_ORDER = 10_000
 
 
 def perm_mul(a, b):
-    """Composition a after b: (a*b)(x) = a(b(x)), gathered in C.  Below
-    degree 2 itemgetter would return a bare item (or fail), not a tuple."""
+    """Composition a after b: (a*b)(x) = a(b(x)), gathered in C."""
     if len(b) > 1:
         return itemgetter(*b)(a)
-    return tuple([a[x] for x in b])
+    # itemgetter of one index returns the bare item, and of none fails
+    return (a[b[0]],) if b else ()
 
 
 def perm_inv(a):
