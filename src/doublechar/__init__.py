@@ -17,7 +17,6 @@ from .bgg import (
     bgg_matrices,
     decompose_into_simples,
     ind_into_projectives,
-    summand_sort_key,
     tensor_projectives,
     ungraded_bgg,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ind_into_projectives",
     "lowering_coeffs",
     "simple_char",
-    "summand_sort_key",
     "tensor_projectives",
     "ungraded_bgg",
     "verify_duality_identities",

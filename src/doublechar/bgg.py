@@ -327,17 +327,3 @@ def ungraded_bgg(ml, system):
             for lam, row in sorted(ml.rows.items())
         },
     )
-
-
-def summand_sort_key(system, lam, coeff):
-    """Canonical rendering order for filtration summands: lowest shift
-    first, then largest multiplicity, then smaller modules, larger
-    classes and canonical weight order."""
-    return (
-        coeff.min_degree(),
-        -coeff.eval_one(),
-        system.dim(lam),
-        -len(system.conj.classes[lam.class_index]),
-        lam.class_index,
-        lam.irrep_index,
-    )

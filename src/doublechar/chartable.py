@@ -17,10 +17,19 @@ named by the sha256 of the group's content key.  The line is encoded by
 `json.dumps`, which runs json's C encoder; `json.dump` would take the
 pure-Python one for the same bytes.
 
-Row order is canonical: ascending degree, then descending
-lexicographic order of the tuple of value coordinates in the power
-basis of the cyclotomic field.  The trivial character always lands in
-row 0.
+The eigenspaces of the class matrices are split one class at a time.
+Each eigenspace is found by one elimination, a nullspace in the
+coordinates of the space it splits, and lifted once: a nullspace basis
+vector is 1 at its own free coordinate and 0 at the others, so the
+lifted basis is already the identity on the columns those coordinates
+stand for, and is kept as it is.
+
+Row order is canonical: ascending degree, then the trivial character
+before every other, then descending lexicographic order of the tuple of
+value coordinates in the power basis of the cyclotomic field.  The
+trivial character is put first by that second key, not by its
+coordinates: in Q(zeta_30) a root of unity can have coordinates above
+those of 1.
 """
 
 from __future__ import annotations
@@ -33,14 +42,7 @@ from operator import mul
 
 from .cyclotomic import Cyclotomic, _degree, _power_table, dot
 from .errors import InconsistencyError, is_int
-from .modp import (
-    charpoly,
-    is_prime,
-    nullspace,
-    poly_roots,
-    primitive_root,
-    rref,
-)
+from .modp import charpoly, is_prime, nullspace, poly_roots, primitive_root
 
 _FORMAT = 1
 
@@ -207,7 +209,8 @@ def _class_matrix(group, i):
 
 
 def _restrict(A, basis, pivots, p):
-    """Matrix of A on the invariant subspace spanned by an RREF basis."""
+    """Matrix of A on the invariant subspace spanned by a basis that is
+    the identity on the columns `pivots`."""
     d = len(basis)
     cols = []
     for b in basis:
@@ -239,10 +242,13 @@ def _split_spaces(group, p):
                 coords = nullspace(M, p)
                 if not coords:
                     continue
+                # each cv is 1 at its free coordinate f, its last nonzero
+                # one, and 0 at the other free ones, so the lifts are the
+                # identity on the columns pivots[f]
                 amb = [[sum(map(mul, cv, col)) % p for col in zip(*basis)] for cv in coords]
-                rr, pv = rref(amb, p)
-                found += len(rr)
-                refined.append((rr, pv))
+                free = [max(c for c, x in enumerate(cv) if x) for cv in coords]
+                found += len(amb)
+                refined.append((amb, [pivots[f] for f in free]))
             if found != d:
                 raise InconsistencyError(
                     f"class matrix {i} failed to split a subspace: eigenspaces "
@@ -349,7 +355,9 @@ def _sqrt_small(a, p):
 
 
 def _row_key(row):
-    """Ascending degree, then descending value coordinates."""
+    """Ascending degree, the trivial character first, then descending
+    value coordinates."""
     deg = row[0].to_rational()
+    trivial = all(v.is_rational() and v.coeffs[0] == 1 for v in row)
     coords = tuple(tuple(-c for c in v.coeffs) for v in row)
-    return (deg, coords)
+    return (deg, not trivial, coords)

@@ -19,7 +19,6 @@ from .bgg import (
     MLMatrixData,
     bgg_matrices,
     ind_into_projectives,
-    summand_sort_key,
     tensor_projectives,
     ungraded_bgg,
 )
@@ -186,19 +185,26 @@ def _coeff_prefix(c):
 
 
 def _sorted_summands(system, row):
-    return sorted(row.items(), key=lambda it: summand_sort_key(system, it[0], it[1]))
+    """The (weight, coefficient) items of row in canonical rendering
+    order: lowest shift first, then largest multiplicity, then smaller
+    modules, larger classes and canonical weight order."""
+
+    def key(item):
+        lam, coeff = item
+        return (
+            coeff.min_degree(),
+            -coeff.eval_one(),
+            system.dim(lam),
+            -len(system.conj.classes[lam.class_index]),
+            lam,
+        )
+
+    return sorted(row.items(), key=key)
 
 
-def _simples_sum(names, row):
-    return " + ".join(f"{_coeff_prefix(c)}L({names[w.label]})" for w, c in sorted(row.items()))
-
-
-def _filtration_line(system, names, mu, row):
-    rhs = " + ".join(
-        f"{_coeff_prefix(c)}ch M({names[lam.label]})"
-        for lam, c in _sorted_summands(system, row)
-    )
-    return f"ch P({names[mu.label]}) = {rhs}"
+def _summands(names, symbol, items):
+    """Sorted (weight, coefficient) items as 'c symbol(name) + ...'."""
+    return " + ".join(f"{_coeff_prefix(c)}{symbol}({names[w.label]})" for w, c in items)
 
 
 # ---- weights ----
@@ -268,9 +274,8 @@ def _render_report(report, names):
     lines.append(f"top degree: {report.n_top}")
     lines.append("")
     for mu in report.weights:
-        lines.append(
-            _filtration_line(system, names, mu, report.projective_verma[mu])
-        )
+        rhs = _summands(names, "ch M", _sorted_summands(system, report.projective_verma[mu]))
+        lines.append(f"ch P({names[mu.label]}) = {rhs}")
     lines.append("")
     simple = [names[w.label] for w in report.weights if report.flags[w] == SIMPLE_PROJECTIVE]
     lines.append(
@@ -313,10 +318,7 @@ def cmd_ind(args):
         raise InputError("induced-module decomposition needs a graded profile")
     mu = _resolve_weight(args.weight, system, names)
     out = ind_into_projectives(profile, table, mu, report=report)
-    rhs = " + ".join(
-        f"{_coeff_prefix(c)}ch P({names[lam.label]})"
-        for lam, c in _sorted_summands(system, out)
-    )
+    rhs = _summands(names, "ch P", _sorted_summands(system, out))
     dim = profile.dim_b ** 2 * system.dim(mu)
     print(f"ch Ind({names[mu.label]}) = {rhs}")
     print(f"dimension check: {dim} = {dim}")
@@ -347,10 +349,7 @@ def cmd_tensor(args):
     mu = _resolve_weight(args.left, system, names)
     nu = _resolve_weight(args.right, system, names)
     out = tensor_projectives(report, profile, mu, nu)
-    rhs = " + ".join(
-        f"{_coeff_prefix(c)}Ind({names[w.label]})"
-        for w, c in _sorted_summands(system, out)
-    )
+    rhs = _summands(names, "Ind", _sorted_summands(system, out))
     dim = report.dim_projective(mu, profile.dim_b) * report.dim_projective(
         nu, profile.dim_b
     )
@@ -396,8 +395,8 @@ def cmd_taft(args):
             raise OracleError(
                 f"engine decomposition of the Verma of ({r},{s}) disagrees "
                 f"with the matrix composition series: engine "
-                f"{_simples_sum(names, report.verma_simple[lam])}, matrices "
-                f"{_simples_sum(names, expected)}"
+                f"{_summands(names, 'L', sorted(report.verma_simple[lam].items()))}, "
+                f"matrices {_summands(names, 'L', sorted(expected.items()))}"
             )
     expected_simple = {params.weight_of(r, (1 - r) % n) for r in range(n)}
     flagged = {w for w, f in report.flags.items() if f == SIMPLE_PROJECTIVE}

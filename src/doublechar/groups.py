@@ -184,7 +184,6 @@ class ConjugacyData:
     """
 
     def __init__(self, group):
-        self.group = group
         n = group.order
         elements = group.elements
         class_of = [-1] * n

@@ -120,21 +120,16 @@ def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
     return _from_file(path, FiniteGroup.from_json, load_json(path), max_order)
 
 
-def profile_kind(payload):
-    """A profile path may hold a graded profile or a plain composition
+def load_profile_file(path, system):
+    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData).
+    A profile path may hold a graded profile or a plain composition
     matrix; the optional "kind" field tells them apart."""
+    payload = _load_payload(path)
     if not isinstance(payload, dict):
         raise InputError("profile payload must be a JSON object")
     kind = payload.get("kind", NicholsProfile.KIND)
     if kind not in (NicholsProfile.KIND, MLMatrixData.KIND):
         raise InputError(f"unrecognized payload kind {kind!r}")
-    return kind
-
-
-def load_profile_file(path, system):
-    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData)."""
-    payload = _load_payload(path)
-    kind = profile_kind(payload)
     cls = MLMatrixData if kind == MLMatrixData.KIND else NicholsProfile
     return kind, _from_file(path, cls.from_json, payload, system)
 

@@ -54,7 +54,6 @@ class TaftParams(Frozen):
         "n",
         "q",
         "powers",
-        "group",
         "system",
         "exp_to_row",
         "row_to_exp",
@@ -108,7 +107,6 @@ class TaftParams(Frozen):
             n=n,
             q=q,
             powers=tuple(powers),
-            group=group,
             system=system,
             exp_to_row=exp_to_row,
             row_to_exp={j: s for s, j in exp_to_row.items()},

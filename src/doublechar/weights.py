@@ -13,7 +13,8 @@ Coste-Gannon-Ruelle, "Finite group modular data" (2000):
 It is the row of the centralizer table of its class i that equals its
 pair character at (r_i, c_k), found by one probe of the table's row
 index, keyed by the row's coefficient tuples; the Z-classes that each
-pair character is read from are built once.
+pair character is read from are built once.  Duals are not memoised: a
+dual costs one cached pair-row read and that one probe.
 
 Fusion takes one of two routes:
 
@@ -111,7 +112,6 @@ class WeightSystem:
         self.by_label = {w.label: w for w in self.weights}
         self.unit = Weight(0, 0)
         self._fusion_cache = {}
-        self._dual_cache = {}
         # (g, i) -> for each class representative h of Z_i, the class
         # that pair characters at (g, h) are read from
         self._reads_cache = {}
@@ -259,17 +259,13 @@ class WeightSystem:
 
     def dual(self, lam):
         """The dual weight (g^(-1), conj rho) of lam = (g, rho)."""
-        hit = self._dual_cache.get(lam)
-        if hit is not None:
-            return hit
         b = self.conj.inverse_class[lam.class_index]
         g = self.group.inverse_index(self.conj.reps[b])
         row = [v.conjugate() for v in self._pair_row(lam, g, b)]
         found = self._base_record(b).index.get(_row_key(row), ())
         if len(found) != 1:
             raise _not_unique(f"dual of {lam}", len(found), b, row)
-        dual = self._dual_cache[lam] = Weight(b, found[0])
-        return dual
+        return Weight(b, found[0])
 
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of

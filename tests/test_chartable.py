@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
-from doublechar import chartable
+from doublechar import chartable, modp
 from doublechar.chartable import CharacterTable, _working_prime
 from doublechar.cyclotomic import Cyclotomic, _degree, _power_table, zeta
 from doublechar.errors import InconsistencyError
 from doublechar.groups import FiniteGroup, perm_mul, perm_order
-from doublechar.modp import primitive_root
+from doublechar.modp import charpoly, nullspace, poly_roots, primitive_root, rref
+from doublechar.weights import WeightSystem
 
 S3 = [(1, 0, 2), (1, 2, 0)]
 S4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
@@ -85,6 +86,31 @@ def test_trivial_character_is_row_zero():
         table = CharacterTable.compute(group)
         assert all(v == 1 for v in table.values[0])
         assert table.degrees[0] == 1
+
+
+@pytest.mark.parametrize("n", [30, 42])
+def test_trivial_character_sorts_first_where_a_root_has_larger_coordinates(n):
+    # in Q(zeta_30) and Q(zeta_42) some root of unity has power-basis
+    # coordinates above those of 1, so descending coordinates alone put
+    # a nontrivial linear character in row 0 and the table was refused
+    system = WeightSystem(FiniteGroup.from_generators(n, [_on(n, tuple(range(n)))]))
+    assert all(v == 1 for v in system.tables[0].values[0])
+    assert len(system.weights) == n * n
+    assert sum(system.dim(w) ** 2 for w in system.weights) == n * n
+
+
+def test_z30_presentations_give_equal_weight_dimensions():
+    one_cycle = WeightSystem(FiniteGroup.from_generators(30, [_on(30, tuple(range(30)))]))
+    # Z2 x Z3 x Z5 on 10 points
+    product = WeightSystem(
+        FiniteGroup.from_generators(
+            10, [_on(10, (0, 1)), _on(10, (2, 3, 4)), _on(10, (5, 6, 7, 8, 9))]
+        )
+    )
+    assert product.group.order == 30
+    assert sorted(map(one_cycle.dim, one_cycle.weights)) == sorted(
+        map(product.dim, product.weights)
+    )
 
 
 def test_c3_table_is_canonical():
@@ -442,3 +468,73 @@ def test_warm_read_accepts_an_entry_written_by_json_dump(tmp_path, monkeypatch):
     warm = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
     assert warm.to_json() == table.to_json()
     assert path.read_bytes() == before
+
+
+# ---- one elimination per eigenspace against the route that reduced twice ----
+
+
+def split_spaces_reducing_twice(group, p):
+    """_split_spaces as it was while each lifted eigenspace basis was
+    row-reduced again by modp.rref before the next class matrix."""
+    k = group.conj.count
+    spaces = [([[int(c == r) for c in range(k)] for r in range(k)], list(range(k)))]
+    for i in range(1, k):
+        if all(len(b) == 1 for b, _ in spaces):
+            break
+        A = chartable._class_matrix(group, i)
+        refined = []
+        for basis, pivots in spaces:
+            if len(basis) == 1:
+                refined.append((basis, pivots))
+                continue
+            R = chartable._restrict(A, basis, pivots, p)
+            d = len(R)
+            for root in poly_roots(charpoly(R, p), p):
+                M = [[(R[r][c] - (root if r == c else 0)) % p for c in range(d)] for r in range(d)]
+                coords = nullspace(M, p)
+                if coords:
+                    amb = [[sum(x * y for x, y in zip(cv, col)) % p for col in zip(*basis)]
+                           for cv in coords]
+                    refined.append(rref(amb, p))
+        spaces = refined
+    return [b[0] for b, _ in spaces]
+
+
+SPLIT_GROUPS = {
+    "S4": (4, S4),
+    "S5": LARGER_GROUPS["S5"],
+    "S6": LARGER_GROUPS["S6"],
+    "S3xZ5": (8, [_on(8, (0, 1)), _on(8, (0, 1, 2)), _on(8, (3, 4, 5, 6, 7))]),
+    "Z28": (28, [_on(28, tuple(range(28)))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GROUPS))
+def test_one_elimination_per_eigenspace_finds_the_same_lines(name):
+    group = FiniteGroup.from_generators(*SPLIT_GROUPS[name])
+    p = _working_prime(group.exponent(), group.order)
+
+    def lines(vectors):
+        # each vector scaled to 1 at the identity class
+        return [[x * pow(v[0], -1, p) % p for x in v] for v in vectors]
+
+    assert lines(chartable._split_spaces(group, p)) == lines(
+        split_spaces_reducing_twice(group, p)
+    )
+
+
+def test_cold_s7_weight_system_runs_one_elimination_per_eigenspace(monkeypatch):
+    # nullspace calls modp.rref once per eigenspace; the route that reduced
+    # each lift again made 658 calls
+    assert "rref" not in vars(chartable)
+    calls = []
+    real = modp.rref
+
+    def counting(rows, p):
+        calls.append(len(rows))
+        return real(rows, p)
+
+    monkeypatch.setattr(modp, "rref", counting)
+    system = WeightSystem(FiniteGroup.from_generators(7, [_on(7, tuple(range(7))), _on(7, (0, 1))]))
+    assert len(system.weights) == 170
+    assert len(calls) == 329
