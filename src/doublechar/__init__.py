@@ -45,7 +45,7 @@ from .taft import (
     VermaMatrices,
     build_profile_and_table,
     head_length,
-    lowering_coeffs,
+    raising_coeffs,
     simple_char,
 )
 from .weights import Weight, WeightSystem
@@ -83,7 +83,7 @@ __all__ = [
     "head_length",
     "ind_char",
     "ind_into_projectives",
-    "lowering_coeffs",
+    "raising_coeffs",
     "simple_char",
     "tensor_projectives",
     "ungraded_bgg",

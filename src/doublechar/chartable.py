@@ -179,17 +179,20 @@ class CharacterTable:
             try:
                 with open(path, encoding="utf-8") as fh:
                     return cls.from_json(json.load(fh), group)
-            except (ValueError, KeyError, TypeError, OSError, InconsistencyError):
+            except (ValueError, KeyError, TypeError, OSError, RecursionError,
+                    InconsistencyError):
                 pass  # stale or corrupt entry; recompute below
         table = cls.compute(group)
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(table.to_json(), sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         except OSError:
-            if os.path.exists(tmp):
+            # an unwritable cache is skipped; the computed table stands
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
         return table
 

@@ -109,7 +109,6 @@ def _build_parser():
     p = sub.add_parser("taft", help="generate and verify the cyclic rank-one case")
     p.add_argument("n", type=int, help="order of the cyclic group (2..12)")
     p.add_argument("--out", help="directory for the generated files")
-    p.add_argument("--cache-dir", help="character table cache directory")
     p.set_defaults(func=cmd_taft)
 
     p = sub.add_parser("verify", help="run every exact identity on the given data")
@@ -285,8 +284,8 @@ def _render_report(report, names):
 
 
 def _load_report(args, system):
-    kind, data = load_profile_file(args.profile, system)
-    if kind == MLMatrixData.KIND:
+    data = load_profile_file(args.profile, system)
+    if isinstance(data, MLMatrixData):
         return ungraded_bgg(data, system), None, None
     if not getattr(args, "simples", None):
         raise InputError("a graded profile needs --simples with the simple table")
@@ -376,7 +375,7 @@ def cmd_taft(args):
     n = args.n
     if not 2 <= n <= 12:
         raise InputError("the rank-one generator supports 2 <= n <= 12")
-    params = TaftParams(n, cache_dir=_cache_dir(args))
+    params = TaftParams(n)
     system = params.system
     profile, table = build_profile_and_table(params)
     aliases = params.aliases()
@@ -384,12 +383,12 @@ def cmd_taft(args):
 
     # matrix oracle for every weight, and agreement with the engine
     report = bgg_matrices(profile, table)
+    vm = VermaMatrices(params)
     for r, s in params.all_rs():
-        vm = VermaMatrices(params, r, s)
         lam = params.weight_of(r, s)
         expected = {
             params.weight_of(fr, fs): LaurentInt({shift: 1})
-            for (fr, fs), shift in vm.series
+            for (fr, fs), shift in vm.series[r, s]
         }
         if report.verma_simple[lam] != expected:
             raise OracleError(
@@ -483,8 +482,8 @@ def cmd_taft(args):
 
 def cmd_verify(args):
     system = _load_system(args)
-    kind, data = load_profile_file(args.profile, system)
-    if kind == MLMatrixData.KIND:
+    data = load_profile_file(args.profile, system)
+    if isinstance(data, MLMatrixData):
         # MLMatrixData certified the dimensions when the file loaded
         print("ok: composition matrix admits consistent dimensions")
         # by construction

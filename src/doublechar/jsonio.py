@@ -121,7 +121,7 @@ def load_group_file(path, max_order=DEFAULT_MAX_ORDER):
 
 
 def load_profile_file(path, system):
-    """Returns ("profile", NicholsProfile) or ("ml_matrix", MLMatrixData).
+    """Returns the NicholsProfile or the MLMatrixData the file holds.
     A profile path may hold a graded profile or a plain composition
     matrix; the optional "kind" field tells them apart."""
     payload = _load_payload(path)
@@ -131,7 +131,7 @@ def load_profile_file(path, system):
     if kind not in (NicholsProfile.KIND, MLMatrixData.KIND):
         raise InputError(f"unrecognized payload kind {kind!r}")
     cls = MLMatrixData if kind == MLMatrixData.KIND else NicholsProfile
-    return kind, _from_file(path, cls.from_json, payload, system)
+    return _from_file(path, cls.from_json, payload, system)
 
 
 def load_simples_file(path, system):

@@ -19,14 +19,14 @@ with more than one entry (a pivot row with no other entry normalises to
 1 exactly).  Nothing here knows that the group-likes are diagonal or
 that the ladders are single bands.
 
-The n^2 modules share their operators: n raising ladders E_c, one per
-c = (r + s) mod n, one lowering ladder F and n diagonal group-likes
-G_x = diag(q^(x+k)), so 2n + 1 matrices in all, built once per
-TaftParams on first use.  Each identity is checked once per distinct
-operand tuple (E^n = 0 and the kernel of E_c once per c, F^n = 0 once,
-g F = q F g once per x, g E = q^-1 E g once per (x, c), g1 g2 = g2 g1
-once per unordered {r, s}); the checks that depend on the weight itself
-run for every weight.
+The n^2 modules are built from 2n + 1 operators, made in one pass:
+n raising ladders E_c, one per c = (r + s) mod n, one lowering ladder F
+and n diagonal group-likes G_x = diag(q^(x+k)).  Each identity between
+operators is checked once (g g' = g' g per unordered {x, y}, g E =
+q^-1 E g per (x, c), g F = q F g per x, F^n = 0 once, and E_c^n = 0,
+the kernel of E_c and its first kept tail once per c); the checks that
+depend on the weight itself then run for every weight.  Nothing is
+kept between calls.
 
 Weights here are named by exponent pairs (r, s): class of the r-th
 power of the cycle, character sending the cycle to q^s.  The canonical
@@ -57,11 +57,9 @@ class TaftParams(Frozen):
         "system",
         "exp_to_row",
         "row_to_exp",
-        "_operators",
-        "_verified",
     )
 
-    def __init__(self, n, cache_dir=None):
+    def __init__(self, n):
         if not isinstance(n, int) or n < 2:
             raise InputError("the cyclic rank-one case needs an integer n >= 2")
         q = zeta(n)
@@ -77,7 +75,7 @@ class TaftParams(Frozen):
             )
         cycle = tuple((i + 1) % n for i in range(n))
         group = FiniteGroup.from_generators(n, [cycle])
-        system = WeightSystem(group, cache_dir=cache_dir)
+        system = WeightSystem(group)
         # element sigma^a starts with a, so sorted order puts class a at
         # index a; rows, however, must be matched by table values
         table = system.tables[0]
@@ -99,10 +97,6 @@ class TaftParams(Frozen):
                     f"expected exactly one"
                 )
             exp_to_row[s] = hits[0]
-        # _operators and _verified are shared by the n^2 VermaMatrices:
-        # the distinct operators, keyed ("E", c), ("F",) and ("G", x), and
-        # the operand tuples whose identities hold; a module adds to them
-        # only after every check of its weight has passed
         self._set(
             n=n,
             q=q,
@@ -110,8 +104,6 @@ class TaftParams(Frozen):
             system=system,
             exp_to_row=exp_to_row,
             row_to_exp={j: s for s, j in exp_to_row.items()},
-            _operators={},
-            _verified=set(),
         )
 
     def weight_of(self, r, s):
@@ -133,16 +125,17 @@ class TaftParams(Frozen):
         return [(r, s) for r in range(self.n) for s in range(self.n)]
 
 
-def lowering_coeffs(params, r, s):
-    """Structure constants of the raising action on the chain basis:
-    index k carries [k]_q * (1 - q^(r+s+k-1)), k = 1..n-1.  [k]_q is
-    built one term at a time from the table of powers of q."""
+def raising_coeffs(params, c):
+    """Structure constants of the raising action E_c on the chain basis
+    of the weights with r + s = c (mod n): index k carries
+    [k]_q * (1 - q^(c+k-1)), k = 1..n-1.  [k]_q is built one term at a
+    time from the table of powers of q."""
     n, powers = params.n, params.powers
     out = []
     q_int = Cyclotomic.from_rational(0, n)
     for k in range(1, n):
         q_int = q_int + powers[k - 1]
-        out.append(q_int * (powers[0] - powers[(r + s + k - 1) % n]))
+        out.append(q_int * (powers[0] - powers[(c + k - 1) % n]))
     return out
 
 
@@ -176,142 +169,102 @@ def build_profile_and_table(params):
 
 
 class VermaMatrices(Frozen):
-    """Explicit n-dimensional module for one weight: two diagonal
-    group-like actions, a raising and a lowering ladder operator, plus
-    the verification results derived from them.
+    """Explicit n-dimensional modules for all n^2 weights of one
+    TaftParams, with the verification results derived from them.
 
-    Each operator is a list of sparse rows: vm.raising[i][j] reads a
+    The module of (r, s) has the chain basis e_0..e_(n-1) and is acted on
+    by the group-likes group_likes[r] and group_likes[s], the raising
+    ladder raising[(r + s) % n] and the one lowering ladder.  Each
+    operator is a list of sparse rows: vm.raising[c][i][j] reads a
     stored entry or zero, and a vanishing ladder coefficient is simply
-    not stored.  The operators are shared by all n^2 modules of one
-    TaftParams (g1 = G_r, g2 = G_s, raising = E_c with c = (r + s) mod n,
-    one lowering F), so they must not be mutated, and each identity
-    between them is checked once per distinct operand tuple."""
+    not stored.  series[r, s] lists the composition factors of the
+    module of (r, s), top first, as ((r', s'), degree shift)."""
 
-    __slots__ = (
-        "params",
-        "r",
-        "s",
-        "g1",
-        "g2",
-        "raising",
-        "lowering",
-        "singular_indices",
-        "head_dim",
-        "series",
-    )
+    __slots__ = ("params", "group_likes", "raising", "lowering", "series")
 
-    def __init__(self, params, r, s):
-        n = params.n
-        powers = params.powers
-        r %= n
-        s %= n
-        shared = params._operators
-        built = {}
-
-        def operator(key, build):
-            if key in shared:
-                return shared[key]
-            if key not in built:
-                built[key] = build()
-            return built[key]
-
-        def group_like(x):
-            return operator(("G", x), lambda: _diag([powers[(x + k) % n] for k in range(n)]))
-
-        def raising():
-            # lowering_coeffs reads r and s only through (r + s) mod n
-            coeffs = lowering_coeffs(params, r, s)
-            return _sparse(n, ((k - 1, k, coeffs[k - 1]) for k in range(1, n)))
-
+    def __init__(self, params):
+        n, powers = params.n, params.powers
         self._set(
             params=params,
-            r=r,
-            s=s,
-            g1=group_like(r),
-            g2=group_like(s),
-            raising=operator(("E", (r + s) % n), raising),
-            lowering=operator(
-                ("F",), lambda: _sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1)))
+            group_likes=tuple(
+                _diag([powers[(x + k) % n] for k in range(n)]) for x in range(n)
             ),
+            raising=tuple(
+                _sparse(n, ((k - 1, k, a) for k, a in enumerate(raising_coeffs(params, c), 1)))
+                for c in range(n)
+            ),
+            lowering=_sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1))),
         )
-        checked = self._verify()
-        shared.update(built)
-        params._verified.update(checked)
+        self._check_identities()
+        self._set(series={rs: self._weight_series(*rs) for rs in params.all_rs()})
 
-    def _verify(self):
-        """Runs this weight's checks in a fixed order and returns the
-        operand tuples it checked.  A check whose tuple already holds,
-        for an earlier weight or earlier for this one, is skipped: the
-        same operators give the same result."""
+    def _check_identities(self):
+        """Checks each identity between the operators once."""
         params, n = self.params, self.params.n
-        verified = params._verified
         q, q_inv = params.powers[1], params.powers[n - 1]
-        r, s = self.r, self.s
-        c = (r + s) % n
-        g1, g2, e, f = self.g1, self.g2, self.raising, self.lowering
-        checked = set()
+        gs, es, f = self.group_likes, self.raising, self.lowering
 
-        def first_time(*operands):
-            if operands in verified or operands in checked:
-                return False
-            checked.add(operands)
-            return True
+        # group-likes commute and scale the ladder operators by q^(-1)/q
+        for x, g in enumerate(gs):
+            for y in range(x, n):
+                _expect(f"G_{x}, G_{y}", "g g' = g' g", _mat_mul(g, gs[y]), _mat_mul(gs[y], g))
+            for c, e in enumerate(es):
+                _expect(f"G_{x}, E_{c}", "g E = q^-1 E g",
+                        _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
+            _expect(f"G_{x}, F", "g F = q F g", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
 
-        def expect(identity, left, right):
-            if left != right:
-                raise OracleError(
-                    f"Verma of ({r},{s}): {identity} fails: {left} against {right}"
-                )
+        # nilpotency; no zero is ever stored, so the zero matrix has empty rows
+        _expect("F", "F^n = 0", _mat_pow(f, n), [{}] * n)
+        for c, e in enumerate(es):
+            _expect(f"E_{c}", "E^n = 0", _mat_pow(e, n), [{}] * n)
+            # singular vectors: the kernel, computed by exact elimination,
+            # must consist of basis vectors, sitting where the head-length
+            # formula puts them
+            head = head_length(params, c, 0)
+            singular = [head] if head < n else []
+            supports = sorted(sorted(vec) for vec in nullspace(e, n))
+            _expect(f"E_{c}", "supports of the kernel of E = [0], [head length]",
+                    supports, [[k] for k in (0, *singular)])
+            # the span of the tail from the singular index is the first
+            # one E keeps; the span from any smaller cut is not kept
+            if singular:
+                first = next((cut for cut in range(1, n) if _tail_invariant(e, cut)), n)
+                _expect(f"E_{c}", "first tail that E keeps = head length", first, head)
+
+    def _weight_series(self, r, s):
+        """Runs the checks of the weight (r, s) and returns its series."""
+        params, n = self.params, self.params.n
+        name = f"Verma of ({r},{s})"
 
         # distinct diagonal weights: every invariant subspace is then a
         # span of basis vectors
         pairs = {((r + k) % n, (s + k) % n) for k in range(n)}
-        expect("distinct chain weights = n", len(pairs), n)
+        _expect(name, "distinct chain weights = n", len(pairs), n)
 
-        # group-likes commute and scale the ladder operators by q^(-1)/q
-        if first_time("g g", min(r, s), max(r, s)):
-            expect("g1 g2 = g2 g1", _mat_mul(g1, g2), _mat_mul(g2, g1))
-        for name, x, g in (("g1", r, g1), ("g2", s, g2)):
-            if first_time("g E", x, c):
-                expect(f"{name} E = q^-1 E {name}", _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
-            if first_time("g F", x):
-                expect(f"{name} F = q F {name}", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
-
-        # nilpotency; no zero is ever stored, so the zero matrix has empty rows
-        if first_time("E^n", c):
-            expect("E^n = 0", _mat_pow(e, n), [{}] * n)
-        if first_time("F^n"):
-            expect("F^n = 0", _mat_pow(f, n), [{}] * n)
-
-        # singular vectors: kernel of the raising matrix, computed by
-        # exact elimination, must consist of basis vectors, sitting where
-        # the head-length formula puts them
+        # the span of the tail from the singular index is a submodule
         head = head_length(params, r, s)
         singular = [head] if head < n else []
-        if first_time("ker E", c):
-            supports = sorted(sorted(vec) for vec in nullspace(e, n))
-            expect("supports of the kernel of E = [0], [head length]", supports,
-                   [[k] for k in (0, *singular)])
-
-        # the span of the tail from the first singular index is a
-        # submodule; any cut above it fails to be one
-        if head < n:
-            for name, mat in (("g1", g1), ("g2", g2), ("E", e), ("F", f)):
-                expect(f"{name} keeps the span from e_{head}", _tail_invariant(mat, head), True)
-            if first_time("first tail of E", c):
-                first = next(cut for cut in range(1, n) if _tail_invariant(e, cut))
-                expect("first tail that E keeps = head length", first, head)
+        c = (r + s) % n
+        if singular:
+            for op, mat in ((f"G_{r}", self.group_likes[r]), (f"G_{s}", self.group_likes[s]),
+                            (f"E_{c}", self.raising[c]), ("F", self.lowering)):
+                _expect(name, f"{op} keeps the span from e_{head}",
+                        _tail_invariant(mat, head), True)
 
         # composition series: segments of the chain between singular indices
         cuts = [0] + singular + [n]
         series = []
         for a, b in zip(cuts, cuts[1:]):
             fr, fs = (r + a) % n, (s + a) % n
-            expect(f"head length of ({fr},{fs}) = length of segment [{a},{b})",
-                   head_length(params, fr, fs), b - a)
+            _expect(name, f"head length of ({fr},{fs}) = length of segment [{a},{b})",
+                    head_length(params, fr, fs), b - a)
             series.append(((fr, fs), -a))
-        self._set(singular_indices=tuple(singular), head_dim=head, series=tuple(series))
-        return checked
+        return tuple(series)
+
+
+def _expect(where, identity, left, right):
+    if left != right:
+        raise OracleError(f"{where}: {identity} fails: {left} against {right}")
 
 
 # ---- sparse matrix helpers over the cyclotomics ----

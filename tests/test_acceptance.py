@@ -272,10 +272,11 @@ def test_criterion_11_oracle_engine_equivalence(acceptance_line):
         for n in range(2, 6):
             params = TaftParams(n)
             profile, table = build_profile_and_table(params)
+            vm = VermaMatrices(params)
             for w in profile.system.weights:
                 r, s = params.rs_of(w)
                 from_matrices = {
-                    (rs, shift): 1 for rs, shift in VermaMatrices(params, r, s).series
+                    (rs, shift): 1 for rs, shift in vm.series[r, s]
                 }
                 dec = decompose_into_simples(verma_char(profile, w), table)
                 from_span = {

@@ -378,7 +378,7 @@ def test_span_failure_dumps_residual(capsys, tmp_path, taft_files):
 
 
 def test_oracle_failure_exits_4(capsys, monkeypatch):
-    def boom(params, r, s):
+    def boom(params):
         raise OracleError("forced failure")
 
     monkeypatch.setattr(cli, "VermaMatrices", boom)
@@ -392,8 +392,11 @@ def test_taft_disagreement_prints_both_series(capsys, monkeypatch):
 
     class Shifted:
         # the matrix series of every weight, one degree lower
-        def __init__(self, params, r, s):
-            self.series = tuple((f, k - 1) for f, k in real(params, r, s).series)
+        def __init__(self, params):
+            self.series = {
+                rs: tuple((f, k - 1) for f, k in series)
+                for rs, series in real(params).series.items()
+            }
 
     monkeypatch.setattr(cli, "VermaMatrices", Shifted)
     code, out, err = run(capsys, "taft", "3")
@@ -704,6 +707,42 @@ def test_misshapen_cached_table_is_recomputed(capsys, tmp_path, mutate):
     # the entry was rejected and rewritten from a fresh computation;
     # compared as bytes, since json.loads takes 1.0 and true for 1
     assert entry.read_text() == canonical
+
+
+def test_deeply_nested_cached_table_is_recomputed(capsys, tmp_path):
+    # json gives up on this entry with a RecursionError, not a ValueError
+    cache = tmp_path / "cache"
+    args = ["weights", "--group", DATA / "s3_group.json", "--cache-dir", cache]
+    code, want, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = [p for p in cache.glob("chartable-*.json") if json.loads(p.read_text())["exponent"] == 6]
+    canonical = entry.read_text()
+    entry.write_text("[" * 200000 + "]" * 200000)
+    code, got, err = run(capsys, *args)
+    assert code == 0, err
+    assert got == want
+    assert entry.read_text() == canonical
+
+
+def test_cache_dir_that_is_a_regular_file_is_skipped(capsys, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory")
+    code, want, _ = run(capsys, "weights", "--group", DATA / "s3_group.json")
+    assert code == 0
+    code, got, err = run(capsys, "weights", "--group", DATA / "s3_group.json", "--cache-dir", plain)
+    assert code == 0, err
+    assert got == want
+    assert plain.read_text() == "not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+
+
+def test_taft_has_no_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DOUBLECHAR_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "taft", "3")
+    assert code == 0 and out == "all 9 weights verified; 3 simple projective Vermas\n"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit):
+        cli.main(["taft", "3", "--cache-dir", str(tmp_path)])
 
 
 @pytest.mark.parametrize(

@@ -128,8 +128,8 @@ def test_profile_round_trip(tmp_path, taft3):
     system = profile.system
     path = tmp_path / "profile.json"
     write_json(str(path), profile.to_json("group.json"))
-    kind, clone = load_profile_file(str(path), system)
-    assert kind == NicholsProfile.KIND
+    clone = load_profile_file(str(path), system)
+    assert type(clone) is NicholsProfile
     assert clone.components == profile.components
     assert clone.n_top == profile.n_top
 
@@ -229,7 +229,7 @@ def test_ml_kind_detection():
 
     fixture = pathlib.Path(__file__).resolve().parent.parent / "data" / "fk3_ml.json"
     system = WeightSystem(FiniteGroup.from_generators(3, [(1, 0, 2), (1, 2, 0)]))
-    kind, ml = load_profile_file(str(fixture), system)
-    assert kind == MLMatrixData.KIND
+    ml = load_profile_file(str(fixture), system)
+    assert type(ml) is MLMatrixData
     assert ml.dim_b == 12
     assert ml.n_top == 4

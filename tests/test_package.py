@@ -45,7 +45,7 @@ FROZEN = {
     SimpleTable: lambda taft3: taft3[2],
     MLMatrixData: lambda taft3: _fk3_matrix(),
     TaftParams: lambda taft3: taft3[0],
-    VermaMatrices: lambda taft3: VermaMatrices(taft3[0], 1, 2),
+    VermaMatrices: lambda taft3: VermaMatrices(taft3[0]),
 }
 
 

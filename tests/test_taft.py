@@ -15,7 +15,7 @@ from doublechar.taft import (
     _sparse,
     build_profile_and_table,
     head_length,
-    lowering_coeffs,
+    raising_coeffs,
     simple_char,
 )
 from doublechar.weights import WeightSystem
@@ -40,7 +40,7 @@ def test_weight_label_round_trip(taft3):
 
 
 def q_integer(q, k):
-    """1 + q + ... + q^(k-1): the closed form that lowering_coeffs
+    """1 + q + ... + q^(k-1): the closed form that raising_coeffs
     builds one term at a time."""
     acc = CYC_ZERO
     for i in range(k):
@@ -58,7 +58,7 @@ def test_q_integer():
 
 def test_lowering_coefficient_zeros(taft3):
     params, _, _ = taft3
-    cs = lowering_coeffs(params, 0, 2)
+    cs = raising_coeffs(params, 2)
     assert not cs[0].is_zero()
     assert cs[1].is_zero()
     assert head_length(params, 0, 2) == 2
@@ -88,7 +88,7 @@ def test_head_lengths_cover_every_value_once(n):
 
 def _first_vanishing_rung(params, r, s):
     """Head length by scanning the chain coefficients for the first zero."""
-    for k, c in enumerate(lowering_coeffs(params, r, s), start=1):
+    for k, c in enumerate(raising_coeffs(params, (r + s) % params.n), start=1):
         if c.is_zero():
             return k
     return params.n
@@ -113,33 +113,38 @@ def test_simple_dimension_rule(n):
 
 def test_composition_series_frozen(taft3):
     params, _, _ = taft3
-    assert VermaMatrices(params, 0, 2).series == (((0, 2), 0), ((2, 1), -2))
-    assert VermaMatrices(params, 2, 2).series == (((2, 2), 0),)
-    assert VermaMatrices(params, 0, 0).series == (((0, 0), 0), ((1, 1), -1))
+    series = VermaMatrices(params).series
+    assert len(series) == 9
+    assert series[0, 2] == (((0, 2), 0), ((2, 1), -2))
+    assert series[2, 2] == (((2, 2), 0),)
+    assert series[0, 0] == (((0, 0), 0), ((1, 1), -1))
 
 
 def test_explicit_matrices_verification(taft3):
+    # the module of (0, 2): group-likes G_0 and G_2, ladder E_2
     params, _, _ = taft3
-    vm = VermaMatrices(params, 0, 2)
+    vm = VermaMatrices(params)
     q = params.q
+    assert len(vm.group_likes) == len(vm.raising) == 3
     for k in range(3):
-        assert vm.g1[k][k] == q**k
-        assert vm.g2[k][k] == q ** ((2 + k) % 3)
-    assert vm.singular_indices == (2,)
-    assert vm.head_dim == 2
-    assert vm.raising[1][2].is_zero()
-    assert not vm.raising[0][1].is_zero()
+        assert vm.group_likes[0][k][k] == q**k
+        assert vm.group_likes[2][k][k] == q ** ((2 + k) % 3)
+        assert vm.lowering[(k + 1) % 3][k] == int(k < 2)
+    assert [shift for _, shift in vm.series[0, 2]] == [0, -2]
+    assert vm.raising[2][1][2].is_zero()
+    assert not vm.raising[2][0][1].is_zero()
 
 
 def test_matrix_relations_hold_for_all_weights():
     for n in (2, 3):
         params = TaftParams(n)
+        vm = VermaMatrices(params)
         for r, s in params.all_rs():
-            vm = VermaMatrices(params, r, s)
-            assert vm.series[0] == ((r, s), 0)
-            shifts = [shift for _, shift in vm.series]
+            series = vm.series[r, s]
+            assert series[0] == ((r, s), 0)
+            shifts = [shift for _, shift in series]
             assert shifts == sorted(shifts, reverse=True)
-            assert sum(head_length(params, fr, fs) for (fr, fs), _ in vm.series) == n
+            assert sum(head_length(params, fr, fs) for (fr, fs), _ in series) == n
 
 
 def test_profile_and_table_validate_up_to_eight():
@@ -166,11 +171,9 @@ def test_lowering_coeffs_match_the_closed_form():
         params = TaftParams(n)
         q = params.q
         assert params.powers == tuple(q**k for k in range(n))
-        for r, s in params.all_rs():
-            want = [
-                q_integer(q, k) * (1 - q ** ((r + s + k - 1) % n)) for k in range(1, n)
-            ]
-            assert lowering_coeffs(params, r, s) == want
+        for c in range(n):
+            want = [q_integer(q, k) * (1 - q ** ((c + k - 1) % n)) for k in range(1, n)]
+            assert raising_coeffs(params, c) == want
 
 
 # ---- sparse matrix helpers ----
@@ -210,9 +213,8 @@ def _small_dense():
 
 
 def test_mat_pow_by_squaring_matches_repeated_products():
-    params = TaftParams(5)
-    vm = VermaMatrices(params, 1, 3)
-    cases = [vm.raising, vm.lowering, _small_dense()]
+    vm = VermaMatrices(TaftParams(5))
+    cases = [vm.raising[4], vm.lowering, _small_dense()]
     for m in cases:
         n = len(m)
         naive = _diag([CYC_ONE] * n)
@@ -246,54 +248,76 @@ def test_nullspace_of_a_dense_matrix_takes_the_inverse_path(monkeypatch):
 
 def test_nullspace_of_a_ladder_needs_no_inverse(monkeypatch):
     params = TaftParams(6)
-    vm = VermaMatrices(params, 0, 2)
+    vm = VermaMatrices(params)
     calls = _count_inverses(monkeypatch)
-    kernel = nullspace(vm.raising, 6)
+    kernel = nullspace(vm.raising[2], 6)
     assert calls == []
     supports = sorted(k for vec in kernel for k in vec)
-    assert supports == [0, *vm.singular_indices]
+    assert supports == [0, head_length(params, 0, 2)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_corrupted_coefficients_raise_oracle_error(monkeypatch, n):
-    # zero one more rung of a single weight's chain; the matrices then
-    # disagree with the head lengths of the neighbouring weights
+    # zero one more rung of a single ladder E_c; its kernel then holds a
+    # basis vector that the head-length formula does not put there
     params = TaftParams(n)
-    original = lowering_coeffs
-    for r, s in params.all_rs():
+    original = raising_coeffs
+    corrupted_rungs = 0
+    for c in range(n):
         for rung in range(1, n):
-            if original(params, r, s)[rung - 1].is_zero():
+            if original(params, c)[rung - 1].is_zero():
                 continue
 
-            def corrupted(p, rr, ss, target=(r, s), rung=rung):
-                coeffs = original(p, rr, ss)
-                if (rr % n, ss % n) == target:
+            def corrupted(p, cc, target=c, rung=rung):
+                coeffs = original(p, cc)
+                if cc == target:
                     coeffs[rung - 1] = CYC_ZERO
                 return coeffs
 
-            monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
-            with pytest.raises(OracleError):
-                VermaMatrices(params, r, s)
-            monkeypatch.setattr(taft, "lowering_coeffs", original)
+            monkeypatch.setattr(taft, "raising_coeffs", corrupted)
+            with pytest.raises(OracleError, match=f"^E_{c}: "):
+                VermaMatrices(params)
+            corrupted_rungs += 1
+    assert corrupted_rungs == n * (n - 1) - (n - 1)
+    monkeypatch.setattr(taft, "raising_coeffs", original)
+    VermaMatrices(params)
 
 
 def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
-    # an extra zero rung puts one more vector in the kernel than the
-    # head-length formula allows
+    # an extra zero rung puts one more vector in the kernel of E_0 than
+    # the head-length formula allows
     params = TaftParams(3)
 
-    def corrupted(p, r, s):
-        coeffs = lowering_coeffs(p, r, s)
-        if (r, s) == (0, 0):
+    def corrupted(p, c):
+        coeffs = raising_coeffs(p, c)
+        if c == 0:
             coeffs[1] = CYC_ZERO
         return coeffs
 
-    monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
+    monkeypatch.setattr(taft, "raising_coeffs", corrupted)
     with pytest.raises(OracleError) as info:
-        VermaMatrices(params, 0, 0)
+        VermaMatrices(params)
     assert str(info.value) == (
-        "Verma of (0,0): supports of the kernel of E = [0], [head length] fails: "
+        "E_0: supports of the kernel of E = [0], [head length] fails: "
         "[[0], [1], [2]] against [[0], [1]]"
+    )
+
+
+def test_failed_weight_check_names_the_weight(monkeypatch):
+    # the tail of F is reported as not kept; the operator identities do
+    # not look at F's tails, so the first weight with a singular vector,
+    # (0, 0) with head length 1, is the one that fails
+    original = taft._tail_invariant
+
+    def refuse_f(mat, cut):
+        # F alone has an entry at row 1, column 0
+        return 0 not in mat[1] and original(mat, cut)
+
+    monkeypatch.setattr(taft, "_tail_invariant", refuse_f)
+    with pytest.raises(OracleError) as info:
+        VermaMatrices(TaftParams(3))
+    assert str(info.value) == (
+        "Verma of (0,0): F keeps the span from e_1 fails: False against True"
     )
 
 
@@ -338,22 +362,15 @@ def test_taft_arithmetic_stays_at_one_order(monkeypatch):
     build_profile_and_table(params)
     assert calls == [12] * 144  # the weight system's copy of the table
     calls.clear()
-    for r, s in params.all_rs():
-        VermaMatrices(params, r, s)
+    VermaMatrices(params)
     assert calls == []
-
-
-def _module_values(vm):
-    return (
-        vm.series, vm.singular_indices, vm.head_dim,
-        vm.g1, vm.g2, vm.raising, vm.lowering,
-    )
 
 
 def test_shared_operators_are_built_and_checked_once(monkeypatch):
     # 2n + 1 distinct operators serve the n^2 modules: one ladder E_c
     # per c = (r + s) mod n, whose coefficients and kernel are computed
-    # once each, and E_c^n plus F^n as the only powers
+    # once each, and E_c^n plus F^n as the only powers; 520 products and
+    # 594 tail scans are the work of checking each identity once
     calls = Counter()
 
     def counted(name, fn):
@@ -363,49 +380,16 @@ def test_shared_operators_are_built_and_checked_once(monkeypatch):
 
         return wrapper
 
-    for name in ("lowering_coeffs", "nullspace", "_mat_pow"):
+    names = ("raising_coeffs", "nullspace", "_mat_pow", "_mat_mul", "_tail_invariant")
+    for name in names:
         monkeypatch.setattr(taft, name, counted(name, getattr(taft, name)))
     params = TaftParams(12)
     monkeypatch.setattr(Cyclotomic, "embed", counted("embed", Cyclotomic.embed))
-    for r, s in params.all_rs():
-        VermaMatrices(params, r, s)
-    assert calls == {"lowering_coeffs": 12, "nullspace": 12, "_mat_pow": 13}
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_shared_operators_give_each_weight_its_own_module(n):
-    # second route: on fresh parameters a weight is built first, so it
-    # reuses no operator or check of another weight; the shared build,
-    # in the reverse order, must give the same module
-    params = TaftParams(n)
-    for r, s in reversed(params.all_rs()):
-        shared = VermaMatrices(params, r, s)
-        fresh = VermaMatrices(TaftParams(n), r, s)
-        assert _module_values(shared) == _module_values(fresh)
-
-
-def test_failed_weight_leaves_no_operator_behind(monkeypatch):
-    # the ladder E_0 is first built under a corrupted coefficient; the
-    # weight fails, and neither that ladder nor the identities checked on
-    # it before the failure may serve a later weight
-    n = 4
-    params = TaftParams(n)
-    for r, s in params.all_rs():
-        if (r + s) % n:
-            VermaMatrices(params, r, s)
-    before = (dict(params._operators), set(params._verified))
-    original = lowering_coeffs
-
-    def corrupted(p, r, s):
-        coeffs = original(p, r, s)
-        coeffs[1] = CYC_ZERO
-        return coeffs
-
-    monkeypatch.setattr(taft, "lowering_coeffs", corrupted)
-    with pytest.raises(OracleError):
-        VermaMatrices(params, 0, 0)
-    monkeypatch.setattr(taft, "lowering_coeffs", original)
-    assert (dict(params._operators), set(params._verified)) == before
-    for r, s in params.all_rs():
-        got = VermaMatrices(params, r, s)
-        assert _module_values(got) == _module_values(VermaMatrices(TaftParams(n), r, s))
+    VermaMatrices(params)
+    assert calls == {
+        "raising_coeffs": 12,
+        "nullspace": 12,
+        "_mat_pow": 13,
+        "_mat_mul": 520,
+        "_tail_invariant": 594,
+    }
