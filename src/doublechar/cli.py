@@ -378,8 +378,7 @@ def cmd_taft(args):
     params = TaftParams(n)
     system = params.system
     profile, table = build_profile_and_table(params)
-    aliases = params.aliases()
-    names = {w.label: aliases[w.label] for w in system.weights}
+    names = params.aliases()
 
     # matrix oracle for every weight, and agreement with the engine
     report = bgg_matrices(profile, table)
@@ -411,7 +410,7 @@ def cmd_taft(args):
         write_json(os.path.join(args.out, "group.json"), system.group.to_json())
         write_json(os.path.join(args.out, "profile.json"), profile.to_json("group.json"))
         write_json(os.path.join(args.out, "simples.json"), table.to_json())
-        write_json(os.path.join(args.out, "aliases.json"), aliases_to_json(aliases))
+        write_json(os.path.join(args.out, "aliases.json"), aliases_to_json(names))
         write_json(os.path.join(args.out, "report.json"), report.to_json())
         write_text(
             os.path.join(args.out, "report.txt"), _render_report(report, names)

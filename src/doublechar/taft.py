@@ -3,12 +3,13 @@ force.
 
 Everything downstream trusts closed formulas; this module instead
 builds the actual n-dimensional module with explicit matrices over
-Q(zeta_n), scans for singular vectors by exact linear algebra, and
-reads composition series off the matrix structure.  Closed-form and
-matrix routes are compared at every step: the kernel of the raising
-matrix, found by elimination, must sit exactly where the head-length
-formula (1 - r - s) mod n puts the singular vector.  A mismatch raises
-OracleError rather than picking a side.
+Q(zeta_n), finds its singular vectors by exact linear algebra, and
+reads composition series off the matrix structure alone: the singular
+vectors are the basis vectors of the kernel of the raising matrix,
+found by elimination, and the series of a weight is the chain cut at
+them.  The closed form (head_length, simple_char) is the engine's side;
+the CLI compares it once, per weight, with the series read here, and a
+mismatch raises OracleError rather than picking a side.
 
 Matrices are lists of sparse rows that store nonzero entries only.
 The helpers below are generic: products multiply whatever entries are
@@ -22,11 +23,11 @@ that the ladders are single bands.
 The n^2 modules are built from 2n + 1 operators, made in one pass:
 n raising ladders E_c, one per c = (r + s) mod n, one lowering ladder F
 and n diagonal group-likes G_x = diag(q^(x+k)).  Each identity between
-operators is checked once (g g' = g' g per unordered {x, y}, g E =
-q^-1 E g per (x, c), g F = q F g per x, F^n = 0 once, and E_c^n = 0,
-the kernel of E_c and its first kept tail once per c); the checks that
-depend on the weight itself then run for every weight.  Nothing is
-kept between calls.
+operators is checked once (g g' = g' g per pair x < y, g E = q^-1 E g
+per (x, c), g F = q F g per x, F^n = 0 once, and E_c^n = 0 and the
+kernel of E_c against the tails it keeps once per c); each weight then
+checks that its operators keep the tail from each singular index.
+Nothing is kept between calls.
 
 Weights here are named by exponent pairs (r, s): class of the r-th
 power of the cycle, character sending the cycle to q^s.  The canonical
@@ -37,7 +38,7 @@ the table values, never through index arithmetic.
 
 from __future__ import annotations
 
-from .cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, dot, nullspace, zeta
+from .cyclotomic import CYC_ONE, Cyclotomic, dot, nullspace, root_exponents, zeta
 from .errors import Frozen, InputError, OracleError
 from .graded import GradedChar, KElement
 from .groups import FiniteGroup
@@ -77,33 +78,20 @@ class TaftParams(Frozen):
         group = FiniteGroup.from_generators(n, [cycle])
         system = WeightSystem(group)
         # element sigma^a starts with a, so sorted order puts class a at
-        # index a; rows, however, must be matched by table values
-        table = system.tables[0]
-        if table.count != n or system.conj.count != n:
-            raise OracleError(
-                f"cyclic group data has the wrong shape: {table.count} characters and "
-                f"{system.conj.count} classes, expected {n} of each"
-            )
-        exp_to_row = {}
+        # index a; rows, however, are matched by their generator values,
+        # which the verified table of Z_n holds as n distinct n-th roots
         gen_class = system.conj.class_of[group.index[cycle]]
-        for s in range(n):
-            target = zeta(n, s)
-            hits = [
-                j for j in range(table.count) if table.values[j][gen_class] == target
-            ]
-            if len(hits) != 1:
-                raise OracleError(
-                    f"characters with generator value q^{s} = {target}: rows {hits}, "
-                    f"expected exactly one"
-                )
-            exp_to_row[s] = hits[0]
+        roots = root_exponents(n)
+        row_to_exp = {
+            j: roots[row[gen_class].coeffs] for j, row in enumerate(system.tables[0].values)
+        }
         self._set(
             n=n,
             q=q,
             powers=tuple(powers),
             system=system,
-            exp_to_row=exp_to_row,
-            row_to_exp={j: s for s, j in exp_to_row.items()},
+            exp_to_row={s: j for j, s in row_to_exp.items()},
+            row_to_exp=row_to_exp,
         )
 
     def weight_of(self, r, s):
@@ -170,15 +158,15 @@ def build_profile_and_table(params):
 
 class VermaMatrices(Frozen):
     """Explicit n-dimensional modules for all n^2 weights of one
-    TaftParams, with the verification results derived from them.
+    TaftParams, with the composition series read off their matrices.
 
     The module of (r, s) has the chain basis e_0..e_(n-1) and is acted on
     by the group-likes group_likes[r] and group_likes[s], the raising
     ladder raising[(r + s) % n] and the one lowering ladder.  Each
-    operator is a list of sparse rows: vm.raising[c][i][j] reads a
-    stored entry or zero, and a vanishing ladder coefficient is simply
-    not stored.  series[r, s] lists the composition factors of the
-    module of (r, s), top first, as ((r', s'), degree shift)."""
+    operator is a list of sparse rows, dicts column -> entry that store
+    nonzero entries only, so a vanishing ladder coefficient is simply
+    absent.  series[r, s] lists the composition factors of the module of
+    (r, s), top first, as ((r', s'), degree shift)."""
 
     __slots__ = ("params", "group_likes", "raising", "lowering", "series")
 
@@ -195,18 +183,24 @@ class VermaMatrices(Frozen):
             ),
             lowering=_sparse(n, ((k + 1, k, CYC_ONE) for k in range(n - 1))),
         )
-        self._check_identities()
-        self._set(series={rs: self._weight_series(*rs) for rs in params.all_rs()})
+        singular = self._check_identities()
+        self._set(
+            series={
+                rs: self._weight_series(*rs, singular[sum(rs) % n]) for rs in params.all_rs()
+            }
+        )
 
     def _check_identities(self):
-        """Checks each identity between the operators once."""
-        params, n = self.params, self.params.n
-        q, q_inv = params.powers[1], params.powers[n - 1]
+        """Checks each identity between the operators once and returns,
+        for each c, the singular indices of E_c: the supports of its
+        kernel other than e_0."""
+        n = self.params.n
+        q, q_inv = self.params.powers[1], self.params.powers[n - 1]
         gs, es, f = self.group_likes, self.raising, self.lowering
 
         # group-likes commute and scale the ladder operators by q^(-1)/q
         for x, g in enumerate(gs):
-            for y in range(x, n):
+            for y in range(x + 1, n):
                 _expect(f"G_{x}, G_{y}", "g g' = g' g", _mat_mul(g, gs[y]), _mat_mul(gs[y], g))
             for c, e in enumerate(es):
                 _expect(f"G_{x}, E_{c}", "g E = q^-1 E g",
@@ -215,51 +209,31 @@ class VermaMatrices(Frozen):
 
         # nilpotency; no zero is ever stored, so the zero matrix has empty rows
         _expect("F", "F^n = 0", _mat_pow(f, n), [{}] * n)
+        singular = []
         for c, e in enumerate(es):
             _expect(f"E_{c}", "E^n = 0", _mat_pow(e, n), [{}] * n)
             # singular vectors: the kernel, computed by exact elimination,
-            # must consist of basis vectors, sitting where the head-length
-            # formula puts them
-            head = head_length(params, c, 0)
-            singular = [head] if head < n else []
+            # must be spanned by e_0 and one basis vector e_k per cut k
+            # whose tail span E keeps, and by nothing else
+            cuts = [k for k in range(1, n) if _tail_invariant(e, k)]
             supports = sorted(sorted(vec) for vec in nullspace(e, n))
-            _expect(f"E_{c}", "supports of the kernel of E = [0], [head length]",
-                    supports, [[k] for k in (0, *singular)])
-            # the span of the tail from the singular index is the first
-            # one E keeps; the span from any smaller cut is not kept
-            if singular:
-                first = next((cut for cut in range(1, n) if _tail_invariant(e, cut)), n)
-                _expect(f"E_{c}", "first tail that E keeps = head length", first, head)
+            _expect(f"E_{c}", "supports of the kernel of E = [0] and each cut whose tail E keeps",
+                    supports, [[k] for k in (0, *cuts)])
+            singular.append(cuts)
+        return singular
 
-    def _weight_series(self, r, s):
-        """Runs the checks of the weight (r, s) and returns its series."""
-        params, n = self.params, self.params.n
-        name = f"Verma of ({r},{s})"
-
-        # distinct diagonal weights: every invariant subspace is then a
-        # span of basis vectors
-        pairs = {((r + k) % n, (s + k) % n) for k in range(n)}
-        _expect(name, "distinct chain weights = n", len(pairs), n)
-
-        # the span of the tail from the singular index is a submodule
-        head = head_length(params, r, s)
-        singular = [head] if head < n else []
+    def _weight_series(self, r, s, singular):
+        """Checks that every operator of the weight (r, s) keeps the tail
+        span from each singular index and returns the segments of the
+        chain between them."""
+        n = self.params.n
         c = (r + s) % n
-        if singular:
+        for k in singular:
             for op, mat in ((f"G_{r}", self.group_likes[r]), (f"G_{s}", self.group_likes[s]),
                             (f"E_{c}", self.raising[c]), ("F", self.lowering)):
-                _expect(name, f"{op} keeps the span from e_{head}",
-                        _tail_invariant(mat, head), True)
-
-        # composition series: segments of the chain between singular indices
-        cuts = [0] + singular + [n]
-        series = []
-        for a, b in zip(cuts, cuts[1:]):
-            fr, fs = (r + a) % n, (s + a) % n
-            _expect(name, f"head length of ({fr},{fs}) = length of segment [{a},{b})",
-                    head_length(params, fr, fs), b - a)
-            series.append(((fr, fs), -a))
-        return tuple(series)
+                _expect(f"Verma of ({r},{s})", f"{op} keeps the span from e_{k}",
+                        _tail_invariant(mat, k), True)
+        return tuple((((r + a) % n, (s + a) % n), -a) for a in (0, *singular))
 
 
 def _expect(where, identity, left, right):
@@ -269,28 +243,19 @@ def _expect(where, identity, left, right):
 
 # ---- sparse matrix helpers over the cyclotomics ----
 #
-# A matrix is a list of _Row dicts column -> nonzero Cyclotomic.  Since
-# no zero is ever stored, two matrices are equal exactly when their rows
+# A matrix is a list of dicts column -> nonzero Cyclotomic.  Since no
+# zero is ever stored, two matrices are equal exactly when their rows
 # have the same key sets and equal values, which is what list and dict
 # equality compare.
 
 
-class _Row(dict):
-    """Sparse matrix row; an absent column reads as zero and is not inserted."""
-
-    __slots__ = ()
-
-    def __missing__(self, col):
-        return CYC_ZERO
-
-
 def _row(items):
-    return _Row((j, x) for j, x in items if not x.is_zero())
+    return {j: x for j, x in items if not x.is_zero()}
 
 
 def _sparse(n, entries):
     """n x n matrix from (row, col, value) triples; zero values are dropped."""
-    m = [_Row() for _ in range(n)]
+    m = [{} for _ in range(n)]
     for i, j, x in entries:
         if not x.is_zero():
             m[i][j] = x

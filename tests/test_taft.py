@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from doublechar import taft
+from doublechar import cli, taft
 from doublechar.cyclotomic import CYC_ONE, CYC_ZERO, Cyclotomic, nullspace, zeta
 from doublechar.errors import InputError, OracleError
 from doublechar.graded import KElement
@@ -37,6 +37,15 @@ def test_weight_label_round_trip(taft3):
     aliases = params.aliases()
     assert aliases[params.weight_of(2, 1).label] == "2,1"
     assert len(set(aliases.values())) == 9
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_each_row_takes_its_exponent_at_the_generator(n):
+    params = TaftParams(n)
+    table = params.system.tables[0]
+    gen_class = params.system.conj.class_of[params.system.group.index[tuple(range(1, n)) + (0,)]]
+    for s in range(n):
+        assert table.values[params.exp_to_row[s]][gen_class] == zeta(n, s)
 
 
 def q_integer(q, k):
@@ -129,9 +138,9 @@ def test_explicit_matrices_verification(taft3):
     for k in range(3):
         assert vm.group_likes[0][k][k] == q**k
         assert vm.group_likes[2][k][k] == q ** ((2 + k) % 3)
-        assert vm.lowering[(k + 1) % 3][k] == int(k < 2)
+        assert vm.lowering[(k + 1) % 3].get(k, CYC_ZERO) == int(k < 2)
     assert [shift for _, shift in vm.series[0, 2]] == [0, -2]
-    assert vm.raising[2][1][2].is_zero()
+    assert vm.raising[2][1].get(2, CYC_ZERO).is_zero()
     assert not vm.raising[2][0][1].is_zero()
 
 
@@ -181,7 +190,7 @@ def test_lowering_coeffs_match_the_closed_form():
 
 def _dense(m):
     n = len(m)
-    return [[m[i][j] for j in range(n)] for i in range(n)]
+    return [[m[i].get(j, CYC_ZERO) for j in range(n)] for i in range(n)]
 
 
 def _dense_mul(a, b):
@@ -256,50 +265,73 @@ def test_nullspace_of_a_ladder_needs_no_inverse(monkeypatch):
     assert supports == [0, head_length(params, 0, 2)]
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_corrupted_coefficients_raise_oracle_error(monkeypatch, n):
-    # zero one more rung of a single ladder E_c; its kernel then holds a
-    # basis vector that the head-length formula does not put there
-    params = TaftParams(n)
+def _zero_rung(monkeypatch, target, rung):
+    """Makes raising_coeffs return E_target with its given rung zeroed."""
     original = raising_coeffs
-    corrupted_rungs = 0
-    for c in range(n):
-        for rung in range(1, n):
-            if original(params, c)[rung - 1].is_zero():
-                continue
-
-            def corrupted(p, cc, target=c, rung=rung):
-                coeffs = original(p, cc)
-                if cc == target:
-                    coeffs[rung - 1] = CYC_ZERO
-                return coeffs
-
-            monkeypatch.setattr(taft, "raising_coeffs", corrupted)
-            with pytest.raises(OracleError, match=f"^E_{c}: "):
-                VermaMatrices(params)
-            corrupted_rungs += 1
-    assert corrupted_rungs == n * (n - 1) - (n - 1)
-    monkeypatch.setattr(taft, "raising_coeffs", original)
-    VermaMatrices(params)
-
-
-def test_oracle_failure_names_weight_and_both_sides(monkeypatch):
-    # an extra zero rung puts one more vector in the kernel of E_0 than
-    # the head-length formula allows
-    params = TaftParams(3)
 
     def corrupted(p, c):
-        coeffs = raising_coeffs(p, c)
-        if c == 0:
-            coeffs[1] = CYC_ZERO
+        coeffs = original(p, c)
+        if c == target:
+            coeffs[rung - 1] = CYC_ZERO
         return coeffs
 
     monkeypatch.setattr(taft, "raising_coeffs", corrupted)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_corrupted_coefficients_raise_oracle_error(capsys, monkeypatch, n):
+    # zero one more rung of a single ladder E_c; the matrices then read a
+    # series with one more segment than the engine's, and taft exits 4
+    params = TaftParams(n)
+    corrupted_rungs = 0
+    for c in range(n):
+        for rung in range(1, n):
+            if raising_coeffs(params, c)[rung - 1].is_zero():
+                continue
+            with monkeypatch.context() as patch:
+                _zero_rung(patch, c, rung)
+                assert cli.main(["taft", str(n)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "engine decomposition of the Verma of" in captured.err
+            corrupted_rungs += 1
+    assert corrupted_rungs == n * (n - 1) - (n - 1)
+    assert cli.main(["taft", str(n)]) == 0
+
+
+def test_oracle_failure_names_weight_and_both_sides(capsys, monkeypatch):
+    # an extra zero rung of E_0 cuts the chain of (0,0) once more than
+    # the engine's head length does
+    _zero_rung(monkeypatch, 0, 2)
+    assert cli.main(["taft", "3"]) == 4
+    assert capsys.readouterr().err == (
+        "oracle verification failed: engine decomposition of the Verma of (0,0) "
+        "disagrees with the matrix composition series: engine L(0,0) + t^-1 L(1,1), "
+        "matrices L(0,0) + t^-1 L(1,1) + t^-2 L(2,2)\n"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_series_are_read_off_the_matrices_alone(monkeypatch, n):
+    # the closed form is the engine's side: the oracle never consults it
+    want = VermaMatrices(TaftParams(n)).series
+
+    def refuse(*args):
+        raise AssertionError("head_length called by the matrix oracle")
+
+    monkeypatch.setattr(taft, "head_length", refuse)
+    assert VermaMatrices(TaftParams(n)).series == want
+
+
+def test_kernel_vector_with_two_supports_names_the_ladder(monkeypatch):
+    # a kernel that is not spanned by basis vectors is refused before any
+    # series is read; E_0 at n = 3 keeps its tail from e_1 only
+    monkeypatch.setattr(taft, "nullspace", lambda m, n: [{0: CYC_ONE, 1: CYC_ONE}])
     with pytest.raises(OracleError) as info:
-        VermaMatrices(params)
+        VermaMatrices(TaftParams(3))
     assert str(info.value) == (
-        "E_0: supports of the kernel of E = [0], [head length] fails: "
-        "[[0], [1], [2]] against [[0], [1]]"
+        "E_0: supports of the kernel of E = [0] and each cut whose tail E keeps "
+        "fails: [[0, 1]] against [[0], [1]]"
     )
 
 
@@ -369,8 +401,8 @@ def test_taft_arithmetic_stays_at_one_order(monkeypatch):
 def test_shared_operators_are_built_and_checked_once(monkeypatch):
     # 2n + 1 distinct operators serve the n^2 modules: one ladder E_c
     # per c = (r + s) mod n, whose coefficients and kernel are computed
-    # once each, and E_c^n plus F^n as the only powers; 520 products and
-    # 594 tail scans are the work of checking each identity once
+    # once each, and E_c^n plus F^n as the only powers; 496 products and
+    # 660 tail scans are the work of checking each identity once
     calls = Counter()
 
     def counted(name, fn):
@@ -390,6 +422,6 @@ def test_shared_operators_are_built_and_checked_once(monkeypatch):
         "raising_coeffs": 12,
         "nullspace": 12,
         "_mat_pow": 13,
-        "_mat_mul": 520,
-        "_tail_invariant": 594,
+        "_mat_mul": 496,
+        "_tail_invariant": 660,
     }

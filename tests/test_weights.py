@@ -350,17 +350,15 @@ def projection(system, lam, mu):
     return result
 
 
-def assert_invertible_routes_agree(system, brute_pairs):
-    """Two invertible weights compose through their exponent vectors to
-    the weight that the projection finds, in both orders; brute_fusion,
-    which averages over every group element, finds it once on brute_pairs."""
-    found = {}
-    for a, b in invertible_pairs(system):
-        w = found[a, b] = system._times_invertibles(a, b)
+def assert_invertible_routes_agree(system, pairs):
+    """Two invertible weights compose through their exponent vectors, in
+    both orders, to the weight that the projection and brute_fusion,
+    which averages over every group element, find for each of pairs."""
+    for a, b in pairs:
+        w = system._times_invertibles(a, b)
         assert w == system._times_invertibles(b, a)
         assert projection(system, a, b) == {w: 1}
-    for a, b in brute_pairs:
-        assert brute_fusion(system, a, b) == {found[a, b]: 1}
+        assert brute_fusion(system, a, b) == {w: 1}
 
 
 @pytest.mark.parametrize("name, count", [("Z6", 36), ("S3", 2), ("S4", 2), ("Q8", 8)])
@@ -374,15 +372,24 @@ def test_invertible_products_compose_exponent_vectors(name, count):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cyclic_products_compose_exponent_vectors(n):
-    # every weight of Z_n is invertible; brute force is quartic in n, so
-    # past n = 6 it checks each product with a generator of Z_n x Z_n^,
-    # the class g1 and the faithful character at class 0
+    # every weight of Z_n is invertible, and fusion composes every pair by
+    # the group law of Z_n x Z_n^, (r1, s1)(r2, s2) = (r1 + r2, s1 + s2);
+    # brute force is quartic in n, so past n = 6 it and the projection
+    # check only each product with a generator, the class g1 and the
+    # faithful character at class 0
     system = cyclic_system(n)
     pairs = invertible_pairs(system)
     assert len(pairs) == n * n * (n * n + 1) // 2
+    row_exp = exponent_of_row(system, n)
+    exp_row = {k: r for r, k in row_exp.items()}
+    for a, b in pairs:
+        law = Weight(
+            (a.class_index + b.class_index) % n,
+            exp_row[(row_exp[a.irrep_index] + row_exp[b.irrep_index]) % n],
+        )
+        assert system.fusion(a, b) == system.fusion(b, a) == {law: 1}
     if n > 6:
-        row_exp = exponent_of_row(system, n)
-        gens = {Weight(1, 0), Weight(0, next(r for r, k in row_exp.items() if k == 1))}
+        gens = {Weight(1, 0), Weight(0, exp_row[1])}
         pairs = [(a, b) for a, b in pairs if a in gens or b in gens]
     assert_invertible_routes_agree(system, pairs)
 
