@@ -34,7 +34,6 @@ those of 1.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -173,6 +172,8 @@ class CharacterTable:
         """Reuse a cached table when possible, else compute and cache it."""
         if cache_dir is None:
             return cls.compute(group)
+        import hashlib  # maps OpenSSL; only the cache key needs it
+
         key = hashlib.sha256(group.content_key().encode()).hexdigest()
         path = os.path.join(cache_dir, f"chartable-{key}.json")
         if os.path.exists(path):

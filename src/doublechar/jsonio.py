@@ -2,10 +2,16 @@
 
 All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
-which the test suite relies on.  Loaders and writers wrap every failure in
-InputError so the CLI can map them to its input-validation exit code; an
-inconsistency found while a group, profile or simple table loads keeps its
-type, and its message, like an input error's, names the file.
+which the test suite relies on.  A file is streamed to a temporary
+name beside its destination as the walk emits it, with no copy of the
+whole text in memory, and then moved into place by one atomic rename:
+an interrupted or failed write never leaves a truncated file at the
+destination, and a failed one, a refused payload included, removes its
+temporary file and leaves any previous file as it was.  Loaders
+and writers wrap every failure in InputError so the CLI can map them to
+its input-validation exit code; an inconsistency found while a group,
+profile or simple table loads keeps its type, and its message, like an
+input error's, names the file.
 """
 
 from __future__ import annotations
@@ -73,15 +79,42 @@ def _write_canonical(obj, newline, out):
 
 
 def write_json(path, obj):
-    write_text(path, canonical_dumps(obj))
+    """Writes canonical_dumps(obj) to path, streaming the walk into the
+    file so no copy of the text is built."""
+
+    def fill(fh):
+        _write_canonical(obj, "\n", fh.write)
+        fh.write("\n")
+
+    _write_atomic(path, fill)
 
 
 def write_text(path, text):
+    _write_atomic(path, lambda fh: fh.write(text))
+
+
+def _write_atomic(path, fill):
+    """fill(fh) writes the text of path into a temporary file beside it,
+    which then replaces path in one rename.  On any failure the temporary
+    file is removed and path is left as it was.  open() rather than
+    mkstemp, so the file takes the mode the umask gives, not 0600."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fill(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
     except OSError as exc:
+        if exc.filename == tmp:
+            # the message names the destination, never the temporary name
+            exc = OSError(exc.errno, exc.strerror, path)
         raise InputError(f"cannot write {path}: {exc}") from None
 
 

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -14,10 +16,11 @@ from doublechar.jsonio import (
     load_profile_file,
     load_simples_file,
     write_json,
+    write_text,
 )
 from doublechar.nichols import NicholsProfile
 from doublechar.taft import TaftParams, build_profile_and_table
-from doublechar.weights import WeightSystem
+from doublechar.weights import Weight, WeightSystem
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -34,15 +37,21 @@ def test_canonical_dumps_is_stable():
     assert json.loads(a) == {"a": [2, 1], "b": 1}
 
 
-def test_canonical_dumps_matches_json_on_every_written_payload(monkeypatch, tmp_path):
-    payloads = []
+def _recorded_writes(monkeypatch):
+    """(path, obj) of each write_json call the CLI makes from now on."""
+    writes = []
     write = cli.write_json
 
     def recorded(path, obj):
-        payloads.append(obj)
+        writes.append((path, obj))
         write(path, obj)
 
     monkeypatch.setattr(cli, "write_json", recorded)
+    return writes
+
+
+def test_canonical_dumps_matches_json_on_every_written_payload(monkeypatch, tmp_path):
+    payloads = _recorded_writes(monkeypatch)
     for n in range(2, 13):
         assert cli.main(["taft", str(n), "--out", str(tmp_path / f"taft{n}")]) == 0
     t3 = tmp_path / "taft3"
@@ -59,8 +68,63 @@ def test_canonical_dumps_matches_json_on_every_written_payload(monkeypatch, tmp_
             argv = ["bgg", *files, *extra, "--out", out]
             assert cli.main([str(a) for a in argv]) == 0
     assert len(payloads) == 11 * 5 + 4
-    for obj in payloads:
+    assert len({path for path, _ in payloads}) == len(payloads)
+    for path, obj in payloads:
         assert canonical_dumps(obj) == _reference_dumps(obj)
+        # the streamed file holds exactly the joined text
+        assert pathlib.Path(path).read_bytes() == canonical_dumps(obj).encode()
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"w": Weight(0, 1)}], ids=["int_key", "weight"])
+def test_refused_payload_keeps_the_previous_file(tmp_path, obj):
+    path = tmp_path / "report.json"
+    write_json(str(path), {"kept": [1, 2]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(str(path), obj)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_failed_rename_names_the_destination_and_leaves_no_temporary_file(tmp_path):
+    # a directory cannot be replaced by a file: the temporary file is
+    # written, the rename fails, and the error names the destination
+    path = tmp_path / "taken"
+    path.mkdir()
+    for write in (lambda: write_json(str(path), {}), lambda: write_text(str(path), "x\n")):
+        with pytest.raises(InputError) as info:
+            write()
+        assert str(info.value).startswith(f"cannot write {path}: ")
+        assert ".tmp" not in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(path.iterdir()) == []
+
+
+def test_written_files_take_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    for name, write in (("a.json", write_json), ("b.txt", write_text)):
+        path = tmp_path / name
+        write(str(path), "x")
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+
+def test_report_is_streamed_without_a_copy_of_its_text(monkeypatch, tmp_path):
+    # a joined copy of the taft 12 report's text would cost about
+    # 3.8 MiB above the payload; streaming it costs a write buffer
+    writes = _recorded_writes(monkeypatch)
+    assert cli.main(["taft", "12", "--out", str(tmp_path / "taft12")]) == 0
+    (obj,) = [obj for path, obj in writes if path.endswith("report.json")]
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_json(str(path), obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 400_000
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize(

@@ -59,18 +59,27 @@ def test_value_classes_are_immutable(cls, taft3):
             setattr(value, name, None)
 
 
-def test_cli_import_loads_no_dataclasses():
+def _loaded_by_cli_import(module):
     # modules that site loads before the import do not count
     code = (
         "import sys; before = set(sys.modules); import doublechar.cli; "
-        "print('dataclasses' in set(sys.modules) - before)"
+        f"print({module!r} in set(sys.modules) - before)"
     )
     src = str(pathlib.Path(doublechar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert _loaded_by_cli_import("dataclasses") == "False\n"
+
+
+def test_cli_import_loads_no_hashlib():
+    # hashlib maps OpenSSL; only a table cache lookup needs it
+    assert _loaded_by_cli_import("hashlib") == "False\n"
 
 
 def test_weight_order_hash_repr_and_immutability():

@@ -353,6 +353,30 @@ def test_failed_weight_check_names_the_weight(monkeypatch):
     )
 
 
+def test_shared_pair_failure_names_the_first_weight_that_needs_it(monkeypatch):
+    # G_2 is reported as not keeping any tail; at n = 3 the first weight,
+    # in (r, s) order, that acts by G_2 and has a singular index is
+    # (0, 2), cut at e_2, so it is the one named, after one scan of G_2
+    params = TaftParams(3)
+    original = taft._tail_invariant
+    g2 = []
+
+    def refuse_g2(mat, cut):
+        # G_x alone has a diagonal entry in row 0, namely q^x
+        if mat[0].get(0) == params.powers[2]:
+            g2.append(cut)
+            return False
+        return original(mat, cut)
+
+    monkeypatch.setattr(taft, "_tail_invariant", refuse_g2)
+    with pytest.raises(OracleError) as info:
+        VermaMatrices(params)
+    assert str(info.value) == (
+        "Verma of (0,2): G_2 keeps the span from e_2 fails: False against True"
+    )
+    assert g2 == [2]
+
+
 def test_taft_products_compose_exponent_vectors(monkeypatch):
     # every weight of a Taft system is invertible, so each of the 1,662
     # distinct products that build the n = 12 profile and table adds two
@@ -401,8 +425,10 @@ def test_taft_arithmetic_stays_at_one_order(monkeypatch):
 def test_shared_operators_are_built_and_checked_once(monkeypatch):
     # 2n + 1 distinct operators serve the n^2 modules: one ladder E_c
     # per c = (r + s) mod n, whose coefficients and kernel are computed
-    # once each, and E_c^n plus F^n as the only powers; 496 products and
-    # 660 tail scans are the work of checking each identity once
+    # once each, and E_c^n plus F^n as the only powers; 496 products are
+    # the work of checking each identity once, and the 275 tail scans are
+    # 132 cuts of the kernels' check plus 143 distinct (operator, cut)
+    # pairs, 132 of a group-like and 11 of F, that the weights share
     calls = Counter()
 
     def counted(name, fn):
@@ -423,5 +449,5 @@ def test_shared_operators_are_built_and_checked_once(monkeypatch):
         "nullspace": 12,
         "_mat_pow": 13,
         "_mat_mul": 496,
-        "_tail_invariant": 660,
+        "_tail_invariant": 275,
     }
