@@ -15,7 +15,9 @@ self-certifying.  Its columns are `group.conj`, the classes the group owns.
 `load_or_compute` caches a table as one compact, key-sorted JSON line,
 named by the sha256 of the group's content key.  The line is encoded by
 `json.dumps`, which runs json's C encoder; `json.dump` would take the
-pure-Python one for the same bytes.
+pure-Python one for the same bytes.  An entry is read and written by
+the package's one reader and writer, `errors.load_json` and
+`errors.write_atomic`.
 
 The eigenspaces of the class matrices are split one class at a time.
 Each eigenspace is found by one elimination, a nullspace in the
@@ -36,11 +38,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from operator import mul
 
 from .cyclotomic import Cyclotomic, _degree, _power_table, dot
-from .errors import InconsistencyError, is_int
+from .errors import InconsistencyError, InputError, is_int, load_json, write_atomic
 from .modp import charpoly, is_prime, nullspace, poly_roots, primitive_root
 
 _FORMAT = 1
@@ -63,8 +64,9 @@ class CharacterTable:
     """Irreducible complex characters of a finite group, exact values.
 
     values[i][j] is the value of the i-th character on the j-th
-    conjugacy class, as a Cyclotomic of order `exponent`, the group's.  Characters are sorted by (degree, canonical value
-    order); row 0 is the trivial character.
+    conjugacy class, as a Cyclotomic of order `exponent`, the group's.
+    Rows are in the canonical order of the module docstring (degree,
+    trivial first, value coordinates); row 0 is the trivial character.
     """
 
     __slots__ = ("group", "conj", "exponent", "values", "degrees")
@@ -176,25 +178,16 @@ class CharacterTable:
 
         key = hashlib.sha256(group.content_key().encode()).hexdigest()
         path = os.path.join(cache_dir, f"chartable-{key}.json")
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return cls.from_json(json.load(fh), group)
-            except (ValueError, KeyError, TypeError, OSError, RecursionError,
-                    InconsistencyError):
-                pass  # stale or corrupt entry; recompute below
-        table = cls.compute(group)
-        tmp = None
         try:
-            os.makedirs(cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(table.to_json(), sort_keys=True, separators=(",", ":")))
-            os.replace(tmp, path)
-        except OSError:
-            # an unwritable cache is skipped; the computed table stands
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
+            return cls.from_json(load_json(path), group)
+        except (InputError, ValueError, KeyError, TypeError, InconsistencyError):
+            pass  # missing, stale or corrupt entry; recompute below
+        table = cls.compute(group)
+        text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"))
+        try:
+            write_atomic(path, lambda fh: fh.write(text))
+        except InputError:
+            pass  # an unwritable cache is skipped; the computed table stands
         return table
 
 

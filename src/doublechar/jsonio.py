@@ -2,26 +2,23 @@
 
 All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
-which the test suite relies on.  A file is streamed to a temporary
-name beside its destination as the walk emits it, with no copy of the
-whole text in memory, and then moved into place by one atomic rename:
-an interrupted or failed write never leaves a truncated file at the
-destination, and a failed one, a refused payload included, removes its
-temporary file and leaves any previous file as it was.  Loaders
-and writers wrap every failure in InputError so the CLI can map them to
-its input-validation exit code; an inconsistency found while a group,
-profile or simple table loads keeps its type, and its message, like an
-input error's, names the file.
+which the test suite relies on.  A file is streamed to disk through
+`errors.write_atomic` as the walk emits it, with no copy of the whole
+text in memory, and read through `errors.load_json`; a refused payload,
+too, leaves any previous file as it was.  The loaders wrap every
+failure in InputError so the CLI can map them to its input-validation
+exit code; an inconsistency found while a group, profile or simple
+table loads keeps its type, and its message, like an input error's,
+names the file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from json.encoder import encode_basestring_ascii
 
 from .bgg import MLMatrixData
-from .errors import InconsistencyError, InputError, is_int
+from .errors import InconsistencyError, InputError, is_int, load_json, write_atomic
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .nichols import NicholsProfile, SimpleTable
 
@@ -86,55 +83,11 @@ def write_json(path, obj):
         _write_canonical(obj, "\n", fh.write)
         fh.write("\n")
 
-    _write_atomic(path, fill)
+    write_atomic(path, fill)
 
 
 def write_text(path, text):
-    _write_atomic(path, lambda fh: fh.write(text))
-
-
-def _write_atomic(path, fill):
-    """fill(fh) writes the text of path into a temporary file beside it,
-    which then replaces path in one rename.  On any failure the temporary
-    file is removed and path is left as it was.  open() rather than
-    mkstemp, so the file takes the mode the umask gives, not 0600."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fill(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError as exc:
-        if exc.filename == tmp:
-            # the message names the destination, never the temporary name
-            exc = OSError(exc.errno, exc.strerror, path)
-        raise InputError(f"cannot write {path}: {exc}") from None
-
-
-def load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise InputError(f"{path} is nested too deeply to read") from None
-    except ValueError as exc:
-        # an integer literal longer than int() converts
-        raise InputError(f"{path} holds a number too long to read: {exc}") from None
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def _from_file(path, build, *args):

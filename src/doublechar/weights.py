@@ -13,8 +13,11 @@ Coste-Gannon-Ruelle, "Finite group modular data" (2000):
 It is the row of the centralizer table of its class i that equals its
 pair character at (r_i, c_k), found by one probe of the table's row
 index, keyed by the row's coefficient tuples; the Z-classes that each
-pair character is read from are built once.  Duals are not memoised: a
-dual costs one cached pair-row read and that one probe.
+pair character is read from are built once.  The conjugate is read as
+a projection reads it, conj chi(c) = chi(c^(-1)): the pair row is
+permuted by the inverse classes of Z_i, with no cyclotomic arithmetic.
+Duals are not memoised: a dual costs one cached pair-row read, that
+permutation and that one probe.
 
 Fusion takes one of two routes:
 
@@ -29,13 +32,13 @@ Fusion takes one of two routes:
   so all three rows are read on G's classes.
 - Every other pair is fused by projecting the pair character T of
   lam (x) mu onto each weight (i, j).  T is invariant under simultaneous
-conjugation, so the average over the commuting variety collapses to the
-class representative r_i and one representative c_k per class K_k of
-its centralizer Z_i:
+  conjugation, so the average over the commuting variety collapses to
+  the class representative r_i and one representative c_k per class K_k
+  of its centralizer Z_i:
 
-    N_{lam mu}^{(i,j)} = (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k),
-    T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
-                chi_lam(g1, c) chi_mu(g2, c).
+      N_{lam mu}^{(i,j)} = (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k),
+      T(r_i, c) = sum over g1 * g2 = r_i, g1 in C_lam, g2 in C_mu of
+                  chi_lam(g1, c) chi_mu(g2, c).
 
 When one factor is invertible, (z, chi) with z central, its class holds
 z alone, so the product has one factor pair and is projected once, onto
@@ -261,7 +264,8 @@ class WeightSystem:
         """The dual weight (g^(-1), conj rho) of lam = (g, rho)."""
         b = self.conj.inverse_class[lam.class_index]
         g = self.group.inverse_index(self.conj.reps[b])
-        row = [v.conjugate() for v in self._pair_row(lam, g, b)]
+        pair = self._pair_row(lam, g, b)  # a class function on Z(g) = Z_b
+        row = [pair[k] for k in self.tables[b].conj.inverse_class]  # conj chi(c) = chi(c^-1)
         found = self._base_record(b).index.get(_row_key(row), ())
         if len(found) != 1:
             raise _not_unique(f"dual of {lam}", len(found), b, row)

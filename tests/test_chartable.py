@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import os
+import stat
 from math import gcd
 
 import numpy as np
@@ -468,6 +470,46 @@ def test_warm_read_accepts_an_entry_written_by_json_dump(tmp_path, monkeypatch):
     warm = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
     assert warm.to_json() == table.to_json()
     assert path.read_bytes() == before
+
+
+def _entry_path(tmp_path, group):
+    key = hashlib.sha256(group.content_key().encode()).hexdigest()
+    return tmp_path / f"chartable-{key}.json"
+
+
+def test_cache_entry_takes_the_mode_open_gives(tmp_path):
+    group = FiniteGroup.from_generators(3, S3)
+    old = os.umask(0o022)
+    try:
+        plain = tmp_path / "plain.json"
+        with open(plain, "w"):
+            pass
+        CharacterTable.load_or_compute(group, cache_dir=str(tmp_path / "cache"))
+    finally:
+        os.umask(old)
+    (entry,) = (tmp_path / "cache").glob("chartable-*.json")
+    assert stat.S_IMODE(entry.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o644
+
+
+def test_interrupted_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    group = FiniteGroup.from_generators(3, S3)
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_at_the_entry_path_is_recomputed_and_not_written(tmp_path):
+    group = FiniteGroup.from_generators(4, S4)
+    _entry_path(tmp_path, group).mkdir()
+    table = CharacterTable.load_or_compute(group, cache_dir=str(tmp_path))
+    assert table.to_json() == CharacterTable.compute(group).to_json()
+    assert [p.name for p in tmp_path.iterdir()] == [_entry_path(tmp_path, group).name]
+    assert list(_entry_path(tmp_path, group).iterdir()) == []
 
 
 # ---- one elimination per eigenspace against the route that reduced twice ----

@@ -602,6 +602,29 @@ LARGER_GROUPS = {
 }
 
 
+def old_dual(system, lam):
+    """dual as it was while it conjugated every pair-row value through
+    Cyclotomic.galois."""
+    b = system.conj.inverse_class[lam.class_index]
+    g = system.group.inverse_index(system.conj.reps[b])
+    row = [v.conjugate() for v in system._pair_row(lam, g, b)]
+    (j,) = system._base_record(b).index[_row_key(row)]
+    return Weight(b, j)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "Z12"])
+def test_duals_read_inverse_classes_with_no_galois_calls(name, monkeypatch):
+    gens = {**ORACLE_GROUPS, **LARGER_GROUPS, "Z12": (12, [tuple(range(1, 12)) + (0,)])}
+    system = WeightSystem(FiniteGroup.from_generators(*gens[name]))
+    calls = []
+    galois = Cyclotomic.galois
+    monkeypatch.setattr(Cyclotomic, "galois", lambda self, k: calls.append(k) or galois(self, k))
+    duals = {w: system.dual(w) for w in system.weights}
+    assert calls == []
+    assert duals == {w: old_dual(system, w) for w in system.weights}
+    assert calls  # the old route does call it
+
+
 @PROPERTY
 @given(small_groups())
 def test_duals_match_the_projection_and_are_involutions(group):
