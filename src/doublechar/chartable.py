@@ -10,7 +10,12 @@ length o over F_p (with omega_o = omega^(e/o)), reassembled as an exact
 cyclotomic integer of Q(zeta_o) and embedded into Q(zeta_e).  The
 finished table is verified against the orthogonality relations before
 it is returned, so a successfully constructed CharacterTable is
-self-certifying.  Its columns are `group.conj`, the classes the group owns.
+self-certifying.  The check is exact: each inner product is one
+convolution reduced mod Phi_e, compared with |G| or 0.  It reads each
+value's nonzero power-basis terms once per table, and scales those of
+chi(j^-1) by the class size |K_j| once, so a rational value (every value
+of a symmetric group's table) costs one term however large e is.  Its
+columns are `group.conj`, the classes the group owns.
 
 `load_or_compute` caches a table as one compact, key-sorted JSON line,
 named by the sha256 of the group's content key.  The line is encoded by
@@ -40,7 +45,7 @@ import json
 import os
 from operator import mul
 
-from .cyclotomic import Cyclotomic, _degree, _power_table, dot
+from .cyclotomic import Cyclotomic, _convolve, _degree, _make, _power_table, _terms
 from .errors import InconsistencyError, InputError, is_int, load_json, write_atomic
 from .modp import charpoly, is_prime, nullspace, poly_roots, primitive_root
 
@@ -111,12 +116,17 @@ class CharacterTable:
             )
         sizes = conj.sizes()
         inv = conj.inverse_class
-        n = group.order
-        # <chi_a, chi_b> = sum_j chi_a(j) chi_b(j^-1) |K_j|, one dot per pair
-        weighted = [[row[inv[j]] * sizes[j] for j in range(k)] for row in self.values]
+        n, e = group.order, self.exponent
+        # <chi_a, chi_b> = sum_j chi_a(j) chi_b(j^-1) |K_j|, one convolution
+        # per pair over the terms of each value, extracted once
+        rows = [[tuple(_terms(v.coeffs)) for v in row] for row in self.values]
+        weighted = [
+            [[(i, c * size) for i, c in row[inv[j]]] for j, size in enumerate(sizes)]
+            for row in rows
+        ]
         for a in range(k):
             for b in range(a, k):
-                acc = dot(self.values[a], weighted[b])
+                acc = _make(e, _convolve(zip(rows[a], weighted[b]), e))
                 want = n if a == b else 0
                 if not (acc.is_rational() and acc.to_rational() == want):
                     raise InconsistencyError(

@@ -12,9 +12,12 @@ from dividing x^e - 1 by every Phi_d (`cyclotomic_polynomial`).
 
 The operands of +, -, ==, * and `dot` share one order e and meet on their
 coefficient tuples: entry by entry, or as one convolution reduced mod Phi_e
-(`_convolve`).  A rational operand (an int, a Fraction or an order-1
-Cyclotomic) joins any order, its vector (c,) being a prefix of an order-e
-vector; any other pair of orders raises ValueError.
+(`_convolve`).  The convolution reads each operand as its nonzero terms
+(i, c_i) (`_terms`), so a caller that multiplies one value many times
+can extract its terms once (`CharacterTable._verify`).  A rational operand
+(an int, a Fraction or an order-1 Cyclotomic) joins any order, its vector
+(c,) being a prefix of an order-e vector; any other pair of orders raises
+ValueError.
 
 One substitution kernel, `_substitute`, rewrites sum c_i z^i as
 sum c_i zeta_order^(i*step): with step = order/e it embeds into a larger
@@ -42,7 +45,6 @@ from .errors import Frozen, is_int
 from .modp import factorize
 
 _order = attrgetter("order")
-_coeffs = attrgetter("coeffs")
 
 
 def _exact(c):
@@ -139,18 +141,24 @@ def _phi_terms(e):
     return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
+def _terms(coeffs):
+    """The nonzero terms (i, c_i) of a coefficient vector, lazily."""
+    return compress(enumerate(coeffs), coeffs)
+
+
 def _convolve(pairs, e):
-    """Sum of the products a * b over pairs of order-e coefficient vectors,
-    accumulated as one integer polynomial and reduced mod Phi_e once.
-    Only nonzero coefficients are multiplied, picked out by `compress`.
+    """Sum of the products x * y over pairs of order-e values, each given
+    by its nonzero terms (i, c_i) (`_terms`), accumulated as one integer
+    polynomial and reduced mod Phi_e once.  The terms of y are read once
+    per term of x, so they must be a sequence; those of x may be an
+    iterator.  An order-1 value's terms are a prefix of an order-e one's.
 
     The reduction replaces each z^i with i >= phi(e), top down, by
     -sum c_j z^(i - phi(e) + j), reading only the nonzero c_j."""
     d = _degree(e)
     conv = [0] * (2 * d - 1)
-    for xc, yc in pairs:
-        ys = list(compress(enumerate(yc), yc))
-        for i, a in compress(enumerate(xc), xc):
+    for xs, ys in pairs:
+        for i, a in xs:
             for j, b in ys:
                 conv[i + j] += a * b
     terms = _phi_terms(e)
@@ -248,7 +256,8 @@ class Cyclotomic(Frozen):
         if isinstance(other, Cyclotomic):
             e = self.order
             if other.order == e:
-                return _make(e, _convolve(((self.coeffs, other.coeffs),), e))
+                pair = (_terms(self.coeffs), list(_terms(other.coeffs)))
+                return _make(e, _convolve((pair,), e))
             if other.order == 1:
                 return self._scaled(other.coeffs[0])
             if e == 1:
@@ -400,7 +409,8 @@ def dot(xs, ys):
     if len(orders) > 1:
         raise _order_error(*sorted(orders)[:2])
     order = orders.pop() if orders else 1
-    return _make(order, _convolve(zip(map(_coeffs, xs), map(_coeffs, ys)), order))
+    pairs = ((_terms(x.coeffs), list(_terms(y.coeffs))) for x, y in zip(xs, ys))
+    return _make(order, _convolve(pairs, order))
 
 
 def rref(rows, ncols):

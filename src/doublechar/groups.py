@@ -7,9 +7,10 @@ once, on first use (`conj`), by one walk under conjugation by the generators
 that records a conjugator per element; a centralizer is read off that walk
 as a stabilizer (Schreier's lemma), and a central class's is the group.
 
-Every product of two permutations goes through one kernel, `perm_mul`,
-which gathers the images in C with `operator.itemgetter`: closure, the
-conjugacy walk, centralizers and `mul_index` all run on it.
+Every product a*b of two permutations gathers the images of a in C with
+`operator.itemgetter(*b)`.  `perm_mul` builds that gather per product;
+where one right factor b meets many left factors, as a generator does in
+closure and in the walks under conjugation, `after(b)` builds it once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ def perm_mul(a, b):
         return itemgetter(*b)(a)
     # itemgetter of one index returns the bare item, and of none fails
     return (a[b[0]],) if b else ()
+
+
+def after(b):
+    """The map a -> a*b of `perm_mul`, prepared once for many a."""
+    if len(b) > 1:
+        return itemgetter(*b)
+    return lambda a: perm_mul(a, b)
 
 
 def perm_inv(a):
@@ -74,11 +82,12 @@ def _closure(degree, gens, max_order):
     e = identity_perm(degree)
     seen = {e}
     frontier = [e]
+    steps = [after(g) for g in gens]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = perm_mul(x, g)
+            for step in steps:
+                y = step(x)
                 if y not in seen:
                     if len(seen) >= max_order:
                         raise InputError(
@@ -97,8 +106,9 @@ class FiniteGroup:
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
-        # (s, s^(-1)) for each generator s, for walks under conjugation
-        self.generator_pairs = tuple((s, perm_inv(s)) for s in self.generators)
+        # (s, a -> a*s^(-1)) for each generator s, for walks under
+        # conjugation: s g s^(-1) is after(s^(-1))(perm_mul(s, g))
+        self.conjugation_steps = tuple((s, after(perm_inv(s))) for s in self.generators)
         self.elements = tuple(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = identity_perm(degree)
@@ -179,8 +189,9 @@ class ConjugacyData:
     Representatives are the lexicographically minimal members; classes are
     ordered by representative, so the identity class is always class 0.
     For every element g the stored conjugator x_g satisfies
-    x_g * rep * x_g^(-1) = g; x_rep is the identity.  conjugator_inv
-    holds each x_g^(-1).
+    x_g * rep * x_g^(-1) = g; x_rep is the identity.  Its inverse is not
+    stored: the two readers that need x_g^(-1), `centralizer` and
+    `WeightSystem._read_class`, invert x_g where they read it.
     """
 
     def __init__(self, group):
@@ -188,7 +199,6 @@ class ConjugacyData:
         elements = group.elements
         class_of = [-1] * n
         conjugator = [None] * n
-        conjugator_inv = [None] * n
         classes = []
         reps = []
         for start in range(n):
@@ -197,18 +207,17 @@ class ConjugacyData:
             cid = len(classes)
             rep = elements[start]
             class_of[start] = cid
-            conjugator[start] = conjugator_inv[start] = group.identity
+            conjugator[start] = group.identity
             members = [start]
             queue = [start]
             while queue:
                 i = queue.pop()
                 gi = elements[i]
-                for s, s_inv in group.generator_pairs:
-                    j = group.index[perm_mul(perm_mul(s, gi), s_inv)]
+                for s, right in group.conjugation_steps:
+                    j = group.index[right(perm_mul(s, gi))]
                     if class_of[j] < 0:
                         class_of[j] = cid
                         conjugator[j] = perm_mul(s, conjugator[i])
-                        conjugator_inv[j] = perm_mul(conjugator_inv[i], s_inv)
                         members.append(j)
                         queue.append(j)
             members.sort()
@@ -218,7 +227,6 @@ class ConjugacyData:
         self.reps = reps
         self.class_of = class_of
         self.conjugator = conjugator
-        self.conjugator_inv = conjugator_inv
         self.inverse_class = [
             class_of[group.inverse_index(r)] for r in reps
         ]
@@ -250,9 +258,9 @@ def centralizer(group, i):
     have = {group.identity}
     for a in members:
         x_a = conj.conjugator[a]
-        for s, s_inv in group.generator_pairs:
-            b = group.index[perm_mul(perm_mul(s, elements[a]), s_inv)]
-            h = perm_mul(conj.conjugator_inv[b], perm_mul(s, x_a))
+        for s, right in group.conjugation_steps:
+            b = group.index[right(perm_mul(s, elements[a]))]
+            h = perm_mul(perm_inv(conj.conjugator[b]), perm_mul(s, x_a))
             if h not in have:
                 gens.append(h)
                 have = _closure(group.degree, gens, order)

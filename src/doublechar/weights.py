@@ -70,7 +70,7 @@ from typing import NamedTuple
 from .chartable import CharacterTable
 from .cyclotomic import CYC_ZERO, _power_table, dot, root_exponents, zeta
 from .errors import InconsistencyError, InputError
-from .groups import centralizer, perm_mul
+from .groups import centralizer, perm_inv, perm_mul
 
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
@@ -204,9 +204,8 @@ class WeightSystem:
         a = conj.class_of[g_index]
         moved = self.group.elements[h_index]
         if g_index != conj.reps[a]:
-            moved = perm_mul(
-                conj.conjugator_inv[g_index], perm_mul(moved, conj.conjugator[g_index])
-            )
+            x = conj.conjugator[g_index]
+            moved = perm_mul(perm_inv(x), perm_mul(moved, x))
         table = self.tables[a]
         k = table.group.index.get(moved)
         return None if k is None else table.conj.class_of[k]

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
-from doublechar import chartable, modp
+from doublechar import chartable, cyclotomic, modp
 from doublechar.chartable import CharacterTable, _working_prime
-from doublechar.cyclotomic import Cyclotomic, _degree, _power_table, zeta
+from doublechar.cyclotomic import Cyclotomic, _degree, _power_table, dot, zeta
 from doublechar.errors import InconsistencyError
 from doublechar.groups import FiniteGroup, perm_mul, perm_order
 from doublechar.modp import charpoly, nullspace, poly_roots, primitive_root, rref
@@ -206,6 +206,41 @@ def test_orthogonality_failure_names_both_sides():
     assert str(info.value) == (
         "orthogonality fails for character rows 0 and 1: inner product 6, expected 0"
     )
+
+
+def old_inner(table):
+    """<chi_a, chi_b> for a <= b in _verify's order, as _verify took them
+    before it read each value's terms once: one dot per pair, against rows
+    of Cyclotomic values weighted by the class sizes."""
+    conj = table.conj
+    sizes, inv = conj.sizes(), conj.inverse_class
+    weighted = [[row[inv[j]] * size for j, size in enumerate(sizes)] for row in table.values]
+    k = table.count
+    return [dot(table.values[a], weighted[b]) for a in range(k) for b in range(a, k)]
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "Z12", "S7"])
+def test_verify_inner_products_match_the_old_dot_route(name, monkeypatch):
+    gens = {
+        "S4": (4, S4),
+        "S5": LARGER_GROUPS["S5"],
+        "Z12": (12, [tuple(range(1, 12)) + (0,)]),
+        "S7": (7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]),
+    }[name]
+    table = CharacterTable.compute(FiniteGroup.from_generators(*gens))
+    if name == "S7":
+        assert table.exponent == 420
+    got = []
+
+    def recording(e, coeffs):
+        got.append(cyclotomic._make(e, coeffs))
+        return got[-1]
+
+    monkeypatch.setattr(chartable, "_make", recording)
+    table._verify()
+    want = old_inner(table)
+    assert len(got) == table.count * (table.count + 1) // 2
+    assert [(x.order, x.coeffs) for x in got] == [(x.order, x.coeffs) for x in want]
 
 
 def _s3_table_with(**changes):

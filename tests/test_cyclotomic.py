@@ -13,7 +13,9 @@ from doublechar.cyclotomic import (
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic,
+    _convolve,
     _power_table,
+    _terms,
     cyclotomic_polynomial,
     dot,
     nullspace,
@@ -367,6 +369,44 @@ def test_same_order_arithmetic_matches_a_reference(e, data):
     xs = [data.draw(vectors) for _ in range(n)]
     ys = [data.draw(vectors) for _ in range(n)]
     assert_result(dot(xs, ys), e, reference_dot(zip(xs, ys), e))
+
+
+def schoolbook(pairs, e):
+    """sum x * y over pairs of coefficient vectors: every dense product,
+    then the remainder of the sum by long division by Phi_e."""
+    phi = cyclotomic_polynomial(e)
+    d = len(phi) - 1
+    acc = [0] * (2 * d - 1)
+    for x, y in pairs:
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                acc[i + j] += a * b
+    for top in range(len(acc) - 1, d - 1, -1):
+        q = acc[top]
+        for j, c in enumerate(phi):
+            acc[top - d + j] -= q * c
+    assert not any(acc[d:])
+    return acc[:d]
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+@pytest.mark.parametrize("e", [1, 2, 12, 60, 420])
+@PROPERTY
+@given(data=st.data())
+def test_term_fed_convolve_matches_a_dense_schoolbook_product(e, kind, data):
+    # sparse vectors, as character values are; a zero Fraction is no term
+    d = len(cyclotomic_polynomial(e)) - 1
+    coeff = st.integers(-6, 6)
+    if kind == "Fraction":
+        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+    vector = st.lists(st.one_of(st.just(0), coeff), min_size=d, max_size=d)
+    pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=3))
+    got = _convolve(((_terms(x), list(_terms(y))) for x, y in pairs), e)
+    assert got == schoolbook(pairs, e)
+    # terms extracted once and read again, as _verify reads them
+    terms = [(tuple(_terms(x)), tuple(_terms(y))) for x, y in pairs]
+    assert _convolve(terms, e) == _convolve(terms, e) == got
+    assert _convolve([], e) == [0] * d
 
 
 def test_one_order_arithmetic_embeds_nothing(monkeypatch):

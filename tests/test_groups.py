@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from test_weights import LARGER_GROUPS, PROPERTY, small_groups
 
-from doublechar import groups
+from doublechar import groups, weights
 from doublechar.errors import InputError
 from doublechar.groups import (
     ConjugacyData,
     FiniteGroup,
+    after,
     centralizer,
     perm_inv,
     perm_mul,
@@ -172,8 +173,9 @@ def test_index_tables():
 
 def test_inverses_are_computed_only_when_asked(monkeypatch):
     # a cold S7 weight system inverts the generators, the class
-    # representatives and the class members its class matrices read, not
-    # all 5,040 elements; each inverse is stored both ways
+    # representatives, the class members its class matrices read and, once
+    # per Schreier element, the conjugator a centralizer reads (244 of the
+    # 468), not all 5,040 elements; each inverse_index is stored both ways
     calls = []
 
     def counting(a):
@@ -183,7 +185,7 @@ def test_inverses_are_computed_only_when_asked(monkeypatch):
     monkeypatch.setattr(groups, "perm_inv", counting)
     group = FiniteGroup.from_generators(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
     WeightSystem(group)
-    assert len(calls) == 224
+    assert len(calls) == 468
     inverses = [group.inverse_index(i) for i in range(group.order)]
     assert all(
         perm_mul(g, group.elements[j]) == group.identity for g, j in zip(group.elements, inverses)
@@ -250,6 +252,109 @@ def test_perm_mul_matches_the_reference_product():
             assert got == reference_perm_mul(a, b)
     # itemgetter with one index returns the bare item
     assert perm_mul((0,), (0,)) == (0,)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7])
+def test_after_is_the_product_with_a_fixed_right_factor(degree):
+    # at degree 1 itemgetter of one index would return the bare item
+    rng = random.Random(33)
+    for _ in range(20):
+        a, b = list(range(degree)), list(range(degree))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        a, b = tuple(a), tuple(b)
+        got = after(b)(a)
+        assert type(got) is tuple
+        assert got == perm_mul(a, b) == reference_perm_mul(a, b)
+
+
+def relabelled_s5(seed):
+    """S5 with its points renamed by a seeded permutation p: each generator
+    s becomes p s p^(-1), so the element order and the classes move."""
+    p = list(range(5))
+    random.Random(seed).shuffle(p)
+    p = tuple(p)
+    gens = [perm_mul(perm_mul(p, s), perm_inv(p)) for s in LARGER_GROUPS["S5"][1]]
+    return FiniteGroup.from_generators(5, gens)
+
+
+def old_conjugacy(group):
+    """The conjugacy walk as it was while ConjugacyData stored every
+    conjugator's inverse: (classes, reps, conjugator, conjugator_inv)."""
+    n = group.order
+    elements = group.elements
+    pairs = [(s, perm_inv(s)) for s in group.generators]
+    class_of = [-1] * n
+    conjugator = [None] * n
+    conjugator_inv = [None] * n
+    classes, reps = [], []
+    for start in range(n):
+        if class_of[start] >= 0:
+            continue
+        cid = len(classes)
+        class_of[start] = cid
+        conjugator[start] = conjugator_inv[start] = group.identity
+        members, queue = [start], [start]
+        while queue:
+            i = queue.pop()
+            for s, s_inv in pairs:
+                j = group.index[perm_mul(perm_mul(s, elements[i]), s_inv)]
+                if class_of[j] < 0:
+                    class_of[j] = cid
+                    conjugator[j] = perm_mul(s, conjugator[i])
+                    conjugator_inv[j] = perm_mul(conjugator_inv[i], s_inv)
+                    members.append(j)
+                    queue.append(j)
+        classes.append(sorted(members))
+        reps.append(start)
+    return classes, reps, conjugator, conjugator_inv
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_conjugacy_walk_matches_the_walk_that_stored_inverses(seed):
+    group = relabelled_s5(seed)
+    assert group.generators != tuple(LARGER_GROUPS["S5"][1])
+    classes, reps, conjugator, conjugator_inv = old_conjugacy(group)
+    conj = ConjugacyData(group)
+    assert conj.classes == classes
+    assert conj.reps == reps
+    assert conj.conjugator == conjugator
+    assert not hasattr(conj, "conjugator_inv")
+    assert [perm_inv(x) for x in conj.conjugator] == conjugator_inv
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_read_class_conjugates_by_the_old_stored_inverse(seed, monkeypatch):
+    # every x^(-1) h x that _read_class builds, with x^(-1) inverted where
+    # it is read, is the one built from the stored inverse of the old walk
+    group = relabelled_s5(seed)
+    system = WeightSystem(group)
+    conj = system.conj
+    *_, conjugator_inv = old_conjugacy(group)
+    built = []
+
+    def recording(a, b):
+        built.append(perm_mul(a, b))
+        return built[-1]
+
+    monkeypatch.setattr(weights, "perm_mul", recording)
+    moved = 0
+    for g in range(group.order):
+        a = conj.class_of[g]
+        x = conj.conjugator[g]
+        table = system.tables[a]
+        for h in range(group.order):
+            built.clear()
+            got = system._read_class(g, h)
+            want = perm_mul(conjugator_inv[g], perm_mul(group.elements[h], x))
+            if g == conj.reps[a]:
+                assert built == [] and want == group.elements[h]
+            else:
+                assert built[-1] == want
+                moved += 1
+            k = table.group.index.get(want)
+            assert got == (None if k is None else table.conj.class_of[k])
+    assert moved == (group.order - conj.count) * group.order
 
 
 @pytest.mark.parametrize("gens", [[], [[0]]], ids=["no generators", "identity generator"])
