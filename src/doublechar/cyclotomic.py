@@ -14,7 +14,8 @@ The operands of +, -, ==, * and `dot` share one order e and meet on their
 coefficient tuples: entry by entry, or as one convolution reduced mod Phi_e
 (`_convolve`).  The convolution reads each operand as its nonzero terms
 (i, c_i) (`_terms`), so a caller that multiplies one value many times
-can extract its terms once (`CharacterTable._verify`).  A rational operand
+can extract its terms once (`CharacterTable._verify`, and the fusion
+projection of `WeightSystem._multiplicities`).  A rational operand
 (an int, a Fraction or an order-1 Cyclotomic) joins any order, its vector
 (c,) being a prefix of an order-e vector; any other pair of orders raises
 ValueError.

@@ -190,8 +190,9 @@ class ConjugacyData:
     ordered by representative, so the identity class is always class 0.
     For every element g the stored conjugator x_g satisfies
     x_g * rep * x_g^(-1) = g; x_rep is the identity.  Its inverse is not
-    stored: the two readers that need x_g^(-1), `centralizer` and
-    `WeightSystem._read_class`, invert x_g where they read it.
+    stored: the readers that need x_g^(-1), `centralizer` and
+    `WeightSystem._read_class`, invert x_g where they read it, and
+    `WeightSystem._reads` once per row of reads.
     """
 
     def __init__(self, group):

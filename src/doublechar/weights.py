@@ -45,17 +45,26 @@ z alone, so the product has one factor pair and is projected once, onto
 the one class of z times the other factor's.
 
 Every multiplicity is an exact cyclotomic number that must come out a
-nonnegative integer.
+nonnegative integer.  The projection computes it on the integer terms
+(i, c_i) of the values, never on Cyclotomic objects: each T(r_i, c_k) is
+one `_convolve` over the factor pairs, and each multiplicity one more
+over the classes k.  The pairs (g1, g2) depend only on the classes of
+lam and mu, so they are listed once per pair of classes.
 
 All values live in one field, Q(zeta_(e_G)) for the group exponent e_G:
 the exponent of every centralizer divides e_G.  Classes whose
 centralizers are equal share one table, and each distinct table gets one
 record, built on first use: its value rows embedded at e_G, its class
 representatives in G, its one row index and each row's exponent vector.
-Its rows conjugated (read at inverse classes) and weighted by class size
-are added on the first projection onto its classes; duals and invertible
-products never read them.  Every pair character that a dual or a
-projection reads goes through the one cached read path, _pair_row.
+Two more fields wait for a projection.  The term rows, each value as its
+nonzero terms, are added when a projection first reads a factor on the
+table's classes.  The weighted rows, the terms of each row conjugated
+(read at inverse classes) and weighted by class size, are added when a
+projection first lands on them.  Duals and invertible products read
+neither.  Every pair character that a dual or a projection reads goes
+through the one cached read path, `_reads`: the classes read at (g, h)
+for each class representative h of Z_i, built once per (g, i) with one
+inversion of the conjugator of g.
 
 Labels are canonical: "g<i>r<j>" for class i and row j of the
 centralizer character table, in ASCII digits without leading zeros;
@@ -68,9 +77,9 @@ import re
 from typing import NamedTuple
 
 from .chartable import CharacterTable
-from .cyclotomic import CYC_ZERO, _power_table, dot, root_exponents, zeta
+from .cyclotomic import CYC_ZERO, _convolve, _make, _power_table, _terms, root_exponents, zeta
 from .errors import InconsistencyError, InputError
-from .groups import centralizer, perm_inv, perm_mul
+from .groups import after, centralizer, perm_inv, perm_mul
 
 _LABEL_RE = re.compile(r"^g(\d+)r(\d+)$")
 
@@ -115,6 +124,8 @@ class WeightSystem:
         self.by_label = {w.label: w for w in self.weights}
         self.unit = Weight(0, 0)
         self._fusion_cache = {}
+        # (class of lam, class of mu) -> _factor_lists(lam, mu)
+        self._factor_cache = {}
         # (g, i) -> for each class representative h of Z_i, the class
         # that pair characters at (g, h) are read from
         self._reads_cache = {}
@@ -157,9 +168,10 @@ class WeightSystem:
 
     def _base_record(self, i):
         """The _Record of the centralizer table of class i, built on first
-        use, once per distinct table; its weighted rows are None until
-        `_record` adds them.  The row index holds every row under its key,
-        so the count of matches is the count a scan with == would find."""
+        use, once per distinct table; its term rows are None until
+        `_factor_rows` adds them, and its weighted rows until `_record`
+        does.  The row index holds every row under its key, so the count
+        of matches is the count a scan with == would find."""
         table = self.tables[i]
         record = self._records.get(table)
         if record is None:
@@ -175,14 +187,25 @@ class WeightSystem:
                 values,
                 [self.group.index[table.group.elements[r]] for r in table.conj.reps],
                 None,
+                None,
                 index,
                 vectors,
             )
         return record
 
+    def _factor_rows(self, i):
+        """The term rows of class i, which only a projection's factors
+        read: they are added on the first call per table."""
+        record = self._base_record(i)
+        if record.terms is None:
+            terms = [[tuple(_terms(v.coeffs)) for v in row] for row in record.values]
+            record = self._records[self.tables[i]] = record._replace(terms=terms)
+        return record.terms
+
     def _record(self, i):
         """The record of class i with its weighted rows, which only a
-        projection reads: they are added on the first call per table."""
+        projection onto class i reads: they are added on the first call
+        per table."""
         record = self._base_record(i)
         if record.weighted is None:
             table = self.tables[i]
@@ -190,7 +213,11 @@ class WeightSystem:
             inv = table.conj.inverse_class
             # conj chi(c) = chi(c^(-1)) for a character chi
             weighted = [
-                [row[inv[k]] * size for k, size in enumerate(sizes)] for row in record.values
+                [
+                    tuple((t, c * size) for t, c in _terms(row[inv[k]].coeffs))
+                    for k, size in enumerate(sizes)
+                ]
+                for row in record.values
             ]
             record = self._records[table] = record._replace(weighted=weighted)
         return record
@@ -210,16 +237,29 @@ class WeightSystem:
         k = table.group.index.get(moved)
         return None if k is None else table.conj.class_of[k]
 
-    def _pair_row(self, w, g_index, i):
-        """pair_char(w, g, h) for each class representative h of Z_i, for g
-        in the class of w; the classes read are found once per (g, i)."""
+    def _reads(self, g_index, i):
+        """For each class representative h of Z_i, the class that pair
+        characters at (g, h) are read from, or None; found once per (g, i).
+        With g = x r x^(-1), (g, h) is read as (r, x^(-1) h x), so the row
+        inverts x once and reads every h at the representative r."""
         reads = self._reads_cache.get((g_index, i))
         if reads is None:
-            reads = self._reads_cache[g_index, i] = [
-                self._read_class(g_index, h) for h in self._base_record(i).reps
-            ]
+            conj = self.conj
+            r = conj.reps[conj.class_of[g_index]]
+            hs = self._base_record(i).reps
+            if g_index != r:
+                group = self.group
+                x = conj.conjugator[g_index]
+                x_inv, right = perm_inv(x), after(x)
+                hs = [group.index[perm_mul(x_inv, right(group.elements[h]))] for h in hs]
+            reads = self._reads_cache[g_index, i] = [self._read_class(r, h) for h in hs]
+        return reads
+
+    def _pair_row(self, w, g_index, i):
+        """pair_char(w, g, h) for each class representative h of Z_i, for g
+        in the class of w, read through `_reads`."""
         values = self._base_record(w.class_index).values[w.irrep_index]
-        return [CYC_ZERO if k is None else values[k] for k in reads]
+        return [CYC_ZERO if k is None else values[k] for k in self._reads(g_index, i)]
 
     # ---- fusion ----
 
@@ -242,7 +282,7 @@ class WeightSystem:
             result = {self._times_invertibles(lam, mu): 1}
         else:
             result = {}
-            for i, factors in enumerate(self._factor_lists(lam, mu)):
+            for i, factors in enumerate(self._factors(lam, mu)):
                 if not factors:
                     continue
                 mults = self._multiplicities(lam, mu, i, factors)
@@ -270,9 +310,18 @@ class WeightSystem:
             raise _not_unique(f"dual of {lam}", len(found), b, row)
         return Weight(b, found[0])
 
+    def _factors(self, lam, mu):
+        """_factor_lists(lam, mu), built once per pair of classes."""
+        key = (lam.class_index, mu.class_index)
+        lists = self._factor_cache.get(key)
+        if lists is None:
+            lists = self._factor_cache[key] = self._factor_lists(lam, mu)
+        return lists
+
     def _factor_lists(self, lam, mu):
         """For each class i, the pairs (g1, g2) with g1 in the class of
-        lam, g2 in the class of mu and g1 * g2 = r_i; empty off the support."""
+        lam, g2 in the class of mu and g1 * g2 = r_i; empty off the support.
+        They depend only on the two classes (`_factors` keeps them)."""
         group = self.group
         conj = self.conj
         b = mu.class_index
@@ -289,22 +338,36 @@ class WeightSystem:
         """Multiplicity of (i, j) in lam (x) mu for each row j:
         (1/|Z_i|) sum_k |K_k| T(r_i, c_k) conj chi_j(c_k), where T is the
         pair character of lam (x) mu and c_k runs over the class
-        representatives of Z_i."""
+        representatives of Z_i.
+
+        It works on term rows, never on Cyclotomic values: T(r_i, c_k) is
+        one `_convolve` over the factor pairs whose values at c_k are both
+        nonzero, and each inner product one `_convolve` over the k where
+        T and the weighted row are both nonzero.  An inner product that
+        is a nonnegative integer multiple of |Z_i| is counted as it
+        stands; any other goes to `_as_count`, which refuses it."""
+        e = self.tables[0].exponent
+        left = self._factor_rows(lam.class_index)[lam.irrep_index]
+        right = self._factor_rows(mu.class_index)[mu.irrep_index]
         record = self._record(i)
-        left = [[] for _ in record.reps]
-        right = [[] for _ in record.reps]
+        pairs = [[] for _ in record.reps]
         for g1, g2 in factors:
-            pairs = zip(self._pair_row(lam, g1, i), self._pair_row(mu, g2, i))
-            for k, (v1, v2) in enumerate(pairs):
-                if not (v1.is_zero() or v2.is_zero()):
-                    left[k].append(v1)
-                    right[k].append(v2)
-        values = [dot(x, y) for x, y in zip(left, right)]
-        order = self.tables[i].group.order
-        return [
-            _as_count(dot(values, row), order, lam, mu, i, j)
-            for j, row in enumerate(record.weighted)
-        ]
+            for at_k, k1, k2 in zip(pairs, self._reads(g1, i), self._reads(g2, i)):
+                if k1 is not None and k2 is not None:
+                    x, y = left[k1], right[k2]
+                    if x and y:
+                        at_k.append((x, y))
+        values = [tuple(_terms(_convolve(at_k, e))) if at_k else () for at_k in pairs]
+        n = self.tables[i].group.order
+        counts = []
+        for j, row in enumerate(record.weighted):
+            acc = _convolve([(t, w) for t, w in zip(values, row) if t and w], e)
+            c = acc[0]
+            if type(c) is int and c >= 0 and c % n == 0 and not any(acc[1:]):
+                counts.append(c // n)
+            else:
+                counts.append(_as_count(_make(e, acc), n, lam, mu, i, j))
+        return counts
 
     def _exponent_vector(self, w):
         """The exponent vector of the one-dimensional weight w."""
@@ -360,7 +423,8 @@ class _Record(NamedTuple):
 
     values: list  # value rows, embedded into Q(zeta_(e_G))
     reps: list  # class representatives, as indices into G
-    weighted: list  # rows conjugated, times class sizes; None before a projection
+    terms: list  # each value's nonzero (i, c_i) terms; None until read as a factor
+    weighted: list  # terms of the rows conjugated, times class sizes; None until projected onto
     index: dict  # row key -> every row with that key
     vectors: list  # each row's exponent vector, or None off the roots of unity
 

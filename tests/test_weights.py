@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from doublechar import groups, weights
 from doublechar.chartable import CharacterTable
-from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, dot, zeta
+from doublechar.cyclotomic import CYC_ZERO, Cyclotomic, _terms, dot, zeta
 from doublechar.errors import InconsistencyError, InputError
 from doublechar.graded import KElement
 from doublechar.groups import ConjugacyData, FiniteGroup, perm_inv, perm_mul
@@ -513,13 +513,22 @@ def test_product_lookup_failure_names_both_weights():
 def test_bad_multiplicity_names_weight_inner_product_and_order(scale, verdict):
     # g2r1 (x) g2r1 holds g2r1 once, an inner product of 3 over the
     # centralizer Z3 of class 2; scaling the weighted rows of class 2
-    # scales every inner product there
+    # scales every inner product there.  Those rows hold each value's
+    # terms, so each value is rebuilt as a Cyclotomic at e_G = 6, scaled,
+    # and read back as its terms
     system = WeightSystem(FiniteGroup.from_generators(*ORACLE_GROUPS["S3"]))
     a = system.by_label["g2r1"]
     assert system.fusion(a, a) == {Weight(0, 0): 1, Weight(0, 1): 1, a: 1}
     system = WeightSystem(system.group)
     record = system._record(2)
-    scaled = [[v * scale for v in row] for row in record.weighted]
+
+    def times_scale(terms):
+        coeffs = [0, 0]
+        for t, c in terms:
+            coeffs[t] = c
+        return tuple(_terms((Cyclotomic(6, coeffs) * scale).coeffs))
+
+    scaled = [[times_scale(terms) for terms in row] for row in record.weighted]
     system._records[system.tables[2]] = record._replace(weighted=scaled)
     with pytest.raises(InconsistencyError) as info:
         system.fusion(a, a)
@@ -623,6 +632,99 @@ def test_duals_read_inverse_classes_with_no_galois_calls(name, monkeypatch):
     assert calls == []
     assert duals == {w: old_dual(system, w) for w in system.weights}
     assert calls  # the old route does call it
+
+
+# system -> class i -> the value rows of its centralizer table at e_G,
+# conjugated and scaled by class size as Cyclotomic values
+_OLD_WEIGHTED = weakref.WeakKeyDictionary()
+
+
+def old_multiplicities(system, lam, mu, i, factors):
+    """_multiplicities as it was while it projected Cyclotomic values: the
+    pair rows multiplied by dot per class of Z_i, then dot against the
+    rows conjugated and scaled by class size as Cyclotomic values."""
+    table = system.tables[i]
+    rows = _OLD_WEIGHTED.setdefault(system, {})
+    if i not in rows:
+        sizes = table.conj.sizes()
+        inv = table.conj.inverse_class
+        rows[i] = [
+            [row[inv[k]] * size for k, size in enumerate(sizes)]
+            for row in system._base_record(i).values
+        ]
+    weighted = rows[i]
+    left = [[] for _ in table.conj.reps]
+    right = [[] for _ in table.conj.reps]
+    for g1, g2 in factors:
+        pairs = zip(system._pair_row(lam, g1, i), system._pair_row(mu, g2, i))
+        for k, (v1, v2) in enumerate(pairs):
+            if not (v1.is_zero() or v2.is_zero()):
+                left[k].append(v1)
+                right[k].append(v2)
+    values = [dot(x, y) for x, y in zip(left, right)]
+    return [
+        weights._as_count(dot(values, row), table.group.order, lam, mu, i, j)
+        for j, row in enumerate(weighted)
+    ]
+
+
+# S4's centralizers have exponents 2, 3 and 4 under e_G = 12, and
+# S3 x Z5's values need the 8 power-basis terms of Q(zeta_30)
+PROJECTED_GROUPS = {
+    **{name: ORACLE_GROUPS[name] for name in ("S3", "S4", "D4", "Q8")},
+    "A5": LARGER_GROUPS["A5"],
+    "S3xZ5": (8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 0, 3, 4, 5, 6, 7), (0, 1, 2, 4, 5, 6, 7, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTED_GROUPS))
+def test_term_row_projection_matches_the_cyclotomic_one(name):
+    # every unordered pair onto every class it reaches; the 20,100 pairs
+    # of S3 x Z5 make 24,225 projections, fourteen times as many as the
+    # other groups together, so there a fixed sample of 2,000 pairs
+    system = WeightSystem(FiniteGroup.from_generators(*PROJECTED_GROUPS[name]))
+    exponents = sorted({t.exponent for t in system.tables})
+    assert exponents == {"S4": [2, 3, 4, 12], "S3xZ5": [10, 15, 30]}.get(name, exponents)
+    ws = system.weights
+    pairs = [(lam, mu) for k, lam in enumerate(ws) for mu in ws[k:]]
+    if name == "S3xZ5":
+        pairs = random.Random(30).sample(pairs, 2000)
+    projected = 0
+    for lam, mu in pairs:
+        for i, factors in enumerate(system._factor_lists(lam, mu)):
+            if factors:
+                new = system._multiplicities(lam, mu, i, factors)
+                assert new == old_multiplicities(system, lam, mu, i, factors)
+                projected += 1
+    assert projected >= len(pairs)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_factor_lists_are_built_once_per_class_pair(name, monkeypatch):
+    system = WeightSystem(FiniteGroup.from_generators(*PROJECTED_GROUPS[name]))
+    calls = []
+    real = WeightSystem._factor_lists
+
+    def counted(self, lam, mu):
+        calls.append((lam.class_index, mu.class_index))
+        return real(self, lam, mu)
+
+    monkeypatch.setattr(WeightSystem, "_factor_lists", counted)
+    ws = system.weights
+    a, b = ws[-1].class_index, ws[-2].class_index
+    pairs = [(x, y) for x in ws for y in ws if (x.class_index, y.class_index) == (a, b)]
+    assert len(pairs) > 1
+    (x, y), (u, v) = pairs[0], pairs[-1]
+    system.fusion(x, y)
+    assert calls == [(a, b)]
+    system.fusion(u, v)
+    assert calls == [(a, b)]
+    for x in ws:
+        for y in ws:
+            system.fusion(x, y)
+    assert len(calls) == len(set(calls)) == len(system._factor_cache)
+    for (a, b), lists in system._factor_cache.items():
+        assert lists == real(system, Weight(a, 0), Weight(b, 0))
 
 
 @PROPERTY
@@ -763,6 +865,20 @@ def test_every_pair_character_is_read_through_the_cache(monkeypatch):
     assert len([system.dual(w) for w in ws]) == 21
     assert calls
     assert len(calls) == sum(len(reads) for reads in system._reads_cache.values())
+
+
+def test_each_read_row_inverts_its_conjugator_once(monkeypatch):
+    # the A5 fusion table and every dual build each row of reads (g, i)
+    # with one inversion of x_g, and none at a class representative
+    system = WeightSystem(FiniteGroup.from_generators(*LARGER_GROUPS["A5"]))
+    calls = []
+    monkeypatch.setattr(weights, "perm_inv", lambda a: calls.append(a) or perm_inv(a))
+    ws = system.weights
+    assert len([system.fusion(a, b) for k, a in enumerate(ws) for b in ws[k:]]) == 253
+    assert len([system.dual(w) for w in ws]) == 22
+    moved = [g for g, i in system._reads_cache if g not in system.conj.reps]
+    assert len(calls) == len(moved)
+    assert calls == [system.conj.conjugator[g] for g in moved]
 
 
 @pytest.mark.parametrize("name", ["S4", "Z6"])
