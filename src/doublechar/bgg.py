@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cyclotomic import rref
 from .errors import Frozen, InconsistencyError, InputError, SpanError, field, is_int
-from .graded import GradedChar, KElement, combine
+from .graded import GradedChar, KElement, add_scaled, combine
 from .laurent import LaurentInt
 from .nichols import ind_char
 
@@ -31,25 +31,29 @@ def decompose_into_simples(char, table):
 
     Eliminates leading terms from the top degree down; each simple
     character starts with its own weight in degree 0, so the top layer
-    of the residual is always read off verbatim.  Raises SpanError
-    (carrying the residual) when a coefficient would be negative.
+    of the residual is always read off verbatim.  The residual is one
+    accumulator, degree -> {weight: coefficient}, from which m * L(w)
+    shifted by d is subtracted in place, dropping each coefficient and
+    layer that reaches zero.  Raises SpanError when a coefficient would
+    be negative; it carries the residual at that step, as a GradedChar.
     """
     out = {}
-    residual = char
+    residual = {d: dict(layer.terms) for d, layer in char.terms.items()}
     # each pass clears the top layer, since layer 0 of L(w) is exactly w, and
     # subtracts only nonnegative terms below it: the positive mass drops by >= 1
-    while not residual.is_zero():
-        d = residual.max_degree()
-        layer = residual.layer(d)
-        for w, m in layer.items():
+    while residual:
+        d = max(residual)
+        for w, m in sorted(residual[d].items()):
             if m < 0:
                 raise SpanError(
                     f"character is not in the nonnegative span of the simples: "
                     f"weight {w} has coefficient {m} at degree {d}",
-                    residual=residual,
+                    residual=GradedChar._new(
+                        {e: KElement._new(terms) for e, terms in residual.items()}
+                    ),
                 )
             out.setdefault(w, {})[d] = m
-            residual = residual - table[w].shift(d).scale(m)
+            add_scaled(residual, table[w], -m, d)
     return {w: LaurentInt(terms) for w, terms in sorted(out.items())}
 
 

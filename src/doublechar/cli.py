@@ -377,12 +377,14 @@ def cmd_taft(args):
         raise InputError("the rank-one generator supports 2 <= n <= 12")
     params = TaftParams(n)
     system = params.system
+    # the matrix oracle for every weight goes first: its product memo is
+    # gone before the engine's characters and the report are built
+    vm = VermaMatrices(params)
     profile, table = build_profile_and_table(params)
     names = params.aliases()
 
-    # matrix oracle for every weight, and agreement with the engine
+    # agreement of the oracle with the engine
     report = bgg_matrices(profile, table)
-    vm = VermaMatrices(params)
     for r, s in params.all_rs():
         lam = params.weight_of(r, s)
         expected = {

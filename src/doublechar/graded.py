@@ -192,7 +192,37 @@ def gc_dual(a, system):
     return GradedChar({-d: k.dual(system) for d, k in a.terms.items()})
 
 
+def add_scaled(acc, char, k, shift=0):
+    """Adds k * t^shift * char to acc, a dict degree -> {weight: int},
+    in place; a coefficient or layer that reaches zero is dropped."""
+    if not k:
+        return
+    for d, layer in char.terms.items():
+        d += shift
+        terms = acc.get(d)
+        if terms is None:
+            terms = acc[d] = {}
+        for w, m in layer.terms.items():
+            c = terms.get(w, 0) + k * m
+            if c:
+                terms[w] = c
+            else:
+                del terms[w]
+        if not terms:
+            del acc[d]
+
+
 def combine(row, chars):
     """The character sum over w of chars[w] scaled by row[w], an integer
-    or Laurent coefficient."""
-    return sum((chars[w].scale(c) for w, c in row.items()), GradedChar.zero())
+    or Laurent coefficient, accumulated in place in one
+    degree -> {weight: coefficient} dict and wrapped once."""
+    acc = {}
+    for w, c in row.items():
+        if isinstance(c, int):
+            add_scaled(acc, chars[w], c)
+        elif isinstance(c, LaurentInt):
+            for e, k in c.terms.items():
+                add_scaled(acc, chars[w], k, e)
+        else:
+            raise InputError("characters scale by integers or Laurent polynomials")
+    return GradedChar._new({d: KElement._new(terms) for d, terms in acc.items()})

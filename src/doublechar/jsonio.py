@@ -4,12 +4,14 @@ All emitted JSON is canonical: two-space indent, sorted keys, trailing
 newline.  Identical inputs therefore produce byte-identical outputs,
 which the test suite relies on.  A file is streamed to disk through
 `errors.write_atomic` as the walk emits it, with no copy of the whole
-text in memory, and read through `errors.load_json`; a refused payload,
-too, leaves any previous file as it was.  The loaders wrap every
-failure in InputError so the CLI can map them to its input-validation
-exit code; an inconsistency found while a group, profile or simple
-table loads keeps its type, and its message, like an input error's,
-names the file.
+text in memory, and read through `errors.load_json`; a refused
+payload, too, leaves any previous file as it was.  A dict member or
+list item whose value is exactly a str or an int goes out with its
+separator and key in one write.  The loaders wrap every failure in
+InputError so the CLI can map them to its input-validation exit code;
+an inconsistency found while a group, profile or simple table loads
+keeps its type, and its message, like an input error's, names the
+file.
 """
 
 from __future__ import annotations
@@ -38,11 +40,8 @@ def canonical_dumps(obj):
 
 
 def _write_canonical(obj, newline, out):
-    if isinstance(obj, str):
-        out(encode_basestring_ascii(obj))
-    elif isinstance(obj, int) and not isinstance(obj, bool):
-        out(int.__repr__(obj))
-    elif type(obj) is dict:
+    kind = type(obj)
+    if kind is dict:
         if not obj:
             out("{}")
             return
@@ -52,23 +51,38 @@ def _write_canonical(obj, newline, out):
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):
-            out(sep)
-            out(encode_basestring_ascii(key))
-            out(": ")
-            _write_canonical(obj[key], inner, out)
+            value = obj[key]
+            head = sep + encode_basestring_ascii(key) + ": "
             sep = "," + inner
+            # an exact str or int goes out with its separator and key in one write
+            if type(value) is str:
+                out(head + encode_basestring_ascii(value))
+            elif type(value) is int:
+                out(head + int.__repr__(value))
+            else:
+                out(head)
+                _write_canonical(value, inner, out)
         out(newline + "}")
-    elif type(obj) in (list, tuple):
+    elif kind is list or kind is tuple:
         if not obj:
             out("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
-            out(sep)
-            _write_canonical(item, inner, out)
+            if type(item) is str:
+                out(sep + encode_basestring_ascii(item))
+            elif type(item) is int:
+                out(sep + int.__repr__(item))
+            else:
+                out(sep)
+                _write_canonical(item, inner, out)
             sep = "," + inner
         out(newline + "]")
+    elif isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out(int.__repr__(obj))
     elif isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"cannot write a {type(obj).__name__} canonically")
     else:

@@ -14,11 +14,15 @@ mismatch raises OracleError rather than picking a side.
 Matrices are lists of sparse rows that store nonzero entries only.
 The helpers below are generic: products multiply whatever entries are
 stored, and nilpotency is tested as M^n == 0 with M^n formed by repeated
-squaring.  The kernel comes from the package's one exact elimination,
-`cyclotomic.nullspace`, which needs an inverse only for a pivot row
-with more than one entry (a pivot row with no other entry normalises to
-1 exactly).  Nothing here knows that the group-likes are diagonal or
-that the ladders are single bands.
+squaring.  An output entry with a single contribution, and each entry
+of a scaled matrix, is the product of two values, computed once per
+build: one memo, keyed on both values' order and coefficients, serves
+every check of a build and is dropped when the checks end.  The kernel
+comes from the package's one exact elimination, `cyclotomic.nullspace`,
+which needs an inverse only for a pivot row with more than one entry (a
+pivot row with no other entry normalises to 1 exactly).  Nothing here
+knows that the group-likes are diagonal or that the ladders are single
+bands.
 
 The n^2 modules are built from 2n + 1 operators, made in one pass:
 n raising ladders E_c, one per c = (r + s) mod n, one lowering ladder F
@@ -30,7 +34,7 @@ checks that its group-likes and F keep the tail from each singular
 index, E_c keeping it by how those indices are found.  A pair of an
 operator and a cut shared by several weights is scanned once, for the
 first weight in (r, s) order that needs it.  Nothing is kept between
-calls.
+builds or runs.
 
 Weights here are named by exponent pairs (r, s): class of the r-th
 power of the cycle, character sending the cycle to q^s.  The canonical
@@ -202,21 +206,26 @@ class VermaMatrices(Frozen):
         n = self.params.n
         q, q_inv = self.params.powers[1], self.params.powers[n - 1]
         gs, es, f = self.group_likes, self.raising, self.lowering
+        # entry products of this build, shared by every check below and
+        # dropped when it returns
+        memo = {}
 
         # group-likes commute and scale the ladder operators by q^(-1)/q
         for x, g in enumerate(gs):
             for y in range(x + 1, n):
-                _expect(f"G_{x}, G_{y}", "g g' = g' g", _mat_mul(g, gs[y]), _mat_mul(gs[y], g))
+                _expect(f"G_{x}, G_{y}", "g g' = g' g",
+                        _mat_mul(g, gs[y], memo), _mat_mul(gs[y], g, memo))
             for c, e in enumerate(es):
                 _expect(f"G_{x}, E_{c}", "g E = q^-1 E g",
-                        _mat_mul(g, e), _scale(_mat_mul(e, g), q_inv))
-            _expect(f"G_{x}, F", "g F = q F g", _mat_mul(g, f), _scale(_mat_mul(f, g), q))
+                        _mat_mul(g, e, memo), _scale(_mat_mul(e, g, memo), q_inv, memo))
+            _expect(f"G_{x}, F", "g F = q F g",
+                    _mat_mul(g, f, memo), _scale(_mat_mul(f, g, memo), q, memo))
 
         # nilpotency; no zero is ever stored, so the zero matrix has empty rows
-        _expect("F", "F^n = 0", _mat_pow(f, n), [{}] * n)
+        _expect("F", "F^n = 0", _mat_pow(f, n, memo), [{}] * n)
         singular = []
         for c, e in enumerate(es):
-            _expect(f"E_{c}", "E^n = 0", _mat_pow(e, n), [{}] * n)
+            _expect(f"E_{c}", "E^n = 0", _mat_pow(e, n, memo), [{}] * n)
             # singular vectors: the kernel, computed by exact elimination,
             # must be spanned by e_0 and one basis vector e_k per cut k
             # whose tail span E keeps, and by nothing else
@@ -274,40 +283,51 @@ def _diag(values):
     return _sparse(len(values), ((i, i, x) for i, x in enumerate(values)))
 
 
-def _scale(m, c):
-    return [_row((j, x * c) for j, x in row.items()) for row in m]
+def _product(x, y, memo):
+    """x * y, computed once per pair of values that memo has seen; memo
+    maps (x.order, x.coeffs, y.order, y.coeffs) to the product."""
+    key = (x.order, x.coeffs, y.order, y.coeffs)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = x * y
+    return out
 
 
-def _mat_mul(a, b):
+def _scale(m, c, memo=None):
+    memo = {} if memo is None else memo
+    return [_row((j, _product(x, c, memo)) for j, x in row.items()) for row in m]
+
+
+def _mat_mul(a, b, memo=None):
     """Product of two sparse matrices: each output entry is one dot()
     over the inner indices where both factors have a stored entry, or a
-    single product when there is one such index."""
+    single product, looked up in memo, when there is one such index."""
+    memo = {} if memo is None else memo
     out = []
     for row in a:
-        terms = {}
+        pairs = {}
         for k, x in row.items():
             for j, y in b[k].items():
-                xs, ys = terms.setdefault(j, ([], []))
-                xs.append(x)
-                ys.append(y)
+                pairs.setdefault(j, []).append((x, y))
         out.append(
             _row(
-                (j, xs[0] * ys[0] if len(xs) == 1 else dot(xs, ys))
-                for j, (xs, ys) in terms.items()
+                (j, _product(*p[0], memo) if len(p) == 1 else dot(*zip(*p)))
+                for j, p in pairs.items()
             )
         )
     return out
 
 
-def _mat_pow(m, e):
-    """m^e by repeated squaring."""
+def _mat_pow(m, e, memo=None):
+    """m^e by repeated squaring, its products sharing memo."""
+    memo = {} if memo is None else memo
     out = None
     while e:
         if e & 1:
-            out = m if out is None else _mat_mul(out, m)
+            out = m if out is None else _mat_mul(out, m, memo)
         e >>= 1
         if e:
-            m = _mat_mul(m, m)
+            m = _mat_mul(m, m, memo)
     return _diag([CYC_ONE] * len(m)) if out is None else out
 
 

@@ -262,6 +262,134 @@ def test_maximal_shift_summand(case):
         assert tops == [expected]
 
 
+# ---- the in-place accumulators against the routes they replaced ----
+
+
+def old_decompose(char, table):
+    """The subtraction route: a new GradedChar residual per step."""
+    out = {}
+    residual = char
+    while not residual.is_zero():
+        d = residual.max_degree()
+        layer = residual.layer(d)
+        for w, m in layer.items():
+            if m < 0:
+                raise SpanError(
+                    f"character is not in the nonnegative span of the simples: "
+                    f"weight {w} has coefficient {m} at degree {d}",
+                    residual=residual,
+                )
+            out.setdefault(w, {})[d] = m
+            residual = residual - table[w].shift(d).scale(m)
+    return {w: LaurentInt(terms) for w, terms in sorted(out.items())}
+
+
+def old_combine(row, chars):
+    """The pairwise route: one scaled character and one sum per term."""
+    return sum((chars[w].scale(c) for w, c in row.items()), GradedChar.zero())
+
+
+def _same_decomposition(char, table):
+    """decompose_into_simples agrees with old_decompose: the same
+    coefficients, or a SpanError with the same message and an equal
+    residual.  Returns the coefficients, or None after a SpanError."""
+    try:
+        want = old_decompose(char, table)
+    except SpanError as old:
+        with pytest.raises(SpanError) as new:
+            decompose_into_simples(char, table)
+        assert str(new.value) == str(old)
+        assert isinstance(new.value.residual, GradedChar)
+        assert new.value.residual == old.residual
+        return None
+    assert decompose_into_simples(char, table) == want
+    return want
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_in_place_routes_match_the_old_ones_on_every_verma_and_projective(case):
+    # taft n = 2..8 with their own tables, and the S3 profiles (FK3's
+    # among them) with the cut table
+    profile, table, report = _report_case(case)
+    for lam in profile.system.weights:
+        assert _same_decomposition(profile.vermas[lam], table) == report.verma_simple[lam]
+        row = report.projective_verma[lam]
+        assert combine(row, profile.vermas) == old_combine(row, profile.vermas)
+        assert report.projective_chars[lam] == old_combine(row, profile.vermas)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(taft_simple_combinations())
+def test_in_place_routes_match_the_old_ones_on_nonnegative_combinations(case):
+    table, coeffs = case
+    char = combine(coeffs, table)
+    assert char == old_combine(coeffs, table)
+    assert _same_decomposition(char, table) == dict(sorted(coeffs.items()))
+
+
+@st.composite
+def taft_signed_combinations(draw):
+    """A taft n = 2..6 simple table and a combination of its simples
+    whose coefficients are integers or Laurent polynomials of any sign."""
+    n = draw(st.integers(2, 6))
+    _, table = _taft(n)
+    picked = draw(st.lists(st.sampled_from(table.weights()), max_size=6, unique=True))
+    laurent = st.dictionaries(
+        st.integers(-4, 4), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    ).map(LaurentInt)
+    return table, {w: draw(st.one_of(st.integers(-3, 3), laurent)) for w in picked}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(taft_signed_combinations())
+def test_in_place_routes_match_the_old_ones_on_signed_combinations(case):
+    # most of these leave the span, so the SpanError message and the
+    # residual at the failing step are compared as well
+    table, coeffs = case
+    char = combine(coeffs, table)
+    assert char == old_combine(coeffs, table)
+    _same_decomposition(char, table)
+
+
+def test_span_error_residual_is_the_one_at_the_failing_step(taft3):
+    # a weight with a negative coefficient after a positive one in the
+    # same top layer: the residual already has the positive one's simple
+    # subtracted, its lower layers included
+    params, _, table = taft3
+    a = next(w for w in table.weights() if len(table[w].terms) > 1)
+    b = next(w for w in table.weights() if w > a)
+    char = GradedChar.of(a) - GradedChar.of(b)
+    assert _same_decomposition(char, table) is None
+    with pytest.raises(SpanError) as exc:
+        decompose_into_simples(char, table)
+    assert str(exc.value) == (
+        "character is not in the nonnegative span of the simples: "
+        f"weight {b} has coefficient -1 at degree 0"
+    )
+    assert exc.value.residual == char - table[a]
+
+
+def test_span_error_outside_the_span_matches_the_old_route(taft3):
+    # a single weight whose simple is longer leaves that simple's lower
+    # layers negative, which no simple cancels
+    params, profile, table = taft3
+    for w in profile.system.weights:
+        for char in (GradedChar.of(w), GradedChar.of(w, deg=1, mult=-2)):
+            _same_decomposition(char, table)
+
+
+def test_combine_takes_integer_and_laurent_coefficients(taft3):
+    params, profile, _ = taft3
+    a, b, c = (params.weight_of(*rs) for rs in ((0, 0), (1, 2), (2, 1)))
+    row = {a: 2, b: LaurentInt({-1: 1, 2: -3}), c: 0}
+    assert combine(row, profile.vermas) == old_combine(row, profile.vermas)
+    # terms that cancel leave neither a zero coefficient nor an empty layer
+    assert combine({a: 1, b: 0}, {a: profile.vermas[a], b: profile.vermas[a]}) == profile.vermas[a]
+    assert combine({a: 1, b: -1}, {a: profile.vermas[a], b: profile.vermas[a]}).terms == {}
+    with pytest.raises(InputError, match="characters scale by integers or Laurent polynomials"):
+        combine({a: 1.5}, profile.vermas)
+
+
 def test_ind_decomposition(taft3, taft3_report):
     params, profile, table = taft3
     mu = params.weight_of(0, 0)

@@ -4,6 +4,8 @@ import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doublechar import cli
 from doublechar.bgg import MLMatrixData
@@ -145,6 +147,37 @@ def test_report_is_streamed_without_a_copy_of_its_text(monkeypatch, tmp_path):
     ],
 )
 def test_canonical_dumps_matches_json(obj):
+    assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',{}[]:"\\\x00\x1f\x7f\u2028')))
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+@example({"a": True})
+@example([True, False, 1, 0])
+@example({"a": [False, {"b": True, "c": 1}], "d": ("x", 2, None)})
+def test_canonical_dumps_matches_json_on_generated_payloads(obj):
+    # a bool is an int, but the one-write path tests the exact type, so
+    # True still goes out as true, never as 1
     assert canonical_dumps(obj) == _reference_dumps(obj)
 
 

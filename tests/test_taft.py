@@ -12,6 +12,7 @@ from doublechar.taft import (
     _diag,
     _mat_mul,
     _mat_pow,
+    _scale,
     _sparse,
     build_profile_and_table,
     head_length,
@@ -451,3 +452,46 @@ def test_shared_operators_are_built_and_checked_once(monkeypatch):
         "_mat_mul": 496,
         "_tail_invariant": 275,
     }
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    return calls
+
+
+def test_oracle_computes_each_entry_product_once_per_build(monkeypatch):
+    # at n = 12 the ladder coefficients take 132 products and the checks
+    # read 6,538 entry products, of which 1,903 pairs of values differ; the
+    # memo lives for one build, so a second build computes them all again
+    params = TaftParams(12)
+    calls = _count_products(monkeypatch)
+    VermaMatrices(params)
+    first = len(calls)
+    calls.clear()
+    VermaMatrices(params)
+    assert first == len(calls) == 2035
+
+
+def test_helpers_without_a_memo_match_a_shared_memo():
+    # called with two arguments the helpers keep a memo of their own, and
+    # a memo shared between calls, and between orders 3 and 5, never
+    # returns another pair's product
+    vm = VermaMatrices(TaftParams(5))
+    q = vm.params.powers[1]
+    memo = {}
+    for a in (*vm.group_likes, *vm.raising, vm.lowering, _small_dense()):
+        for b in (*vm.group_likes[:2], vm.raising[3], vm.lowering, _small_dense()):
+            if len(a) == len(b):
+                assert (_dense(_mat_mul(a, b, memo)) == _dense(_mat_mul(a, b))
+                        == _dense_mul(_dense(a), _dense(b)))
+        if len(a) == 5:
+            assert (_dense(_scale(a, q, memo)) == _dense(_scale(a, q))
+                    == [[x * q for x in row] for row in _dense(a)])
+        assert _dense(_mat_pow(a, 3, memo)) == _dense(_mat_pow(a, 3)) == _dense_pow(_dense(a), 3)
